@@ -18,12 +18,12 @@ cost model c(h, t)), two quantities are evaluated on the grid:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from ._common import parse_call, trapezoid
 from .ncp import fb_phi
 
 __all__ = [
@@ -132,15 +132,12 @@ def _psi(h: np.ndarray, c: np.ndarray, variant: str) -> np.ndarray:
     return 0.5 * phi * phi
 
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
 def dynamic_gap(traj: Trajectory, cfg: DynamicConfig | None = None) -> float:
     """Trapezoid value of the literal integral of psi(h, c - pi) h'(t) dt."""
     cfg = cfg or DynamicConfig()
     c = traj.cost_values() - cfg.pi_offset
     integrand = _psi(traj.h, c, cfg.variant) * traj.flow_rate()
-    return float(_trapezoid(integrand, traj.grid))
+    return float(trapezoid(integrand, traj.grid))
 
 
 def complementarity_merit(traj: Trajectory, cfg: DynamicConfig | None = None) -> float:
@@ -148,7 +145,7 @@ def complementarity_merit(traj: Trajectory, cfg: DynamicConfig | None = None) ->
     nonnegative and zero exactly when phi vanishes at every node."""
     cfg = cfg or DynamicConfig()
     c = traj.cost_values() - cfg.pi_offset
-    return float(_trapezoid(_psi(traj.h, c, cfg.variant), traj.grid))
+    return float(trapezoid(_psi(traj.h, c, cfg.variant), traj.grid))
 
 
 @dataclass(frozen=True)
@@ -251,22 +248,10 @@ def minimize_dynamic(
     )
 
 
-_MODEL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
-
-
 def parse_cost_model(spec: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Named cost models: ``zero``, ``identity`` (c = h), ``affine(a,b)``
     (c = a*h + b)."""
-    m = _MODEL_RE.match(spec)
-    if not m:
-        raise ValueError(f"malformed cost model: {spec!r}")
-    name, argstr = m.group(1), m.group(2)
-    args = []
-    if argstr is not None and argstr.strip():
-        try:
-            args = [float(tok) for tok in argstr.split(",")]
-        except ValueError:
-            raise ValueError(f"non-numeric arguments in cost model: {spec!r}") from None
+    name, args = parse_call(spec, "cost model")
     if name == "zero":
         if args:
             raise ValueError("cost model 'zero' takes no arguments")

@@ -18,11 +18,12 @@ Derivative-array convention: the derivative axis comes first, i.e.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from ._common import parse_call
 
 __all__ = [
     "DomainError",
@@ -209,26 +210,22 @@ def _fd_derivative(fn, x: np.ndarray, value_shape: tuple, step_rel: float = COEF
 class RandersStructure:
     """Coefficient fields (a_ij, b_i) of F(x,y) = sqrt(a_ij y^i y^j) + b_i y^i.
 
-    The raw dataclass represents arbitrary coefficient pairs so that
-    ``validate_structure`` can report on invalid ones; ``constant_randers``
-    and ``build_randers`` are the validating constructors.  Those
-    constructors also attach ``bundle``, a fused fast path returning
-    ``(a, b, da, db)`` in one evaluation (used by the geodesic integrator);
-    it performs the saturation/validity checks but skips per-call schema
-    re-validation.
+    ``bundle(x)`` returns ``(a, b, da, db)``, derivative axis first, and is the
+    only way the structure is evaluated; ``coefficients`` (which re-validates
+    the schema) and ``coefficient_derivatives`` are views over it.  The raw
+    dataclass represents arbitrary coefficient pairs so that
+    ``validate_structure`` can report on invalid ones; the bundles attached by
+    ``constant_randers`` and ``build_randers`` enforce validity.
     """
 
-    alpha: Callable[[np.ndarray], np.ndarray]
-    beta: Callable[[np.ndarray], np.ndarray]
-    alpha_dx: Callable[[np.ndarray], np.ndarray] | None = None
-    beta_dx: Callable[[np.ndarray], np.ndarray] | None = None
-    bundle: Callable[[np.ndarray], tuple] | None = None
+    bundle: Callable[[np.ndarray], tuple]
     dim: int = 2
 
     def coefficients(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = _pt(x, self.dim)
-        a = _check_sym_matrix(self.alpha(x), self.dim, "alpha matrix")
-        b = np.asarray(self.beta(x), dtype=float)
+        a, b, _, _ = self.bundle(x)
+        a = _check_sym_matrix(a, self.dim, "alpha matrix")
+        b = np.asarray(b, dtype=float)
         if b.shape != (self.dim,):
             raise ValueError(f"beta has shape {b.shape}, expected ({self.dim},)")
         if not np.all(np.isfinite(b)):
@@ -237,16 +234,8 @@ class RandersStructure:
 
     def coefficient_derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(da, db) with da[m,i,j] = d a_ij/d x^m, db[m,i] = d b_i/d x^m."""
-        x = _pt(x, self.dim)
-        if self.alpha_dx is not None:
-            da = np.asarray(self.alpha_dx(x), dtype=float)
-        else:
-            da = _fd_derivative(lambda p: self.alpha(p), x, (self.dim, self.dim))
-        if self.beta_dx is not None:
-            db = np.asarray(self.beta_dx(x), dtype=float)
-        else:
-            db = _fd_derivative(lambda p: self.beta(p), x, (self.dim,))
-        return da, db
+        _, _, da, db = self.bundle(_pt(x, self.dim))
+        return np.asarray(da, dtype=float), np.asarray(db, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -303,10 +292,12 @@ def build_randers(
     """Build the Randers structure induced by congestion ``omega`` over ``g``.
 
     Coefficients: lam = 1 - ||w||_g^2, a = g/lam^2, b = g w/lam, which gives
-    ``||b||_a = ||w||_g``.  The saturation bound ``||w||_g <= 1 - eps_cong``
-    is verified up front at the field's probe points plus ``check_points``,
-    and again lazily at every later coefficient evaluation; violations raise
-    ``DomainError`` naming the offending point (nothing is clamped).
+    ``||b||_a = ||w||_g``; their x-derivatives come from the chain rule, with
+    central differences for a field lacking ``matrix_dx`` / ``vector_dx``.
+    The saturation bound ``||w||_g <= 1 - eps_cong`` is verified up front at
+    the field's probe points plus ``check_points``, and again lazily at every
+    later coefficient evaluation; violations raise ``DomainError`` naming the
+    offending point (nothing is clamped).
     """
     if g.dim != omega.dim:
         raise ValueError("metric and congestion field dimensions differ")
@@ -330,17 +321,8 @@ def build_randers(
         omega(p)  # full schema validation at the probes
         fields_at(p)
 
-    def alpha(x: np.ndarray) -> np.ndarray:
-        mat, _, nw = fields_at(x)
-        lam = 1.0 - nw**2
-        return mat / lam**2
-
-    def beta(x: np.ndarray) -> np.ndarray:
-        mat, w, nw = fields_at(x)
-        lam = 1.0 - nw**2
-        return (mat @ w) / lam
-
-    analytic_dx = g.matrix_dx is not None and omega.vector_dx is not None
+    matrix_dx = g.matrix_dx if g.matrix_dx is not None else g.derivative
+    vector_dx = omega.vector_dx if omega.vector_dx is not None else omega.derivative
 
     def bundle(x: np.ndarray) -> tuple:
         mat, w, nw = fields_at(x)
@@ -348,23 +330,15 @@ def build_randers(
         a = mat / lam**2
         gw = mat @ w
         b = gw / lam
-        if analytic_dx:
-            dmat = np.asarray(g.matrix_dx(x), dtype=float)
-            dw = np.asarray(omega.vector_dx(x), dtype=float)
-            dmat_w = dmat @ w  # [m, i] = d_m g_ij w^j
-            dlam = -(dmat_w @ w + 2.0 * (dw @ gw))
-            da = dmat / lam**2 - (2.0 / lam**3) * dlam[:, None, None] * mat
-            db = (dmat_w + dw @ mat) / lam - dlam[:, None] * gw / lam**2
-        else:
-            da = _fd_derivative(alpha, x, (g.dim, g.dim))
-            db = _fd_derivative(beta, x, (g.dim,))
+        dmat = np.asarray(matrix_dx(x), dtype=float)
+        dw = np.asarray(vector_dx(x), dtype=float)
+        dmat_w = dmat @ w  # [m, i] = d_m g_ij w^j
+        dlam = -(dmat_w @ w + 2.0 * (dw @ gw))
+        da = dmat / lam**2 - (2.0 / lam**3) * dlam[:, None, None] * mat
+        db = (dmat_w + dw @ mat) / lam - dlam[:, None] * gw / lam**2
         return a, b, da, db
 
-    alpha_dx = (lambda x: bundle(x)[2]) if analytic_dx else None
-    beta_dx = (lambda x: bundle(x)[3]) if analytic_dx else None
-    return RandersStructure(
-        alpha=alpha, beta=beta, alpha_dx=alpha_dx, beta_dx=beta_dx, bundle=bundle, dim=g.dim
-    )
+    return RandersStructure(bundle=bundle, dim=g.dim)
 
 
 def _fundamental_matrix(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -544,17 +518,8 @@ def constant_randers(a, b) -> RandersStructure:
     if nb >= 1.0:
         raise DomainError(f"invalid drift: ||b||_a = {nb:.6g} >= 1")
     dim = a.shape[0]
-    zeros_a = np.zeros((dim, dim, dim))
-    zeros_b = np.zeros((dim, dim))
-    packed = (a, b, zeros_a, zeros_b)
-    return RandersStructure(
-        alpha=lambda x: a,
-        beta=lambda x: b,
-        alpha_dx=lambda x: zeros_a,
-        beta_dx=lambda x: zeros_b,
-        bundle=lambda x: packed,
-        dim=dim,
-    )
+    packed = (a, b, np.zeros((dim, dim, dim)), np.zeros((dim, dim)))
+    return RandersStructure(bundle=lambda x: packed, dim=dim)
 
 
 def euclidean_randers(dim: int = 2) -> RandersStructure:
@@ -685,21 +650,9 @@ def grid_congestion(xs, ys, vectors) -> CongestionField:
     return CongestionField(vector=vector, vector_dx=vector_dx, probes=probes, dim=2)
 
 
-_PRESET_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
-
-
 def parse_congestion_spec(spec: str) -> CongestionField:
     """Parse a preset string: ``none``, ``uniform(wx,wy)``, ``vortex(cx,cy,strength)``."""
-    m = _PRESET_RE.match(spec)
-    if not m:
-        raise ValueError(f"malformed congestion preset: {spec!r}")
-    name, argstr = m.group(1), m.group(2)
-    args = []
-    if argstr is not None and argstr.strip():
-        try:
-            args = [float(tok) for tok in argstr.split(",")]
-        except ValueError:
-            raise ValueError(f"non-numeric arguments in congestion preset: {spec!r}") from None
+    name, args = parse_call(spec, "congestion preset")
     if name == "none":
         if args:
             raise ValueError("preset 'none' takes no arguments")

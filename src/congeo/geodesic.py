@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finsler import DomainError, RandersStructure, _fundamental_matrix, _pt, _vec, randers_eval
+from ._common import trapezoid
+from .finsler import DomainError, RandersStructure, _fundamental_matrix, _pt, _raw_eval, _vec, randers_eval
 
 __all__ = [
     "Curve",
@@ -32,9 +33,6 @@ __all__ = [
     "geodesic_ivp",
     "geodesic_bvp",
 ]
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float)
@@ -104,22 +102,17 @@ def _second_differences(t: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """Quadratic action density L(x, y) = F(x, y)^2 / 2 and its derivatives."""
+    """Quadratic action density L(x, y) = F(x, y)^2 / 2 and its derivatives,
+    each from a single ``bundle`` evaluation of the structure."""
 
     structure: RandersStructure
 
     def _coeffs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        s = self.structure
-        if s.bundle is not None:
-            return s.bundle(np.asarray(x, dtype=float))
-        a, b = s.coefficients(x)
-        da, db = s.coefficient_derivatives(x)
-        return a, b, da, db
+        return self.structure.bundle(np.asarray(x, dtype=float))
 
     def value(self, x, y) -> float:
         a, b, _, _ = self._coeffs(x)
-        y = _vec(y)
-        return 0.5 * (np.sqrt(max(y @ a @ y, 0.0)) + b @ y) ** 2
+        return 0.5 * _raw_eval(a, b, _vec(y)) ** 2
 
     @staticmethod
     def _fiber(a, b, y):
@@ -129,6 +122,18 @@ class Lagrangian:
         ell = (a @ y) / al
         Fv = al + b @ y
         return al, ell, Fv
+
+    def _terms(self, x, y):
+        """(a, b, F, dF, mixed) at (x, y) from one bundle call, where
+        dF[m] = dF/dx^m and mixed[m, i] = dL_i/dx^m, so dL/dx = F * dF."""
+        a, b, da, db = self._coeffs(x)
+        al, ell, Fv = self._fiber(a, b, y)
+        da_y = da @ y
+        dal = (da_y @ y) / (2.0 * al)
+        dF = dal + db @ y
+        dell = da_y / al - np.outer(dal, ell) / al
+        mixed = np.outer(dF, ell + b) + Fv * (dell + db)
+        return a, b, Fv, dF, mixed
 
     def fiber_grad(self, x, y) -> np.ndarray:
         a, b, _, _ = self._coeffs(x)
@@ -140,32 +145,16 @@ class Lagrangian:
         return _fundamental_matrix(a, b, _vec(y))
 
     def position_grad(self, x, y) -> np.ndarray:
-        a, b, da, db = self._coeffs(x)
-        y = _vec(y)
-        al, _, Fv = self._fiber(a, b, y)
-        dal = ((da @ y) @ y) / (2.0 * al)
-        return Fv * (dal + db @ y)
+        _, _, Fv, dF, _ = self._terms(x, _vec(y))
+        return Fv * dF
 
     def mixed(self, x, y) -> np.ndarray:
         """dL_i/dx^m with derivative axis first: mixed[m, i]."""
-        a, b, da, db = self._coeffs(x)
-        y = _vec(y)
-        al, ell, Fv = self._fiber(a, b, y)
-        da_y = da @ y
-        dal = (da_y @ y) / (2.0 * al)
-        dF = dal + db @ y
-        dell = da_y / al - np.outer(dal, ell) / al
-        return np.outer(dF, ell + b) + Fv * (dell + db)
+        return self._terms(x, _vec(y))[4]
 
     def acceleration(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Solve L_ij xdd = dL/dx - (dL_i/dx^j) xd^j for the geodesic flow."""
-        a, b, da, db = self._coeffs(x)
-        al, ell, Fv = self._fiber(a, b, v)
-        da_v = da @ v
-        dal = (da_v @ v) / (2.0 * al)
-        dF = dal + db @ v
-        dell = da_v / al - np.outer(dal, ell) / al
-        mixed = np.outer(dF, ell + b) + Fv * (dell + db)
+        a, b, Fv, dF, mixed = self._terms(x, v)
         rhs = Fv * dF - mixed.T @ v
         tensor = _fundamental_matrix(a, b, v)
         if tensor.shape == (2, 2):
@@ -185,19 +174,13 @@ class Lagrangian:
 
 
 def curve_length(F: RandersStructure, c: Curve) -> float:
-    """Trapezoid quadrature of F(x, xd) along the curve (travel time)."""
+    """Trapezoid quadrature of F(x, xd) along the curve (travel time); drift
+    with ||b||_a >= 1 at a node is a domain error, as in ``randers_eval``."""
     v = c.velocity_samples()
     if np.max(np.abs(v)) == 0.0:
         raise DomainError("degenerate curve: zero velocity everywhere")
-    if F.bundle is not None:
-        speeds = np.empty(c.n_nodes)
-        for k in range(c.n_nodes):
-            a, b, _, _ = F.bundle(c.points[k])
-            yk = v[k]
-            speeds[k] = np.sqrt(max(yk @ a @ yk, 0.0)) + b @ yk
-    else:
-        speeds = np.array([randers_eval(F, c.points[k], v[k]) for k in range(c.n_nodes)])
-    return float(_trapezoid(speeds, c.params))
+    speeds = [randers_eval(F, x, y) for x, y in zip(c.points, v)]
+    return float(trapezoid(speeds, c.params))
 
 
 def el_residual(F: RandersStructure, c: Curve) -> np.ndarray:
@@ -216,9 +199,8 @@ def el_residual(F: RandersStructure, c: Curve) -> np.ndarray:
         x, vk = c.points[k], v[k]
         if np.linalg.norm(vk) == 0.0:
             raise DomainError(f"zero velocity at interior node {k}")
-        tensor = lag.fiber_hessian(x, vk)
-        mixed = lag.mixed(x, vk)
-        out[k - 1] = tensor @ xdd[k - 1] + mixed.T @ vk - lag.position_grad(x, vk)
+        a, b, Fv, dF, mixed = lag._terms(x, vk)
+        out[k - 1] = _fundamental_matrix(a, b, vk) @ xdd[k - 1] + mixed.T @ vk - Fv * dF
     return out
 
 
@@ -327,7 +309,7 @@ def geodesic_bvp(F: RandersStructure, p, q, config: BvpConfig | None = None) -> 
     cfg = config or BvpConfig()
     p = _pt(p)
     q = _pt(q, len(p))
-    if np.allclose(p, q):
+    if np.array_equal(p, q):
         raise ValueError("boundary points must differ")
     n = len(p)
     rng = np.random.default_rng(cfg.seed)

@@ -48,7 +48,7 @@ class RoutingScenario:
     def __post_init__(self):
         p = _pt(self.origin)
         q = _pt(self.destination, len(p))
-        if np.allclose(p, q):
+        if np.array_equal(p, q):
             raise ValueError("origin and destination must differ")
         if self.box_margin < 0:
             raise ValueError("box_margin must be nonnegative")

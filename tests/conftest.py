@@ -20,6 +20,12 @@ def random_randers(rng, dim=2, max_drift=0.9):
     return finsler.constant_randers(a, b)
 
 
+def invalid_drift_structure():
+    """Raw structure with ||b||_a = 1.5, which no validating constructor accepts."""
+    packed = (np.eye(2), np.array([1.5, 0.0]), np.zeros((2, 2, 2)), np.zeros((2, 2)))
+    return finsler.RandersStructure(bundle=lambda x: packed)
+
+
 def random_direction(rng, dim=2):
     y = rng.normal(size=dim)
     while np.linalg.norm(y) < 1e-8:

@@ -22,7 +22,7 @@ from congeo.finsler import (
     randers_eval,
     validate_structure,
 )
-from conftest import random_direction, random_randers
+from conftest import invalid_drift_structure, random_direction, random_randers
 
 
 class TestPointsAndVectors:
@@ -84,9 +84,7 @@ class TestRandersEval:
             constant_randers(np.eye(2), [-1.0, -1.0])
 
     def test_eval_rejects_invalid_drift_structure(self):
-        F = finsler.RandersStructure(
-            alpha=lambda x: np.eye(2), beta=lambda x: np.array([1.5, 0.0])
-        )
+        F = invalid_drift_structure()
         with pytest.raises(DomainError):
             randers_eval(F, (0, 0), (1, 0))
 
@@ -139,12 +137,32 @@ class TestBuildRanders:
 
     def test_chain_rule_derivatives_match_fd(self, rng):
         F = build_randers(euclidean_metric(), congestion_vortex(0.1, 0.3, 0.7))
-        assert F.alpha_dx is not None and F.beta_dx is not None
         for _ in range(20):
             x = rng.uniform(-1.5, 1.5, size=2)
             da, db = F.coefficient_derivatives(x)
-            da_fd = finsler._fd_derivative(lambda p: F.alpha(p), x, (2, 2))
-            db_fd = finsler._fd_derivative(lambda p: F.beta(p), x, (2,))
+            da_fd = finsler._fd_derivative(lambda p: F.coefficients(p)[0], x, (2, 2))
+            db_fd = finsler._fd_derivative(lambda p: F.coefficients(p)[1], x, (2,))
+            assert np.allclose(da, da_fd, rtol=1e-6, atol=1e-8)
+            assert np.allclose(db, db_fd, rtol=1e-6, atol=1e-8)
+
+    def test_fields_without_derivatives_match_fd(self, rng):
+        # neither field supplies matrix_dx / vector_dx: the chain rule runs
+        # over central differences of each field
+        g = finsler.RiemannianField(
+            matrix=lambda x: np.array(
+                [[1.0 + 0.2 * x[0] ** 2, 0.1 * x[1]], [0.1 * x[1], 1.5 + 0.3 * np.sin(x[0])]]
+            )
+        )
+        field = finsler.CongestionField(
+            vector=lambda x: 0.3 * np.array([np.cos(x[1]), np.sin(x[0] * x[1])]),
+            probes=((0.0, 0.0),),
+        )
+        F = build_randers(g, field)
+        for _ in range(20):
+            x = rng.uniform(-1.5, 1.5, size=2)
+            da, db = F.coefficient_derivatives(x)
+            da_fd = finsler._fd_derivative(lambda p: F.coefficients(p)[0], x, (2, 2))
+            db_fd = finsler._fd_derivative(lambda p: F.coefficients(p)[1], x, (2,))
             assert np.allclose(da, da_fd, rtol=1e-6, atol=1e-8)
             assert np.allclose(db, db_fd, rtol=1e-6, atol=1e-8)
 
@@ -237,9 +255,7 @@ class TestValidateStructure:
         assert report.ok
 
     def test_invalid_drift_fails_validity(self, rng):
-        F = finsler.RandersStructure(
-            alpha=lambda x: np.eye(2), beta=lambda x: np.array([1.5, 0.0])
-        )
+        F = invalid_drift_structure()
         report = validate_structure(F, self._samples(rng))
         assert not report.ok
         assert any(not c.drift_valid for c in report.checks)

@@ -19,6 +19,7 @@ from congeo.geodesic import (
     geodesic_bvp,
     geodesic_ivp,
 )
+from conftest import invalid_drift_structure
 from oracles import perturbed_curve
 
 
@@ -69,6 +70,10 @@ class TestCurveLength:
         F = constant_randers(np.eye(2), [0.5, 0.0])
         c = straight_curve((0, 0), (1, 0))
         assert curve_length(F, c) == pytest.approx(1.5, abs=1e-8)
+
+    def test_invalid_drift_rejected(self):
+        with pytest.raises(DomainError, match="drift"):
+            curve_length(invalid_drift_structure(), straight_curve((0, 0), (1, 0)))
 
     def test_degenerate_curve_rejected(self):
         c = Curve(params=np.linspace(0, 1, 5), points=np.ones((5, 2)))
@@ -217,6 +222,12 @@ class TestGeodesicBvp:
     def test_identical_endpoints_rejected(self):
         with pytest.raises(ValueError):
             geodesic_bvp(euclidean_randers(), (1, 1), (1, 1))
+
+    def test_distinct_endpoints_at_large_coordinates_accepted(self):
+        # 5 apart at 1e6: np.allclose would call these equal
+        res = geodesic_bvp(euclidean_randers(), (1e6, 0), (1e6 + 5, 0), BvpConfig(restarts=0))
+        assert res.converged
+        assert res.length == pytest.approx(5.0, abs=1e-6)
 
     def test_drift_asymmetry(self):
         F = constant_randers(np.eye(2), [-0.3, 0.0])

@@ -117,6 +117,12 @@ class TestRoute:
         with pytest.raises(ValueError):
             RoutingScenario(origin=(1, 1), destination=(1, 1))
 
+    def test_distinct_endpoints_at_large_coordinates_accepted(self):
+        # metre-scale grid coordinates: 5 apart at 1e6
+        res = route(RoutingScenario(origin=(1e6, 0), destination=(1e6 + 5, 0), bvp=BvpConfig(restarts=0)))
+        assert res.converged
+        assert res.travel_time == pytest.approx(5.0, abs=1e-6)
+
     def test_nonconvergence_reported(self):
         sc = RoutingScenario(
             origin=(-2, 0),
