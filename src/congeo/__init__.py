@@ -70,6 +70,7 @@ from .traffic import (
     wardrop_residuals,
 )
 from .dynamic import (
+    AffineCost,
     DynamicConfig,
     MinimizeResult,
     OptimizerSettings,

@@ -357,8 +357,7 @@ def cmd_dynamic(cfg: RunConfig) -> int:
     status = "converged"
     if cfg.minimize:
         if model is None:
-            samples = np.array(costs)
-            model = lambda h, t: samples
+            model = dyn.AffineCost(0.0, np.array(costs))
         res = dyn.minimize_dynamic(model, grid, dyn_cfg, h0=flows)
         status = "converged" if res.converged else "non_converged"
         results.update(
@@ -367,6 +366,8 @@ def cmd_dynamic(cfg: RunConfig) -> int:
                 "minimized_gap": res.gap,
                 "iterations": res.iterations,
                 "minimizer_converged": res.converged,
+                "minimizer_objective_evaluations": res.objective_evaluations,
+                "minimizer_gradient": res.gradient,
                 "minimized_monotone_flow": res.monotone_flow,
             }
         )

@@ -194,6 +194,11 @@ class TrafficNetwork:
         r_od.setflags(write=False)
         object.__setattr__(self, "_incidence", inc)
         object.__setattr__(self, "_route_od", r_od)
+        # per-link BPR parameters, read by every F and Jacobian evaluation
+        for attr in ("t0", "capacity", "bpr_b", "bpr_p"):
+            arr = np.array([getattr(l, attr) for l in self.links])
+            arr.setflags(write=False)
+            object.__setattr__(self, f"_{attr}", arr)
 
     @property
     def n_routes(self) -> int:
@@ -219,18 +224,12 @@ def link_time(link: Link, v: float) -> float:
 
 def _link_times_vec(network: TrafficNetwork, v: np.ndarray) -> np.ndarray:
     """Vectorized link times; negative flows (solver iterates) clamp to free flow."""
-    t0 = np.array([l.t0 for l in network.links])
-    cap = np.array([l.capacity for l in network.links])
-    b = np.array([l.bpr_b for l in network.links])
-    p = np.array([l.bpr_p for l in network.links])
+    t0, cap, b, p = network._t0, network._capacity, network._bpr_b, network._bpr_p
     return t0 * (1.0 + b * (np.maximum(v, 0.0) / cap) ** p)
 
 
 def _link_time_slopes(network: TrafficNetwork, v: np.ndarray) -> np.ndarray:
-    t0 = np.array([l.t0 for l in network.links])
-    cap = np.array([l.capacity for l in network.links])
-    b = np.array([l.bpr_b for l in network.links])
-    p = np.array([l.bpr_p for l in network.links])
+    t0, cap, b, p = network._t0, network._capacity, network._bpr_b, network._bpr_p
     vpos = np.maximum(v, 0.0)
     slopes = np.zeros_like(vpos)
     pos = v > 0.0
@@ -362,13 +361,10 @@ def _default_start(network: TrafficNetwork, demand_block: str) -> np.ndarray:
     r_od = network.route_od_index()
     c0 = _route_costs_clamped(network, np.zeros(R))
     if demand_block == "per_od":
-        pi0 = np.array(
-            [min(c0[r] for r in range(R) if r_od[r] == k) for k in range(K)]
-        )
-        counts = np.bincount(r_od, minlength=K)
-        h0 = np.array(
-            [network.od_pairs[r_od[r]].demand(pi0[r_od[r]]) / counts[r_od[r]] for r in range(R)]
-        )
+        pi0 = np.full(K, np.inf)
+        np.minimum.at(pi0, r_od, c0)  # cheapest free-flow route per OD
+        served = np.array([od.demand(pi0[k]) for k, od in enumerate(network.od_pairs)], dtype=float)
+        h0 = served[r_od] / np.bincount(r_od, minlength=K)[r_od]
         return np.concatenate([h0, pi0])
     pi0 = c0.copy()
     h0 = np.array([network.od_pairs[r_od[r]].demand(pi0[r]) for r in range(R)])

@@ -220,6 +220,16 @@ class TestDynamicCommand:
         grid, h, c = fileio.read_trajectory_csv(str(tmp_path / "dynamic_minimized.csv"))
         assert np.max(np.abs(h)) <= 1e-3
 
+    @pytest.mark.parametrize("model_args", [("--cost-model", "identity"), ()])
+    def test_minimize_reports_exact_gradient_work(self, tmp_path, model_args):
+        path = demo("trajectory_linear.csv")
+        code = run_cli("dynamic", path, *model_args, "--minimize", "--out", str(tmp_path))
+        assert code == EXIT_OK
+        results = fileio.load_json(str(tmp_path / "dynamic_summary.json"))["results"]
+        grid, _, _ = fileio.read_trajectory_csv(path)
+        assert results["minimizer_gradient"] == "exact"
+        assert 0 < results["minimizer_objective_evaluations"] < grid.shape[0]
+
     def test_missing_cost_model_exits_1(self, tmp_path):
         assert run_cli("dynamic", demo("trajectory_constant.csv"), "--out", str(tmp_path)) == EXIT_INPUT
 

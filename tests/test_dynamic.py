@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from congeo.dynamic import (
+    AffineCost,
     DynamicConfig,
     OptimizerSettings,
     Trajectory,
@@ -11,6 +12,7 @@ from congeo.dynamic import (
     minimize_dynamic,
     parse_cost_model,
 )
+from congeo.dynamic import _affine_gradient, _fd_gradient
 from congeo.ncp import fb_phi
 
 SQ2 = np.sqrt(2.0)
@@ -162,6 +164,44 @@ class TestMinimizeDynamic:
         res = minimize_dynamic(parse_cost_model("identity"), grid, h0=grid.copy())
         assert res.monotone_flow in (True, False)
         assert np.isfinite(res.gap)
+
+
+class TestExactGradient:
+    """The AffineCost gradient against the finite-difference reference path."""
+
+    @pytest.mark.parametrize("variant", ["half_phi", "half_phi_squared"])
+    @pytest.mark.parametrize("per_node", [False, True])
+    @pytest.mark.parametrize("a", [0.0, 0.7, 1.0])
+    def test_matches_finite_differences(self, rng, a, per_node, variant):
+        n = 41
+        grid = np.sort(rng.uniform(0.0, 2.0, n))
+        h = rng.uniform(0.2, 2.0, n)
+        b = rng.uniform(-1.5, 1.5, n) if per_node else 0.8
+        zero = [3, 17, 30]
+        h[zero] = 0.0
+        if per_node:
+            b[zero] = 1.1
+        model = AffineCost(a, b)
+        cfg = DynamicConfig(variant=variant, pi_offset=0.3)
+        assert np.all(model(h, grid)[zero] - cfg.pi_offset > 0.0)  # zero flow, positive cost
+
+        def objective(hv):
+            return complementarity_merit(Trajectory(grid=grid, h=hv, cost=model), cfg)
+
+        exact = _affine_gradient(model, grid, h, cfg)
+        fd = _fd_gradient(objective, h, 1e-7)
+        # the one-sided differences at h = 0 carry an O(fd_step) truncation error
+        np.testing.assert_allclose(exact, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+
+    def test_minimize_matches_finite_difference_path(self):
+        grid = np.linspace(0, 1, 41)
+        model = parse_cost_model("affine(1, -0.5)")
+        exact = minimize_dynamic(model, grid, h0=np.full(41, 2.0))
+        fd = minimize_dynamic(lambda h, t: 1.0 * np.asarray(h) - 0.5, grid, h0=np.full(41, 2.0))
+        assert (exact.gradient, fd.gradient) == ("exact", "finite_difference")
+        assert exact.iterations == fd.iterations
+        assert np.max(np.abs(exact.trajectory.h - fd.trajectory.h)) <= 1e-8
+        assert exact.objective_evaluations < fd.objective_evaluations / 20
 
 
 class TestCostModels:

@@ -13,6 +13,9 @@ from congeo.traffic import (
     assemble_ncp,
     gap_value,
     link_time,
+    _default_start,
+    _link_time_slopes,
+    _link_times_vec,
     route_cost,
     solve_ue,
     wardrop_residuals,
@@ -313,6 +316,56 @@ class TestMultiOdNetwork:
         x = sol.as_vector().copy()
         x[0] += 0.5  # extra flow on route 1 raises the stem cost for both
         assert gap_value(net, x) > 1e-4
+
+
+class TestVectorizedHelpers:
+    """The cached link arrays and the vectorized start against per-link and
+    per-route loops; the arithmetic is the same, so results are equal."""
+
+    def _network(self):
+        return TrafficNetwork(
+            nodes=("o", "m", "d1", "d2"),
+            links=(
+                Link("s1", "o", "m", 1.0, 2.0),
+                Link("s2", "o", "m", 1.5, 3.0, bpr_b=0.3, bpr_p=2.0),
+                Link("a", "m", "d1", 0.5, 1.0),
+                Link("b", "m", "d2", 0.7, 1.5, bpr_p=3.0),
+                Link("c", "o", "d1", 2.5, 4.0),
+            ),
+            routes=(
+                Route("r1", "od1", ("s1", "a")),
+                Route("r2", "od2", ("s1", "b")),
+                Route("r3", "od1", ("s2", "a")),
+                Route("r4", "od1", ("c",)),
+                Route("r5", "od2", ("s2", "b")),
+            ),
+            od_pairs=(
+                OdPair("od1", "o", "d1", ElasticDemand(4.0, 0.5)),
+                OdPair("od2", "o", "d2", FixedDemand(1.0)),
+            ),
+        )
+
+    def test_link_arrays_match_per_link_loop(self):
+        net = self._network()
+        v = np.array([0.0, 0.7, 1.3, -0.2, 2.5])
+        times = [link_time(l, max(vi, 0.0)) for l, vi in zip(net.links, v)]
+        assert np.array_equal(_link_times_vec(net, v), times)
+        slopes = [
+            l.t0 * l.bpr_b * l.bpr_p * vi ** (l.bpr_p - 1.0) / l.capacity ** l.bpr_p if vi > 0 else 0.0
+            for l, vi in zip(net.links, v)
+        ]
+        assert np.array_equal(_link_time_slopes(net, v), slopes)
+        assert not net._t0.flags.writeable
+
+    def test_default_start_matches_per_route_loop(self):
+        net = self._network()
+        R, K = net.n_routes, net.n_od
+        r_od = net.route_od_index()
+        c0 = route_cost(net, np.zeros(R))
+        pi0 = np.array([min(c0[r] for r in range(R) if r_od[r] == k) for k in range(K)])
+        counts = np.bincount(r_od, minlength=K)
+        h0 = np.array([net.od_pairs[r_od[r]].demand(pi0[r_od[r]]) / counts[r_od[r]] for r in range(R)])
+        assert np.array_equal(_default_start(net, "per_od"), np.concatenate([h0, pi0]))
 
 
 class TestGapAndResiduals:
