@@ -19,7 +19,6 @@ import dataclasses
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +117,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed for restart perturbations")
     p.add_argument("--tol", type=float, default=None, help="tolerance override for the command's solver")
     p.add_argument("--svg", action="store_true", help="also emit SVG polylines for curves")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for independent scenario files")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; scenarios run one after another")
 
 
 def build_parser() -> _Parser:
@@ -234,11 +233,7 @@ def cmd_solve_ue(cfg: RunConfig) -> int:
     return EXIT_OK if sol.converged else EXIT_NONCONVERGED
 
 
-def _route_one(source, stem: str, cfg: RunConfig, out: str):
-    if isinstance(source, dict):
-        scenario = fileio.load_scenario(source, base_dir=cfg.config_dir)
-    else:
-        scenario = fileio.load_scenario(source)
+def _route_one(scenario, stem: str, cfg: RunConfig, out: str):
     overrides = {}
     if cfg.tol:
         overrides["tol"] = cfg.tol
@@ -277,11 +272,10 @@ def cmd_route(cfg: RunConfig) -> int:
     out = _ensure_out(cfg.out)
     if not cfg.inputs:
         raise SchemaError("route: no scenario files given")
-    for source in cfg.inputs:  # fail fast on malformed inputs
-        if isinstance(source, dict):
-            fileio.load_scenario(source, base_dir=cfg.config_dir)
-        else:
-            fileio.load_scenario(source)
+    # load (and so validate) every scenario before routing the first one
+    scenarios = [
+        fileio.load_scenario(s, base_dir=cfg.config_dir if isinstance(s, dict) else None) for s in cfg.inputs
+    ]
     stems = [
         "scenario" if isinstance(s, dict) else os.path.splitext(os.path.basename(s))[0]
         for s in cfg.inputs
@@ -289,13 +283,7 @@ def cmd_route(cfg: RunConfig) -> int:
     for i, stem in enumerate(stems):  # same basename from different dirs
         if stems.index(stem) != i:
             stems[i] = f"{stem}_{i}"
-    jobs = list(zip(cfg.inputs, stems))
-
-    if cfg.jobs > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(lambda j: _route_one(j[0], j[1], cfg, out), jobs))
-    else:
-        outcomes = [_route_one(source, stem, cfg, out) for source, stem in jobs]
+    outcomes = [_route_one(scenario, stem, cfg, out) for scenario, stem in zip(scenarios, stems)]
 
     results = {}
     artifacts: list[str] = []
@@ -465,8 +453,13 @@ _REQUIRED_INPUT = {
     "validate": "file",
 }
 
-# Option keys a config file may set alongside the command's own input schema.
-_CONFIG_OPTIONS = ("out", "seed", "tol", "svg", "jobs", "demand_block", "cost_model", "variant", "minimize")
+# Option keys a config file may set alongside the command's own input schema,
+# each with the type rule its value must pass.
+_CONFIG_OPTIONS = {
+    "out": fileio._string, "seed": fileio._integer, "tol": fileio._number, "svg": fileio._boolean,
+    "jobs": fileio._integer, "demand_block": fileio._string, "cost_model": fileio._string,
+    "variant": fileio._string, "minimize": fileio._boolean,
+}
 
 
 def _apply_config(args, parser: _Parser) -> None:
@@ -491,9 +484,9 @@ def _apply_config(args, parser: _Parser) -> None:
     args.command = command
     args.config_dir = config_dir
 
-    options = {k: doc.pop(k) for k in list(doc) if k in _CONFIG_OPTIONS}
-    for key, value in options.items():
-        setattr(args, key, value)
+    for key in [k for k in doc if k in _CONFIG_OPTIONS]:
+        setattr(args, key, _CONFIG_OPTIONS[key](doc, key, "config"))
+        del doc[key]
 
     def _resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(config_dir, p)

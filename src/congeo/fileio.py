@@ -136,6 +136,21 @@ def _number(obj: dict, key: str, where: str) -> float:
     return float(v)
 
 
+def _integer(obj: dict, key: str, where: str, nonnegative: bool = False) -> int:
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, int) or (nonnegative and v < 0):
+        kind = "a nonnegative integer" if nonnegative else "an integer"
+        raise SchemaError(f"{where}.{key}: expected {kind}, got {v!r}")
+    return v
+
+
+def _boolean(obj: dict, key: str, where: str) -> bool:
+    v = obj[key]
+    if not isinstance(v, bool):
+        raise SchemaError(f"{where}.{key}: expected a boolean, got {v!r}")
+    return v
+
+
 def _string(obj: dict, key: str, where: str) -> str:
     v = obj[key]
     if not isinstance(v, str):
@@ -414,24 +429,12 @@ def load_scenario(source, base_dir: str | None = None) -> RoutingScenario:
     if "tol" in doc:
         bvp_kwargs["tol"] = _number(doc, "tol", "scenario")
     if "nodes" in doc:
-        nodes = doc["nodes"]
-        if isinstance(nodes, bool) or not isinstance(nodes, int):
-            raise SchemaError("scenario.nodes: expected an integer")
-        bvp_kwargs["nodes"] = nodes
-    if "seed" in doc:
-        seed = doc["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise SchemaError("scenario.seed: expected a nonnegative integer")
-        bvp_kwargs["seed"] = seed
+        bvp_kwargs["nodes"] = _integer(doc, "nodes", "scenario")
+    for key in ("seed", "restarts"):
+        if key in doc:
+            bvp_kwargs[key] = _integer(doc, key, "scenario", nonnegative=True)
     if "explore" in doc:
-        if not isinstance(doc["explore"], bool):
-            raise SchemaError("scenario.explore: expected a boolean")
-        bvp_kwargs["explore"] = doc["explore"]
-    if "restarts" in doc:
-        restarts = doc["restarts"]
-        if isinstance(restarts, bool) or not isinstance(restarts, int) or restarts < 0:
-            raise SchemaError("scenario.restarts: expected a nonnegative integer")
-        bvp_kwargs["restarts"] = restarts
+        bvp_kwargs["explore"] = _boolean(doc, "explore", "scenario")
     kwargs = {}
     if "eps_cong" in doc:
         kwargs["eps_cong"] = _number(doc, "eps_cong", "scenario")

@@ -124,16 +124,19 @@ class Lagrangian:
         return al, ell, Fv
 
     def _terms(self, x, y):
-        """(a, b, F, dF, mixed) at (x, y) from one bundle call, where
-        dF[m] = dF/dx^m and mixed[m, i] = dL_i/dx^m, so dL/dx = F * dF."""
+        """(tensor, F, dF, mixed) at (x, y) from one bundle call, where
+        tensor = L_ij (as ``_fundamental_matrix``), dF[m] = dF/dx^m and
+        mixed[m, i] = dL_i/dx^m, so dL/dx = F * dF."""
         a, b, da, db = self._coeffs(x)
         al, ell, Fv = self._fiber(a, b, y)
+        lb = ell + b
+        tensor = (Fv / al) * (a - ell[:, None] * ell) + lb[:, None] * lb
         da_y = da @ y
         dal = (da_y @ y) / (2.0 * al)
         dF = dal + db @ y
         dell = da_y / al - np.outer(dal, ell) / al
-        mixed = np.outer(dF, ell + b) + Fv * (dell + db)
-        return a, b, Fv, dF, mixed
+        mixed = np.outer(dF, lb) + Fv * (dell + db)
+        return tensor, Fv, dF, mixed
 
     def fiber_grad(self, x, y) -> np.ndarray:
         a, b, _, _ = self._coeffs(x)
@@ -145,18 +148,17 @@ class Lagrangian:
         return _fundamental_matrix(a, b, _vec(y))
 
     def position_grad(self, x, y) -> np.ndarray:
-        _, _, Fv, dF, _ = self._terms(x, _vec(y))
+        _, Fv, dF, _ = self._terms(x, _vec(y))
         return Fv * dF
 
     def mixed(self, x, y) -> np.ndarray:
         """dL_i/dx^m with derivative axis first: mixed[m, i]."""
-        return self._terms(x, _vec(y))[4]
+        return self._terms(x, _vec(y))[3]
 
     def acceleration(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Solve L_ij xdd = dL/dx - (dL_i/dx^j) xd^j for the geodesic flow."""
-        a, b, Fv, dF, mixed = self._terms(x, v)
+        tensor, Fv, dF, mixed = self._terms(x, v)
         rhs = Fv * dF - mixed.T @ v
-        tensor = _fundamental_matrix(a, b, v)
         if tensor.shape == (2, 2):
             det = tensor[0, 0] * tensor[1, 1] - tensor[0, 1] * tensor[1, 0]
             if det == 0.0:
@@ -199,8 +201,8 @@ def el_residual(F: RandersStructure, c: Curve) -> np.ndarray:
         x, vk = c.points[k], v[k]
         if np.linalg.norm(vk) == 0.0:
             raise DomainError(f"zero velocity at interior node {k}")
-        a, b, Fv, dF, mixed = lag._terms(x, vk)
-        out[k - 1] = _fundamental_matrix(a, b, vk) @ xdd[k - 1] + mixed.T @ vk - Fv * dF
+        tensor, Fv, dF, mixed = lag._terms(x, vk)
+        out[k - 1] = tensor @ xdd[k - 1] + mixed.T @ vk - Fv * dF
     return out
 
 

@@ -7,11 +7,14 @@ attain the minimal OD time; demand is served) are assembled into an
 NcpProblem over x = (route flows, OD times) and handed to the
 Fischer-Burmeister solver.
 
-Two demand-block layouts are supported.  ``per_od`` (default) pairs each OD
-time pi_k against flow conservation sum_r h_r - d_k(pi_k).  ``per_route``
-duplicates the time variable per route and pairs pi_r against
-h_r - d(pi_r), forcing every route to carry the full demand; the layouts
-coincide on single-route networks and diverge otherwise.
+Two demand-block layouts are supported, and they differ only in the time
+variable each route is priced against.  ``per_od`` (default) has one time
+pi_k per OD pair, paired against flow conservation sum_{r in k} h_r -
+d_k(pi_k).  ``per_route`` gives every route its own time pi_r, paired
+against h_r - d_od(r)(pi_r), which forces every route to carry the full
+demand; the layouts coincide on single-route networks and diverge
+otherwise.  ``_layout`` turns the choice into a route -> time-variable
+map, and every function below has one body for both.
 """
 
 from __future__ import annotations
@@ -259,55 +262,51 @@ def _cost_jacobian(network: TrafficNetwork, h: np.ndarray) -> np.ndarray:
     return (inc * _link_time_slopes(network, v)[None, :]) @ inc.T
 
 
-def assemble_ncp(network: TrafficNetwork, demand_block: str = "per_od") -> NcpProblem:
-    """Encode the equilibrium conditions as an NcpProblem.
+def _layout(network: TrafficNetwork, demand_block: str) -> tuple[np.ndarray, tuple[str, ...], list]:
+    """The route -> time-variable map of a demand-block layout.
 
-    ``per_od``: unknowns x = (h_1..h_R, pi_1..pi_K) ordered by the network's
-    route and OD lists; F = (c_r(h) - pi_od(r); sum_{r in k} h_r - d_k(pi_k)).
-    ``per_route``: x = (h_1..h_R, pi_1..pi_R) with
-    F = (c_r(h) - pi_r; h_r - d_od(r)(pi_r)).
+    Returns ``group`` (group[r] is the time variable route r is priced
+    against), the ids of the time variables and each one's demand function.
     """
     if demand_block not in DEMAND_BLOCKS:
         raise ValueError(f"demand_block must be one of {DEMAND_BLOCKS}")
-    R, K = network.n_routes, network.n_od
     r_od = network.route_od_index()
-    demands = [od.demand for od in network.od_pairs]
-
     if demand_block == "per_od":
-        P = np.zeros((R, K))
-        P[np.arange(R), r_od] = 1.0
+        return r_od, tuple(od.id for od in network.od_pairs), [od.demand for od in network.od_pairs]
+    demands = [network.od_pairs[k].demand for k in r_od]
+    return np.arange(network.n_routes), tuple(r.id for r in network.routes), demands
 
-        def f(x: np.ndarray) -> np.ndarray:
-            h, pi = x[:R], x[R:]
-            costs = _route_costs_clamped(network, h)
-            served = P.T @ h
-            dem = np.array([demands[k](pi[k]) for k in range(K)])
-            return np.concatenate([costs - P @ pi, served - dem])
 
-        def jacobian(x: np.ndarray) -> np.ndarray:
-            h, pi = x[:R], x[R:]
-            dd = np.diag([-demands[k].derivative(pi[k]) for k in range(K)])
-            top = np.hstack([_cost_jacobian(network, h), -P])
-            bottom = np.hstack([P.T, dd])
-            return np.vstack([top, bottom])
+def assemble_ncp(network: TrafficNetwork, demand_block: str = "per_od") -> NcpProblem:
+    """Encode the equilibrium conditions as an NcpProblem.
 
-        return NcpProblem(n=R + K, f=f, jacobian=jacobian)
+    Unknowns x = (h_1..h_R, pi_1..pi_K), where the K time variables are the
+    OD pairs (``per_od``) or the routes (``per_route``), in network order.
+    With the one-hot route -> time-variable map P (R x K),
+    F = (c(h) - P pi; P^T h - d(pi)), and the Jacobian
+    [[dc/dh, -P], [P^T, -diag(d'(pi))]] is filled into one (R+K)^2 array.
+    """
+    group, _, demands = _layout(network, demand_block)
+    R, K = network.n_routes, len(demands)
+    P = np.zeros((R, K))
+    P[np.arange(R), group] = 1.0
 
     def f(x: np.ndarray) -> np.ndarray:
         h, pi = x[:R], x[R:]
         costs = _route_costs_clamped(network, h)
-        dem = np.array([demands[r_od[r]](pi[r]) for r in range(R)])
-        return np.concatenate([costs - pi, h - dem])
+        dem = np.array([d(p) for d, p in zip(demands, pi)])
+        return np.concatenate([costs - P @ pi, P.T @ h - dem])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         h, pi = x[:R], x[R:]
-        dd = np.diag([-demands[r_od[r]].derivative(pi[r]) for r in range(R)])
-        eye = np.eye(R)
-        top = np.hstack([_cost_jacobian(network, h), -eye])
-        bottom = np.hstack([eye, dd])
-        return np.vstack([top, bottom])
+        jac = np.zeros((R + K, R + K))
+        jac[:R, :R] = _cost_jacobian(network, h)
+        np.negative(P, out=jac[:R, R:])
+        jac[R:, :R] = P.T
+        np.fill_diagonal(jac[R:, R:], [-d.derivative(p) for d, p in zip(demands, pi)])
+        return jac
 
-    return NcpProblem(n=2 * R, f=f, jacobian=jacobian)
+    return NcpProblem(n=R + K, f=f, jacobian=jacobian)
 
 
 @dataclass(frozen=True)
@@ -357,17 +356,15 @@ class UeSolution:
 
 
 def _default_start(network: TrafficNetwork, demand_block: str) -> np.ndarray:
-    R, K = network.n_routes, network.n_od
-    r_od = network.route_od_index()
-    c0 = _route_costs_clamped(network, np.zeros(R))
-    if demand_block == "per_od":
-        pi0 = np.full(K, np.inf)
-        np.minimum.at(pi0, r_od, c0)  # cheapest free-flow route per OD
-        served = np.array([od.demand(pi0[k]) for k, od in enumerate(network.od_pairs)], dtype=float)
-        h0 = served[r_od] / np.bincount(r_od, minlength=K)[r_od]
-        return np.concatenate([h0, pi0])
-    pi0 = c0.copy()
-    h0 = np.array([network.od_pairs[r_od[r]].demand(pi0[r]) for r in range(R)])
+    """Times at the cheapest free-flow route of each time variable; its
+    demand at that time split evenly over the routes priced against it."""
+    group, _, demands = _layout(network, demand_block)
+    K = len(demands)
+    c0 = _route_costs_clamped(network, np.zeros(network.n_routes))
+    pi0 = np.full(K, np.inf)
+    np.minimum.at(pi0, group, c0)
+    served = np.array([d(p) for d, p in zip(demands, pi0)], dtype=float)
+    h0 = served[group] / np.bincount(group, minlength=K)[group]
     return np.concatenate([h0, pi0])
 
 
@@ -376,6 +373,8 @@ def wardrop_residuals(network: TrafficNetwork, solution, demand_block: str = "pe
 
     Accepts a UeSolution or an (h, pi) pair; costs are evaluated with flows
     clamped at zero so infeasible candidates still report finite numbers.
+    Demand gaps are keyed by the layout's time variables: OD ids for
+    ``per_od``, route ids for ``per_route``.
     """
     if isinstance(solution, UeSolution):
         h, pi, demand_block = solution.h, solution.pi, solution.demand_block
@@ -383,25 +382,17 @@ def wardrop_residuals(network: TrafficNetwork, solution, demand_block: str = "pe
         h, pi = solution
         h = np.asarray(h, dtype=float)
         pi = np.asarray(pi, dtype=float)
+    group, ids, demands = _layout(network, demand_block)
     R = network.n_routes
-    r_od = network.route_od_index()
     costs = _route_costs_clamped(network, h)
-    if demand_block == "per_od":
-        pi_per_route = pi[r_od]
-    else:
-        pi_per_route = pi
+    pi_per_route = pi[group]
     comp = float(np.max(np.abs(h * (costs - pi_per_route)))) if R else 0.0
     time_violation = float(np.max(np.maximum(pi_per_route - costs, 0.0))) if R else 0.0
     neg_flow = float(np.max(np.maximum(-h, 0.0))) if R else 0.0
-    gaps: dict[str, float] = {}
-    if demand_block == "per_od":
-        for k, od in enumerate(network.od_pairs):
-            served = float(np.sum(h[r_od == k]))
-            gaps[od.id] = abs(served - od.demand(float(pi[k])))
-    else:
-        for r, route in enumerate(network.routes):
-            od = network.od_pairs[r_od[r]]
-            gaps[route.id] = abs(float(h[r]) - od.demand(float(pi[r])))
+    gaps = {
+        key: abs(float(np.sum(h[group == k])) - demands[k](float(pi[k])))
+        for k, key in enumerate(ids)
+    }
     return WardropResiduals(
         max_complementarity=comp,
         max_time_violation=time_violation,
@@ -422,10 +413,6 @@ def solve_ue(
     report = solve_ncp(problem, config, start)
     R = network.n_routes
     h, pi = report.x_star[:R], report.x_star[R:]
-    if demand_block == "per_od":
-        pi_ids = tuple(od.id for od in network.od_pairs)
-    else:
-        pi_ids = tuple(r.id for r in network.routes)
     residuals = wardrop_residuals(network, (h, pi), demand_block)
     return UeSolution(
         h=h,
@@ -434,7 +421,7 @@ def solve_ue(
         report=report,
         demand_block=demand_block,
         route_ids=tuple(r.id for r in network.routes),
-        pi_ids=pi_ids,
+        pi_ids=_layout(network, demand_block)[1],
     )
 
 

@@ -280,6 +280,24 @@ class TestConfigMode:
         grid, h, _ = fileio.read_trajectory_csv(str(tmp_path / "out" / "dynamic_minimized.csv"))
         assert np.max(np.abs(h)) <= 1e-3
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", "x"), ("jobs", "2"), ("tol", "1e-9"), ("minimize", "false"), ("svg", "no"), ("out", 3)],
+    )
+    def test_config_option_types_checked(self, tmp_path, capsys, key, value):
+        doc = {
+            "command": "dynamic",
+            "trajectory_csv": os.path.join(DEMO, "trajectory_constant.csv"),
+            "cost_model": "identity",
+            "out": str(tmp_path / "out"),
+        }
+        doc[key] = value
+        cfg = tmp_path / "cfg.json"
+        fileio.dump_json(doc, str(cfg))
+        assert run_cli("--config", str(cfg)) == EXIT_INPUT
+        assert f"config.{key}: expected" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "dynamic_minimized.csv").exists()
+
     def test_config_unknown_option_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         fileio.dump_json(
@@ -289,6 +307,14 @@ class TestConfigMode:
 
 
 class TestSubprocessEntryPoints:
+    def test_ue_demo_script_prints_both_layouts(self):
+        script = os.path.join(os.path.dirname(__file__), "..", "scripts", "ue_demo.py")
+        proc = subprocess.run([sys.executable, script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "[per_od] ==" in proc.stdout
+        assert "[per_route] ==" in proc.stdout
+        assert "time[r2]" in proc.stdout  # per_route times are keyed by route
+
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "congeo", "solve-ncp", demo("ncp_affine.json"), "--out", str(tmp_path)],

@@ -46,6 +46,31 @@ def single_route_network(demand):
     )
 
 
+def mixed_demand_network():
+    """Two OD pairs, elastic and fixed demand, whose routes share links."""
+    return TrafficNetwork(
+        nodes=("o", "m", "d1", "d2"),
+        links=(
+            Link("s1", "o", "m", 1.0, 2.0),
+            Link("s2", "o", "m", 1.5, 3.0, bpr_b=0.3, bpr_p=2.0),
+            Link("a", "m", "d1", 0.5, 1.0),
+            Link("b", "m", "d2", 0.7, 1.5, bpr_p=3.0),
+            Link("c", "o", "d1", 2.5, 4.0),
+        ),
+        routes=(
+            Route("r1", "od1", ("s1", "a")),
+            Route("r2", "od2", ("s1", "b")),
+            Route("r3", "od1", ("s2", "a")),
+            Route("r4", "od1", ("c",)),
+            Route("r5", "od2", ("s2", "b")),
+        ),
+        od_pairs=(
+            OdPair("od1", "o", "d1", ElasticDemand(4.0, 0.5)),
+            OdPair("od2", "o", "d2", FixedDemand(1.0)),
+        ),
+    )
+
+
 def two_route_closed_form(t01, m1, t02, m2, d):
     """Equal-times algebra for affine costs c_i = t0_i + m_i h_i, fixed demand."""
     h1 = (t02 - t01 + m2 * d) / (m1 + m2)
@@ -206,14 +231,18 @@ class TestAssembleNcp:
         # every route carries the full demand: h=(3,3), pi=(c1(3), c2(3))=(4,5)
         assert np.max(np.abs(fb_system([3.0, 3.0, 4.0, 5.0], problem))) <= 1e-12
 
-    def test_jacobian_matches_fd(self, rng):
-        net = two_route_network()
-        problem = assemble_ncp(net)
-        x = np.array([1.5, 0.8, 2.2])
+    @pytest.mark.parametrize("demand_block", ["per_od", "per_route"])
+    @pytest.mark.parametrize("make_network", [two_route_network, mixed_demand_network], ids=["two_route", "mixed"])
+    def test_jacobian_matches_fd(self, make_network, demand_block):
+        net = make_network()
+        problem = assemble_ncp(net, demand_block)
+        n, R = problem.n, net.n_routes
+        # positive flows and times inside the elastic demand's linear piece
+        x = np.concatenate([np.linspace(0.3, 1.5, R), np.linspace(2.0, 4.0, n - R)])
         jac = problem.jac_eval(x)
         h = 1e-7
-        for j in range(3):
-            e = np.zeros(3)
+        for j in range(n):
+            e = np.zeros(n)
             e[j] = h
             fd = (problem.f_eval(x + e) - problem.f_eval(x - e)) / (2 * h)
             assert np.allclose(jac[:, j], fd, atol=1e-6)
@@ -322,31 +351,8 @@ class TestVectorizedHelpers:
     """The cached link arrays and the vectorized start against per-link and
     per-route loops; the arithmetic is the same, so results are equal."""
 
-    def _network(self):
-        return TrafficNetwork(
-            nodes=("o", "m", "d1", "d2"),
-            links=(
-                Link("s1", "o", "m", 1.0, 2.0),
-                Link("s2", "o", "m", 1.5, 3.0, bpr_b=0.3, bpr_p=2.0),
-                Link("a", "m", "d1", 0.5, 1.0),
-                Link("b", "m", "d2", 0.7, 1.5, bpr_p=3.0),
-                Link("c", "o", "d1", 2.5, 4.0),
-            ),
-            routes=(
-                Route("r1", "od1", ("s1", "a")),
-                Route("r2", "od2", ("s1", "b")),
-                Route("r3", "od1", ("s2", "a")),
-                Route("r4", "od1", ("c",)),
-                Route("r5", "od2", ("s2", "b")),
-            ),
-            od_pairs=(
-                OdPair("od1", "o", "d1", ElasticDemand(4.0, 0.5)),
-                OdPair("od2", "o", "d2", FixedDemand(1.0)),
-            ),
-        )
-
     def test_link_arrays_match_per_link_loop(self):
-        net = self._network()
+        net = mixed_demand_network()
         v = np.array([0.0, 0.7, 1.3, -0.2, 2.5])
         times = [link_time(l, max(vi, 0.0)) for l, vi in zip(net.links, v)]
         assert np.array_equal(_link_times_vec(net, v), times)
@@ -358,7 +364,7 @@ class TestVectorizedHelpers:
         assert not net._t0.flags.writeable
 
     def test_default_start_matches_per_route_loop(self):
-        net = self._network()
+        net = mixed_demand_network()
         R, K = net.n_routes, net.n_od
         r_od = net.route_od_index()
         c0 = route_cost(net, np.zeros(R))
@@ -366,6 +372,9 @@ class TestVectorizedHelpers:
         counts = np.bincount(r_od, minlength=K)
         h0 = np.array([net.od_pairs[r_od[r]].demand(pi0[r_od[r]]) / counts[r_od[r]] for r in range(R)])
         assert np.array_equal(_default_start(net, "per_od"), np.concatenate([h0, pi0]))
+        # per_route: every route is its own time variable, started at its free-flow cost
+        h0 = np.array([net.od_pairs[r_od[r]].demand(c0[r]) for r in range(R)])
+        assert np.array_equal(_default_start(net, "per_route"), np.concatenate([h0, c0]))
 
 
 class TestGapAndResiduals:
@@ -393,6 +402,17 @@ class TestGapAndResiduals:
         net = two_route_network()
         res = wardrop_residuals(net, ([0.0, 0.0], [0.0]))
         assert res.max_demand_gap == pytest.approx(3.0)
+
+    def test_per_route_gaps_keyed_by_route(self):
+        net = two_route_network()
+        # per_route: each route must carry the full demand 3 at its own time
+        res = wardrop_residuals(net, ([3.0, 3.0], [4.0, 5.0]), demand_block="per_route")
+        assert res.within(1e-12)
+        res = wardrop_residuals(net, ([3.0, 2.5], [4.0, 5.0]), demand_block="per_route")
+        assert res.demand_gaps == {"r1": 0.0, "r2": 0.5}
+        sol = solve_ue(net, demand_block="per_route")
+        assert set(sol.residuals.demand_gaps) == {"r1", "r2"}
+        assert set(sol.times_by_key()) == {"r1", "r2"}
 
     def test_gap_iff_residuals(self, rng):
         net = two_route_network()
