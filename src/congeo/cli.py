@@ -1,15 +1,22 @@
 """Command-line front end.
 
-Commands: solve-ncp, solve-ue, route, dynamic, validate.  Exit codes: 0 for
-converged/valid runs, 2 for solver non-convergence (including congestion
-saturation discovered at run time), 1 for input or usage errors.  A config
-file carrying a "command" discriminator can drive a whole run via
-``congeo --config run.json``.  No environment variables are consulted.
+Commands: solve-ncp, solve-ue, route, dynamic, validate.  Each command is one
+entry of ``_COMMANDS``: the argument that names its input and a handler that
+loads, solves, writes its result artifacts and returns ``(status, results,
+artifacts)``.  One runner does the rest for every command: it times the run,
+creates the output directory, writes and prints ``<command>_summary.json``
+(command, status, wall time, results, artifact paths) and maps the status
+to the exit code:
 
-Every run writes its result artifacts plus a ``*_summary.json`` (command,
-status, wall time, key scalars, artifact paths).  Result artifacts are
-deterministic for a fixed seed; the summary contains the wall time and is
-the one file excluded from byte-level reproducibility.
+    0  converged | valid
+    1  invalid (validate), or an input or usage error
+    2  any other status (solver non-convergence), or a run-time numerical
+       failure such as congestion saturation or a non-finite F
+
+A config file carrying a "command" discriminator can drive a whole run via
+``congeo --config run.json``.  No environment variables are consulted.
+Result artifacts are deterministic for a fixed seed; the summary contains
+the wall time and is the one file excluded from byte-level reproducibility.
 """
 
 from __future__ import annotations
@@ -25,17 +32,21 @@ import numpy as np
 
 from . import dynamic as dyn
 from . import fileio
-from .finsler import DomainError, build_randers, euclidean_metric, validate_structure
+from .finsler import EPS_CONG, DomainError, build_randers, euclidean_metric, validate_structure
 from .ncp import SolverConfig, solve_ncp
 from .routing import route
-from .traffic import solve_ue, gap_value
+from .traffic import solve_ue
 from .fileio import SchemaError
 
-__all__ = ["main", "RunConfig", "RunSummary", "EXIT_OK", "EXIT_INPUT", "EXIT_NONCONVERGED"]
+__all__ = ["main", "RunConfig", "EXIT_OK", "EXIT_INPUT", "EXIT_NONCONVERGED"]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NONCONVERGED = 2
+
+# Exit code of each status a handler can return; every other status is a
+# solver's non-convergence (non_converged, max_iter, line_search_failure).
+_EXIT_CODES = {"converged": EXIT_OK, "valid": EXIT_OK, "invalid": EXIT_INPUT}
 
 
 @dataclass(frozen=True)
@@ -58,51 +69,26 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise SchemaError("seed must be nonnegative")
-        if self.tol is not None and self.tol <= 0:
-            raise SchemaError("tol must be positive")
+        if self.tol is not None and not 0 < self.tol < float("inf"):
+            raise SchemaError("tol must be positive and finite")
         if self.jobs < 1:
             raise SchemaError("jobs must be at least 1")
         for item in self.inputs:
             if isinstance(item, str) and not os.path.exists(item):
                 raise SchemaError(f"input file not found: {item}")
 
+    def solver_config(self) -> SolverConfig:
+        return SolverConfig(tol_residual=self.tol) if self.tol else SolverConfig()
 
-def _run_config(args) -> RunConfig:
-    inputs = getattr(args, _REQUIRED_INPUT[args.command])
-    if not isinstance(inputs, list):
-        inputs = [inputs]
+
+def _run_config(args, input_attr: str) -> RunConfig:
+    inputs = getattr(args, input_attr)
+    options = {f.name for f in dataclasses.fields(RunConfig)} - {"command", "inputs"}
     return RunConfig(
         command=args.command,
-        inputs=tuple(inputs),
-        out=args.out,
-        seed=args.seed,
-        tol=args.tol,
-        svg=bool(args.svg),
-        jobs=args.jobs,
-        demand_block=getattr(args, "demand_block", "per_od"),
-        cost_model=getattr(args, "cost_model", None),
-        variant=getattr(args, "variant", "half_phi_squared"),
-        minimize=bool(getattr(args, "minimize", False)),
-        config_dir=getattr(args, "config_dir", "."),
+        inputs=tuple(inputs if isinstance(inputs, list) else [inputs]),
+        **{key: value for key, value in vars(args).items() if key in options},
     )
-
-
-@dataclass
-class RunSummary:
-    command: str
-    status: str
-    wall_time_s: float
-    results: dict
-    artifacts: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "status": self.status,
-            "wall_time_s": self.wall_time_s,
-            "results": self.results,
-            "artifacts": self.artifacts,
-        }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,22 +145,30 @@ def _ensure_out(out_dir: str) -> str:
     return out_dir
 
 
-def _emit(summary: RunSummary, out_dir: str, name: str) -> None:
-    text = fileio.dump_json(summary.to_dict(), os.path.join(out_dir, name))
-    sys.stdout.write(text)
-
-
-# ---------------------------------------------------------------------------
-# Commands
-# ---------------------------------------------------------------------------
-
-def cmd_solve_ncp(cfg: RunConfig) -> int:
+def _run(handler, cfg: RunConfig) -> int:
+    """Run one command: the handler's artifacts plus the printed summary."""
     t0 = time.perf_counter()
     out = _ensure_out(cfg.out)
+    status, results, artifacts = handler(cfg)
+    summary = {
+        "command": cfg.command,
+        "status": status,
+        "wall_time_s": time.perf_counter() - t0,
+        "results": results,
+        "artifacts": artifacts,
+    }
+    sys.stdout.write(fileio.dump_json(summary, os.path.join(out, f"{cfg.command}_summary.json")))
+    return _EXIT_CODES.get(status, EXIT_NONCONVERGED)
+
+
+# ---------------------------------------------------------------------------
+# Commands: each returns (status, results, artifacts)
+# ---------------------------------------------------------------------------
+
+def cmd_solve_ncp(cfg: RunConfig):
     problem = fileio.load_ncp_problem(cfg.inputs[0])
-    solver_cfg = SolverConfig(tol_residual=cfg.tol) if cfg.tol else SolverConfig()
-    report = solve_ncp(problem, solver_cfg)
-    solution_path = os.path.join(out, "ncp_solution.json")
+    report = solve_ncp(problem, cfg.solver_config())
+    solution_path = os.path.join(cfg.out, "ncp_solution.json")
     fileio.dump_json(
         {
             "x_star": list(report.x_star),
@@ -185,26 +179,16 @@ def cmd_solve_ncp(cfg: RunConfig) -> int:
         },
         solution_path,
     )
-    summary = RunSummary(
-        command="solve-ncp",
-        status=report.status,
-        wall_time_s=time.perf_counter() - t0,
-        results={"merit": report.merit, "residual": report.residual, "iterations": report.iterations},
-        artifacts=[solution_path],
-    )
-    _emit(summary, out, "solve-ncp_summary.json")
-    return EXIT_OK if report.converged else EXIT_NONCONVERGED
+    results = {"merit": report.merit, "residual": report.residual, "iterations": report.iterations}
+    return report.status, results, [solution_path]
 
 
-def cmd_solve_ue(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    out = _ensure_out(cfg.out)
+def cmd_solve_ue(cfg: RunConfig):
     network = fileio.load_network(cfg.inputs[0])
-    solver_cfg = SolverConfig(tol_residual=cfg.tol) if cfg.tol else SolverConfig()
-    sol = solve_ue(network, solver_cfg, demand_block=cfg.demand_block)
-    flows_path = os.path.join(out, "ue_flows.csv")
-    times_path = os.path.join(out, "ue_times.csv")
-    resid_path = os.path.join(out, "ue_residuals.json")
+    sol = solve_ue(network, cfg.solver_config(), demand_block=cfg.demand_block)
+    flows_path = os.path.join(cfg.out, "ue_flows.csv")
+    times_path = os.path.join(cfg.out, "ue_times.csv")
+    resid_path = os.path.join(cfg.out, "ue_residuals.json")
     fileio.write_flows_csv(flows_path, sol)
     fileio.write_times_csv(times_path, sol)
     fileio.dump_json(
@@ -213,45 +197,36 @@ def cmd_solve_ue(cfg: RunConfig) -> int:
             "max_time_violation": sol.residuals.max_time_violation,
             "max_negative_flow": sol.residuals.max_negative_flow,
             "demand_gaps": sol.residuals.demand_gaps,
-            "gap_value": gap_value(network, sol.as_vector(), sol.demand_block),
+            "gap_value": sol.report.merit,  # the merit at x_star is the gap function's value there
         },
         resid_path,
     )
-    summary = RunSummary(
-        command="solve-ue",
-        status=sol.report.status,
-        wall_time_s=time.perf_counter() - t0,
-        results={
-            "demand_block": sol.demand_block,
-            "merit": sol.report.merit,
-            "residual": sol.report.residual,
-            "iterations": sol.report.iterations,
-        },
-        artifacts=[flows_path, times_path, resid_path],
-    )
-    _emit(summary, out, "solve-ue_summary.json")
-    return EXIT_OK if sol.converged else EXIT_NONCONVERGED
+    results = {
+        "demand_block": sol.demand_block,
+        "merit": sol.report.merit,
+        "residual": sol.report.residual,
+        "iterations": sol.report.iterations,
+    }
+    return sol.report.status, results, [flows_path, times_path, resid_path]
 
 
-def _route_one(scenario, stem: str, cfg: RunConfig, out: str):
-    overrides = {}
-    if cfg.tol:
-        overrides["tol"] = cfg.tol
-    overrides["seed"] = cfg.seed
+def _route_one(scenario, stem: str, cfg: RunConfig, artifacts: list[str]) -> dict:
+    """Route one scenario, write its artifacts and return its results entry."""
+    overrides = {"tol": cfg.tol, "seed": cfg.seed} if cfg.tol else {"seed": cfg.seed}
     scenario = dataclasses.replace(scenario, bvp=dataclasses.replace(scenario.bvp, **overrides))
     try:
         result = route(scenario)
     except DomainError as exc:
-        return stem, None, str(exc)
-    curve_path = os.path.join(out, f"{stem}_route.csv")
+        return {"error": str(exc)}
+    curve_path = os.path.join(cfg.out, f"{stem}_route.csv")
     fileio.write_curve_csv(curve_path, result.curve)
-    artifacts = [curve_path]
+    artifacts.append(curve_path)
     if cfg.svg:
-        svg_path = os.path.join(out, f"{stem}_route.svg")
+        svg_path = os.path.join(cfg.out, f"{stem}_route.svg")
         fileio.write_curve_svg(svg_path, result.curve)
         artifacts.append(svg_path)
     diag = result.diagnostics
-    summary_path = os.path.join(out, f"{stem}_summary.json")
+    summary_path = os.path.join(cfg.out, f"{stem}_summary.json")
     fileio.dump_json(
         {
             "travel_time": result.travel_time,
@@ -264,14 +239,10 @@ def _route_one(scenario, stem: str, cfg: RunConfig, out: str):
         summary_path,
     )
     artifacts.append(summary_path)
-    return stem, (result, artifacts), None
+    return {"travel_time": result.travel_time, "converged": result.converged, "chord_time": diag.chord_time}
 
 
-def cmd_route(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    out = _ensure_out(cfg.out)
-    if not cfg.inputs:
-        raise SchemaError("route: no scenario files given")
+def cmd_route(cfg: RunConfig):
     # load (and so validate) every scenario before routing the first one
     scenarios = [
         fileio.load_scenario(s, base_dir=cfg.config_dir if isinstance(s, dict) else None) for s in cfg.inputs
@@ -283,38 +254,13 @@ def cmd_route(cfg: RunConfig) -> int:
     for i, stem in enumerate(stems):  # same basename from different dirs
         if stems.index(stem) != i:
             stems[i] = f"{stem}_{i}"
-    outcomes = [_route_one(scenario, stem, cfg, out) for scenario, stem in zip(scenarios, stems)]
-
-    results = {}
     artifacts: list[str] = []
-    any_bad = False
-    for stem, payload, error in outcomes:
-        if error is not None:
-            results[stem] = {"error": error}
-            any_bad = True
-            continue
-        result, arts = payload
-        artifacts.extend(arts)
-        results[stem] = {
-            "travel_time": result.travel_time,
-            "converged": result.converged,
-            "chord_time": result.diagnostics.chord_time,
-        }
-        any_bad = any_bad or not result.converged
-    summary = RunSummary(
-        command="route",
-        status="converged" if not any_bad else "non_converged",
-        wall_time_s=time.perf_counter() - t0,
-        results=results,
-        artifacts=artifacts,
-    )
-    _emit(summary, out, "route_summary.json")
-    return EXIT_OK if not any_bad else EXIT_NONCONVERGED
+    results = {stem: _route_one(scenario, stem, cfg, artifacts) for scenario, stem in zip(scenarios, stems)}
+    converged = all(entry.get("converged") for entry in results.values())
+    return "converged" if converged else "non_converged", results, artifacts
 
 
-def cmd_dynamic(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    out = _ensure_out(cfg.out)
+def cmd_dynamic(cfg: RunConfig):
     grid, flows, costs = fileio.read_trajectory_csv(cfg.inputs[0])
     model = None
     if cfg.cost_model is not None:
@@ -341,36 +287,25 @@ def cmd_dynamic(cfg: RunConfig) -> int:
         "complementarity_merit": dyn.complementarity_merit(traj, dyn_cfg),
         "monotone_flow": traj.monotone(),
     }
-    artifacts: list[str] = []
-    status = "converged"
-    if cfg.minimize:
-        if model is None:
-            model = dyn.AffineCost(0.0, np.array(costs))
-        res = dyn.minimize_dynamic(model, grid, dyn_cfg, h0=flows)
-        status = "converged" if res.converged else "non_converged"
-        results.update(
-            {
-                "minimized_objective": res.objective,
-                "minimized_gap": res.gap,
-                "iterations": res.iterations,
-                "minimizer_converged": res.converged,
-                "minimizer_objective_evaluations": res.objective_evaluations,
-                "minimizer_gradient": res.gradient,
-                "minimized_monotone_flow": res.monotone_flow,
-            }
-        )
-        opt_path = os.path.join(out, "dynamic_minimized.csv")
-        fileio.write_trajectory_csv(opt_path, res.trajectory, include_cost=True)
-        artifacts.append(opt_path)
-    summary = RunSummary(
-        command="dynamic",
-        status=status,
-        wall_time_s=time.perf_counter() - t0,
-        results=results,
-        artifacts=artifacts,
+    if not cfg.minimize:
+        return "converged", results, []
+    if model is None:
+        model = dyn.AffineCost(0.0, np.array(costs))
+    res = dyn.minimize_dynamic(model, grid, dyn_cfg, h0=flows)
+    results.update(
+        {
+            "minimized_objective": res.objective,
+            "minimized_gap": res.gap,
+            "iterations": res.iterations,
+            "minimizer_converged": res.converged,
+            "minimizer_objective_evaluations": res.objective_evaluations,
+            "minimizer_gradient": res.gradient,
+            "minimized_monotone_flow": res.monotone_flow,
+        }
     )
-    _emit(summary, out, "dynamic_summary.json")
-    return EXIT_OK if status == "converged" else EXIT_NONCONVERGED
+    opt_path = os.path.join(cfg.out, "dynamic_minimized.csv")
+    fileio.write_trajectory_csv(opt_path, res.trajectory, include_cost=True)
+    return "converged" if res.converged else "non_converged", results, [opt_path]
 
 
 def _validate_field(field, eps_cong: float, failures: list[str]) -> None:
@@ -396,11 +331,9 @@ def _validate_field(field, eps_cong: float, failures: list[str]) -> None:
         )
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    out = _ensure_out(cfg.out)
+def cmd_validate(cfg: RunConfig):
     path = cfg.inputs[0]
-    eps = cfg.tol if cfg.tol else 1e-3
+    eps = cfg.tol if cfg.tol else EPS_CONG
     failures: list[str] = []
     kind = "unknown"
     try:
@@ -428,30 +361,27 @@ def cmd_validate(cfg: RunConfig) -> int:
         failures.append(str(exc))
 
     ok = not failures
-    report_path = os.path.join(out, "validate_report.json")
+    report_path = os.path.join(cfg.out, "validate_report.json")
     fileio.dump_json({"file": path, "kind": kind, "ok": ok, "failures": failures}, report_path)
-    summary = RunSummary(
-        command="validate",
-        status="valid" if ok else "invalid",
-        wall_time_s=time.perf_counter() - t0,
-        results={"kind": kind, "ok": ok, "failures": failures},
-        artifacts=[report_path],
-    )
-    _emit(summary, out, "validate_summary.json")
-    return EXIT_OK if ok else EXIT_INPUT
+    return "valid" if ok else "invalid", {"kind": kind, "ok": ok, "failures": failures}, [report_path]
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
-_REQUIRED_INPUT = {
-    "solve-ncp": "problem",
-    "solve-ue": "network",
-    "route": "scenarios",
-    "dynamic": "trajectory",
-    "validate": "file",
+# command -> (argument naming its input, handler)
+_COMMANDS = {
+    "solve-ncp": ("problem", cmd_solve_ncp),
+    "solve-ue": ("network", cmd_solve_ue),
+    "route": ("scenarios", cmd_route),
+    "dynamic": ("trajectory", cmd_dynamic),
+    "validate": ("file", cmd_validate),
 }
+
+# Config key that names the input file of the CSV-backed commands; for the
+# other commands the config document itself is the input.
+_CONFIG_FILE_KEYS = {"dynamic": "trajectory_csv", "validate": "file"}
 
 # Option keys a config file may set alongside the command's own input schema,
 # each with the type rule its value must pass.
@@ -472,7 +402,7 @@ def _apply_config(args, parser: _Parser) -> None:
         raise SchemaError(f"{args.config}: config must be an object with a 'command' field")
     doc = dict(doc)
     command = doc.pop("command")
-    if command not in _REQUIRED_INPUT:
+    if command not in _COMMANDS:
         raise SchemaError(f"{args.config}: unknown command {command!r}")
     if args.command is not None:
         raise SchemaError(f"{args.config}: --config cannot be combined with an explicit command")
@@ -488,29 +418,17 @@ def _apply_config(args, parser: _Parser) -> None:
         setattr(args, key, _CONFIG_OPTIONS[key](doc, key, "config"))
         del doc[key]
 
-    def _resolve(p: str) -> str:
-        return p if os.path.isabs(p) else os.path.join(config_dir, p)
-
-    if command == "dynamic":
-        allowed = {"trajectory_csv"}
-        unknown = sorted(set(doc) - allowed)
-        if unknown:
-            raise SchemaError(f"{args.config}: unknown config field(s) {unknown}")
-        if "trajectory_csv" not in doc:
-            raise SchemaError(f"{args.config}: dynamic config needs 'trajectory_csv'")
-        args.trajectory = _resolve(str(doc["trajectory_csv"]))
-    elif command == "validate":
-        allowed = {"file"}
-        unknown = sorted(set(doc) - allowed)
-        if unknown:
-            raise SchemaError(f"{args.config}: unknown config field(s) {unknown}")
-        if "file" not in doc:
-            raise SchemaError(f"{args.config}: validate config needs 'file'")
-        args.file = _resolve(str(doc["file"]))
-    elif command == "route":
-        args.scenarios = [doc]
-    else:  # solve-ncp, solve-ue: remainder is the inline input document
-        setattr(args, _REQUIRED_INPUT[command], doc)
+    input_attr = _COMMANDS[command][0]
+    file_key = _CONFIG_FILE_KEYS.get(command)
+    if file_key is None:
+        setattr(args, input_attr, doc)
+        return
+    unknown = sorted(set(doc) - {file_key})
+    if unknown:
+        raise SchemaError(f"{args.config}: unknown config field(s) {unknown}")
+    if file_key not in doc:
+        raise SchemaError(f"{args.config}: {command} config needs {file_key!r}")
+    setattr(args, input_attr, os.path.join(config_dir, str(doc[file_key])))  # an absolute path stays as is
 
 
 def main(argv=None) -> int:
@@ -521,20 +439,13 @@ def main(argv=None) -> int:
             _apply_config(args, parser)
         if args.command is None:
             parser.error("a command is required (or --config with a 'command' field)")
-        missing = _REQUIRED_INPUT[args.command]
-        if not getattr(args, missing, None):
-            parser.error(f"{args.command}: missing input {missing!r}")
-        handler = {
-            "solve-ncp": cmd_solve_ncp,
-            "solve-ue": cmd_solve_ue,
-            "route": cmd_route,
-            "dynamic": cmd_dynamic,
-            "validate": cmd_validate,
-        }[args.command]
-        return handler(_run_config(args))
+        input_attr, handler = _COMMANDS[args.command]
+        if not getattr(args, input_attr, None):
+            parser.error(f"{args.command}: missing input {input_attr!r}")
+        return _run(handler, _run_config(args, input_attr))
     except SystemExit:
         raise
-    except DomainError as exc:
+    except (DomainError, FloatingPointError) as exc:  # numerical failure at run time
         sys.stderr.write(f"congeo: {exc}\n")
         return EXIT_NONCONVERGED
     except (SchemaError, OSError, ValueError) as exc:

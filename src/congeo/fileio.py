@@ -2,8 +2,10 @@
 
 All emitted floats are printed with 17 significant digits so that every
 JSON/CSV artifact re-parses to bit-identical values.  Readers are strict:
-unknown fields, wrong types, and malformed shapes raise SchemaError with a
-field path, which the CLI maps to exit code 1.
+unknown fields, wrong types, non-finite numbers and malformed shapes raise
+SchemaError with a field path (``path:line`` for CSV tables), which the CLI
+maps to exit code 1.  Every CSV table is read by ``_read_table`` and
+written by ``_write_table``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from typing import Any, Sequence
 
 import numpy as np
@@ -133,6 +136,8 @@ def _number(obj: dict, key: str, where: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}.{key}: expected a number, got {v!r}")
+    if not -sys.float_info.max <= v <= sys.float_info.max:  # NaN, Infinity, 1e999, ints past float range
+        raise SchemaError(f"{where}.{key}: expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -169,21 +174,27 @@ def _matrix(obj: dict, key: str, where: str) -> np.ndarray:
     v = obj[key]
     try:
         arr = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"{where}.{key}: expected a numeric matrix") from None
     if arr.ndim != 2:
         raise SchemaError(f"{where}.{key}: expected a 2-d matrix, got shape {arr.shape}")
-    return arr
+    return _finite(arr, key, where)
 
 
 def _vector(obj: dict, key: str, where: str) -> np.ndarray:
     v = obj[key]
     try:
         arr = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"{where}.{key}: expected a numeric vector") from None
     if arr.ndim != 1:
         raise SchemaError(f"{where}.{key}: expected a 1-d vector, got shape {arr.shape}")
+    return _finite(arr, key, where)
+
+
+def _finite(arr: np.ndarray, key: str, where: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{where}.{key}: expected finite numbers")
     return arr
 
 
@@ -335,45 +346,21 @@ def save_congestion_grid(path: str, xs, ys, vectors) -> None:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GRID_HEADER)
-        for i, px in enumerate(xs):
-            for j, py in enumerate(ys):
-                writer.writerow(
-                    [fmt_float(px), fmt_float(py), fmt_float(vectors[i, j, 0]), fmt_float(vectors[i, j, 1])]
-                )
+    columns = (np.repeat(xs, len(ys)), np.tile(ys, len(xs)), vectors[..., 0].ravel(), vectors[..., 1].ravel())
+    _write_table(path, GRID_HEADER, columns)
 
 
 def load_congestion_grid(path: str) -> CongestionField:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty grid file") from None
-        if [h.strip() for h in header] != GRID_HEADER:
-            raise SchemaError(f"{path}: header must be exactly {','.join(GRID_HEADER)}")
-        rows = []
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise SchemaError(f"{path}:{ln}: expected 4 fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise SchemaError(f"{path}:{ln}: non-numeric value") from None
-    if not rows:
+    _, data = _read_table(path, [GRID_HEADER])
+    if not len(data):
         raise SchemaError(f"{path}: no grid rows")
-    data = np.asarray(rows)
     xs = np.unique(data[:, 0])
     ys = np.unique(data[:, 1])
     nx, ny = len(xs), len(ys)
     if nx < 2 or ny < 2:
         raise SchemaError(f"{path}: grid needs at least 2 distinct coordinates per axis")
-    if len(rows) != nx * ny:
-        raise SchemaError(f"{path}: expected {nx * ny} rows for a {nx}x{ny} grid, got {len(rows)}")
+    if len(data) != nx * ny:
+        raise SchemaError(f"{path}: expected {nx * ny} rows for a {nx}x{ny} grid, got {len(data)}")
     expected_x = np.repeat(xs, ny)
     expected_y = np.tile(ys, nx)
     if not (np.array_equal(data[:, 0], expected_x) and np.array_equal(data[:, 1], expected_y)):
@@ -457,132 +444,88 @@ def load_scenario(source, base_dir: str | None = None) -> RoutingScenario:
 # Curve / trajectory / solution tables (CSV)
 # ---------------------------------------------------------------------------
 
-def write_curve_csv(path: str, curve: Curve) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y"])
-        for k in range(curve.n_nodes):
-            writer.writerow(
-                [fmt_float(curve.params[k]), fmt_float(curve.points[k, 0]), fmt_float(curve.points[k, 1])]
-            )
+def _read_table(path: str, headers: list[list[str]], keyed: bool = False):
+    """Read a CSV table whose header is one of ``headers``.
 
-
-def read_curve_csv(path: str) -> Curve:
-    t, pts = [], []
+    Returns ``(keys, data)``: the first field of each row as a string when
+    ``keyed`` (else an empty list), and the other fields as a float array
+    with one row per table row.  Blank rows are skipped; a wrong header,
+    field count or number is a SchemaError naming ``path:line``.
+    """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t", "x", "y"]:
-            raise SchemaError(f"{path}: header must be t,x,y")
+        header = [h.strip() for h in next(reader, [])]
+        if header not in headers:
+            raise SchemaError(f"{path}:1: header must be {' or '.join(','.join(h) for h in headers)}")
+        keys, values = [], []  # flat: a list per row would raise the peak memory of a read
         for ln, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 3:
-                raise SchemaError(f"{path}:{ln}: expected 3 fields")
+            if len(row) != len(header):
+                raise SchemaError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
+            if keyed:
+                keys.append(row[0])
             try:
-                t.append(float(row[0]))
-                pts.append([float(row[1]), float(row[2])])
+                values.extend(map(float, row[keyed:]))
             except ValueError:
                 raise SchemaError(f"{path}:{ln}: non-numeric value") from None
+    width = len(header) - keyed
+    return keys, np.array(values, dtype=float).reshape(len(values) // width, width)
+
+
+def _write_table(path: str, header: Sequence[str], columns) -> None:
+    """Write one CSV row per index of ``columns`` (one sequence per header
+    field): strings as they are, numbers through ``fmt_float``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*((v if isinstance(v, str) else fmt_float(v) for v in col) for col in columns)))
+
+
+def write_curve_csv(path: str, curve: Curve) -> None:
+    _write_table(path, ["t", "x", "y"], (curve.params, curve.points[:, 0], curve.points[:, 1]))
+
+
+def read_curve_csv(path: str) -> Curve:
+    _, data = _read_table(path, [["t", "x", "y"]])
     try:
-        return Curve(params=np.asarray(t), points=np.asarray(pts))
+        return Curve(params=data[:, 0], points=data[:, 1:])
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
 
 def write_trajectory_csv(path: str, traj: Trajectory, include_cost: bool | None = None) -> None:
     cost = traj.cost_values() if (include_cost or (include_cost is None and traj.c is not None)) else None
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "h", "c"] if cost is not None else ["t", "h"])
-        for k in range(traj.n_nodes):
-            row = [fmt_float(traj.grid[k]), fmt_float(traj.h[k])]
-            if cost is not None:
-                row.append(fmt_float(cost[k]))
-            writer.writerow(row)
+    columns = (traj.grid, traj.h) if cost is None else (traj.grid, traj.h, cost)
+    _write_table(path, ["t", "h", "c"][: len(columns)], columns)
 
 
 def read_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Returns (grid, h, c-or-None); attach a cost model downstream if c is absent."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty trajectory file")
-        header = [h.strip() for h in header]
-        if header not in (["t", "h"], ["t", "h", "c"]):
-            raise SchemaError(f"{path}: header must be t,h or t,h,c")
-        has_c = len(header) == 3
-        t, h, c = [], [], []
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(f"{path}:{ln}: expected {len(header)} fields")
-            try:
-                t.append(float(row[0]))
-                h.append(float(row[1]))
-                if has_c:
-                    c.append(float(row[2]))
-            except ValueError:
-                raise SchemaError(f"{path}:{ln}: non-numeric value") from None
-    grid = np.asarray(t)
-    flows = np.asarray(h)
-    costs = np.asarray(c) if has_c else None
-    if grid.size < 3:
+    _, data = _read_table(path, [["t", "h"], ["t", "h", "c"]])
+    if len(data) < 3:
         raise SchemaError(f"{path}: trajectory needs at least three rows")
-    return grid, flows, costs
+    columns = data.T.copy()  # contiguous columns
+    return columns[0], columns[1], columns[2] if len(columns) == 3 else None
 
 
 def write_flows_csv(path: str, solution: UeSolution) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["route", "flow"])
-        for rid, v in zip(solution.route_ids, solution.h):
-            writer.writerow([rid, fmt_float(v)])
+    _write_table(path, ["route", "flow"], (solution.route_ids, solution.h))
 
 
 def read_flows_csv(path: str) -> dict[str, float]:
-    return _read_keyed_csv(path, ["route", "flow"])
+    keys, data = _read_table(path, [["route", "flow"]], keyed=True)
+    return dict(zip(keys, data[:, 0].tolist()))
 
 
 def write_times_csv(path: str, solution: UeSolution) -> None:
     key = "od" if solution.demand_block == "per_od" else "route"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([key, "time"])
-        for pid, v in zip(solution.pi_ids, solution.pi):
-            writer.writerow([pid, fmt_float(v)])
+    _write_table(path, [key, "time"], (solution.pi_ids, solution.pi))
 
 
 def read_times_csv(path: str) -> dict[str, float]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise SchemaError(f"{path}: empty file")
-    key = header[0].strip()
-    if key not in ("od", "route") or [h.strip() for h in header][1:] != ["time"]:
-        raise SchemaError(f"{path}: header must be od,time or route,time")
-    return _read_keyed_csv(path, [key, "time"])
-
-
-def _read_keyed_csv(path: str, expected_header: list[str]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected_header:
-            raise SchemaError(f"{path}: header must be {','.join(expected_header)}")
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SchemaError(f"{path}:{ln}: expected 2 fields")
-            try:
-                out[row[0]] = float(row[1])
-            except ValueError:
-                raise SchemaError(f"{path}:{ln}: non-numeric value") from None
-    return out
+    keys, data = _read_table(path, [["od", "time"], ["route", "time"]], keyed=True)
+    return dict(zip(keys, data[:, 0].tolist()))
 
 
 def write_curve_svg(path: str, curve: Curve, pad_frac: float = 0.05) -> None:

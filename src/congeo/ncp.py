@@ -77,7 +77,8 @@ class NcpProblem:
             raise ValueError("dimension must be at least 1")
 
     def f_eval(self, x: np.ndarray) -> np.ndarray:
-        fx = np.asarray(self.f(np.asarray(x, dtype=float)), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite F raises below
+            fx = np.asarray(self.f(np.asarray(x, dtype=float)), dtype=float)
         if fx.shape != (self.n,):
             raise ValueError(f"F returned shape {fx.shape}, expected ({self.n},)")
         if not np.all(np.isfinite(fx)):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .finsler import (
+    EPS_CONG,
     CongestionField,
     RiemannianField,
     congestion_none,
@@ -40,7 +41,7 @@ class RoutingScenario:
     destination: tuple[float, ...]
     metric: RiemannianField = field(default_factory=euclidean_metric)
     congestion: CongestionField = field(default_factory=congestion_none)
-    eps_cong: float = 1e-3
+    eps_cong: float = EPS_CONG
     bvp: BvpConfig = field(default_factory=lambda: BvpConfig(explore=True))
     box_margin: float = 0.5
     box_samples: int = 21

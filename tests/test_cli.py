@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ from congeo import fileio
 from congeo.cli import EXIT_INPUT, EXIT_NONCONVERGED, EXIT_OK, main
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demo")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def demo(name):
@@ -43,6 +46,14 @@ class TestExitCodes:
         problem = tmp_path / "broken.json"
         problem.write_text('{"n": 1, "f": {"type": "affine", "M": [[1.0]]}}')
         assert run_cli("solve-ncp", str(problem), "--out", str(tmp_path)) == EXIT_INPUT
+
+    def test_ncp_overflowing_f_exits_2_with_one_line(self, tmp_path, capsys):
+        problem = tmp_path / "overflow.json"  # finite input, F overflows at the start point
+        fileio.dump_json({"n": 1, "f": {"type": "affine", "M": [[1e308]], "q": [1e308]}}, str(problem))
+        assert run_cli("solve-ncp", str(problem), "--out", str(tmp_path)) == EXIT_NONCONVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("congeo: ") and "non-finite" in err
+        assert len(err.splitlines()) == 1
 
     def test_missing_file_exits_1(self, tmp_path):
         assert run_cli("solve-ncp", str(tmp_path / "nope.json"), "--out", str(tmp_path)) == EXIT_INPUT
@@ -149,6 +160,85 @@ class TestSolveUeCommand:
         times = fileio.read_times_csv(str(tmp_path / "ue_times.csv"))
         assert flows["r1"] == pytest.approx(1.5, abs=1e-6)
         assert times["od1"] == pytest.approx(2.5, abs=1e-6)
+
+
+    @pytest.mark.parametrize("layout", ["per_od", "per_route"])
+    def test_gap_value_is_the_solver_merit(self, tmp_path, layout):
+        code = run_cli(
+            "solve-ue", demo("network_two_routes.json"), "--demand-block", layout, "--out", str(tmp_path)
+        )
+        assert code == EXIT_OK
+        resid = fileio.load_json(str(tmp_path / "ue_residuals.json"))
+        summary = fileio.load_json(str(tmp_path / "solve-ue_summary.json"))
+        assert resid["gap_value"] == summary["results"]["merit"]
+
+
+def _infeasible_ncp(tmp_path):
+    path = tmp_path / "infeasible.json"
+    fileio.dump_json({"n": 1, "f": {"type": "affine", "M": [[0.0]], "q": [-1.0]}}, str(path))
+    return str(path)
+
+
+# Every non-route command; route has its own determinism tests below.
+RUN_CASES = {
+    "solve-ncp": lambda tmp: ("solve-ncp", demo("ncp_affine.json")),
+    "solve-ncp-nonconverged": lambda tmp: ("solve-ncp", _infeasible_ncp(tmp)),
+    "solve-ue-per_od": lambda tmp: ("solve-ue", demo("network_elastic.json")),
+    "solve-ue-per_route": lambda tmp: ("solve-ue", demo("network_two_routes.json"), "--demand-block", "per_route"),
+    "dynamic-evaluate": lambda tmp: ("dynamic", demo("trajectory_linear.csv"), "--variant", "half_phi"),
+    "dynamic-minimize": lambda tmp: (
+        "dynamic", demo("trajectory_constant.csv"), "--cost-model", "identity", "--minimize"
+    ),
+    "validate": lambda tmp: ("validate", demo("network_two_routes.json")),
+    "validate-invalid": lambda tmp: ("validate", demo("trajectory_linear.csv")),
+}
+
+
+class TestRunContract:
+    @pytest.mark.parametrize("case", RUN_CASES.values(), ids=RUN_CASES.keys())
+    def test_summary_exit_code_and_determinism(self, tmp_path, capsys, case):
+        argv = case(tmp_path)
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            code = run_cli(*argv, "--out", str(out))
+            printed = capsys.readouterr().out
+            summary_path = out / f"{argv[0]}_summary.json"
+            assert printed == summary_path.read_text()
+            summary = json.loads(printed)
+            assert list(summary) == ["command", "status", "wall_time_s", "results", "artifacts"]
+            assert summary["command"] == argv[0]
+            expected = {"converged": EXIT_OK, "valid": EXIT_OK, "invalid": EXIT_INPUT}
+            assert code == expected.get(summary["status"], EXIT_NONCONVERGED)
+            names = [os.path.basename(p) for p in summary["artifacts"]]
+            assert sorted(os.listdir(out)) == sorted(names + [summary_path.name])
+            artifacts = {n: open(p, "rb").read() for n, p in zip(names, summary["artifacts"])}
+            runs.append((summary["status"], summary["results"], artifacts))
+        assert runs[0] == runs[1]
+
+
+def _readme_commands():
+    text = open(README, encoding="utf-8").read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("congeo ")]
+
+
+class TestReadmeCommands:
+    def test_block_lists_every_command(self):
+        assert {argv[0] for argv in _readme_commands()} == {
+            "solve-ncp", "solve-ue", "route", "dynamic", "validate", "--config",
+        }
+
+    # route lines take 8 s or more each; TestRouteCommand covers them
+    @pytest.mark.parametrize(
+        "argv", [a for a in _readme_commands() if a[0] != "route"], ids=" ".join
+    )
+    def test_command_exits_0(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # a config's relative "out" lands here
+        argv = [os.path.join(DEMO, a[len("demo/"):]) if a.startswith("demo/") else a for a in argv]
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path)
+        assert run_cli(*argv) == EXIT_OK
 
 
 class TestRouteCommand:
@@ -297,6 +387,25 @@ class TestConfigMode:
         assert run_cli("--config", str(cfg)) == EXIT_INPUT
         assert f"config.{key}: expected" in capsys.readouterr().err
         assert not (tmp_path / "out" / "dynamic_minimized.csv").exists()
+
+    def test_validate_config_file_relative_to_config(self, tmp_path, monkeypatch):
+        cfg_dir = tmp_path / "cfg"
+        cfg_dir.mkdir()
+        shutil.copy(demo("network_two_routes.json"), cfg_dir / "net.json")
+        cfg = cfg_dir / "run.json"
+        fileio.dump_json({"command": "validate", "file": "net.json", "out": str(tmp_path / "out")}, str(cfg))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("--config", str(cfg)) == EXIT_OK
+        report = fileio.load_json(str(tmp_path / "out" / "validate_report.json"))
+        assert report["file"] == str(cfg_dir / "net.json")
+        assert report["kind"] == "network" and report["ok"] is True
+
+    def test_validate_config_without_file_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        fileio.dump_json({"command": "validate", "out": str(tmp_path / "out")}, str(cfg))
+        assert run_cli("--config", str(cfg)) == EXIT_INPUT
+        assert "validate config needs 'file'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_unknown_option_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,43 @@ class TestNcpProblemLoader:
             fileio.load_ncp_problem({"n": 0, "f": {"type": "affine", "M": [], "q": []}})
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+# (demo file, loader, field path, value, field named in the error); json
+# writes NaN / Infinity literals, which Python's json parses back
+NON_FINITE = {
+    "network-nan": ("network_two_routes.json", "load_network", ("links", 0, "bpr_b"), float("nan"),
+                    r"links\[0\]\.bpr_b"),
+    "network-inf": ("network_two_routes.json", "load_network", ("links", 1, "t0"), float("inf"),
+                    r"links\[1\]\.t0"),
+    "network-huge-int": ("network_two_routes.json", "load_network", ("links", 0, "capacity"), 10**400,
+                         r"links\[0\]\.capacity"),
+    "network-demand": ("network_elastic.json", "load_network", ("od_pairs", 0, "demand", "k"),
+                       float("-inf"), r"od_pairs\[0\]\.demand\.k"),
+    "ncp-q-nan": ("ncp_affine.json", "load_ncp_problem", ("f", "q"), [float("nan")], r"problem\.f\.q"),
+    "ncp-M-inf": ("ncp_affine.json", "load_ncp_problem", ("f", "M"), [[float("inf")]], r"problem\.f\.M"),
+    "ncp-q-huge-int": ("ncp_affine.json", "load_ncp_problem", ("f", "q"), [10**400], r"problem\.f\.q"),
+    "scenario-tol": ("scenario_none.json", "load_scenario", ("tol",), float("nan"), r"scenario\.tol"),
+    "scenario-origin": ("scenario_none.json", "load_scenario", ("origin",), [float("inf"), 0.0],
+                        r"scenario\.origin"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_json_numbers_rejected(tmp_path, case):
+    name, loader, field, value, where = case
+    doc = json.loads(open(os.path.join(DEMO, name)).read())
+    _set(doc, field, value)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=where):
+        getattr(fileio, loader)(str(path))
+
+
 class TestGridCsv:
     def test_roundtrip(self, rng, tmp_path):
         xs = np.linspace(-1, 1, 4)
@@ -252,3 +290,34 @@ class TestTableFormats:
         text = open(path).read()
         assert "<polyline" in text and "viewBox" in text
         assert "-2" in text
+
+
+# format -> (reader, header, a valid row, the row with a non-numeric field)
+TABLES = {
+    "curve": ("read_curve_csv", "t,x,y", "0,0,0", "0,0,zero"),
+    "trajectory": ("read_trajectory_csv", "t,h", "0,1", "0,one"),
+    "flows": ("read_flows_csv", "route,flow", "r1,1", "r1,one"),
+    "times": ("read_times_csv", "od,time", "od1,3", "od1,three"),
+    "grid": ("load_congestion_grid", "x,y,wx,wy", "0,0,0,0", "0,0,0,zero"),
+}
+
+
+# defect -> (line it is on, message)
+DEFECTS = {"bad_header": (1, "header must be"), "field_count": (4, "expected"), "non_numeric": (3, "non-numeric")}
+
+
+class TestTableErrors:
+    @pytest.mark.parametrize("fmt", TABLES)
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_error_names_path_and_line(self, tmp_path, fmt, defect):
+        reader, header, row, bad_row = TABLES[fmt]
+        line, match = DEFECTS[defect]
+        lines = {
+            "bad_header": ["a,b", row],
+            "field_count": [header, row, "", row + ",0"],  # the blank line is skipped but counted
+            "non_numeric": [header, row, bad_row],
+        }[defect]
+        path = tmp_path / f"{fmt}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:{line}: ") + match):
+            getattr(fileio, reader)(str(path))
