@@ -37,6 +37,7 @@ from .geodesic import (
     Curve,
     GeodesicIvp,
     Lagrangian,
+    StartOutcome,
     curve_length,
     el_residual,
     geodesic_bvp,

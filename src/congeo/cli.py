@@ -235,6 +235,7 @@ def _route_one(scenario, stem: str, cfg: RunConfig, artifacts: list[str]) -> dic
             "restarts": diag.restarts,
             "multiplicity": diag.multiplicity,
             "chord_time": diag.chord_time,
+            "starts": [{"outcome": s.outcome, "iterations": s.iterations} for s in diag.starts],
         },
         summary_path,
     )

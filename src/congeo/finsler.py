@@ -11,8 +11,20 @@ so travel against the congestion costs more than travel with it.  This module
 builds those structures, evaluates F and its fundamental tensor, and checks
 the validity conditions (positivity, homogeneity, positive-definiteness).
 
-Derivative-array convention: the derivative axis comes first, i.e.
-``dg[m, i, j] = d g_ij / d x^m`` and ``dw[m, i] = d w^i / d x^m``.
+Derivative-array convention: the derivative axis comes first (right after
+the batch axis of a batched evaluation), i.e. ``dg[m, i, j] = d g_ij / d x^m``
+and ``dw[m, i] = d w^i / d x^m``.
+
+Field contract: every coefficient callable (``RiemannianField.matrix`` and
+``matrix_dx``, ``CongestionField.vector`` and ``vector_dx``,
+``RandersStructure.bundle``) takes a batch of points ``x`` of shape
+``(B, dim)`` and returns its values stacked along the same leading axis,
+e.g. ``(B, dim, dim)`` for a metric; a result that broadcasts to that shape,
+such as a constant, is accepted.  Index point components as ``x[..., i]``:
+a callable written for one point (``x[0]``) reads the first *point* of a
+batch and gives a wrong answer at B = 2 without raising an error.  The
+public one-point methods (``field(x)``, ``F.coefficients(x)``, ...) still
+take a single point; they evaluate it as a batch of one.
 """
 
 from __future__ import annotations
@@ -90,6 +102,54 @@ def _pt(x, dim=None) -> np.ndarray:
     return arr
 
 
+def _point_rows(points, dim: int) -> np.ndarray:
+    """Finite points as a (k, dim) array; an empty sequence gives k = 0."""
+    arr = np.asarray(points, dtype=float)
+    if arr.size == 0:
+        return np.empty((0, dim))
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"points must have shape (k, {dim}), got {arr.shape}")
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise DomainError(f"point has non-finite components: {arr[bad.argmax()]}")
+    return arr
+
+
+def _points(x, dim: int) -> tuple[np.ndarray, bool]:
+    """A point or a (B, dim) batch of them as a batch, plus whether it was one point."""
+    if isinstance(x, Point) or np.ndim(x) == 1:
+        return _pt(x, dim)[None], True
+    return _point_rows(x, dim), False
+
+
+def _batch(values, shape: tuple, what: str) -> np.ndarray:
+    """A field callable's result broadcast to the batch shape it must have."""
+    values = np.asarray(values, dtype=float)
+    if values.shape == shape:
+        return values
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise ValueError(f"{what} has shape {values.shape}, expected {shape}") from None
+
+
+_sum = np.add.reduce  # ndarray.sum without its Python-level wrapper
+
+
+def _mv(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Batched matrix-vector product ``a_ij y_j`` over leading axes.
+
+    Elementwise products and a sum over the last axis, so each row of a batch
+    is computed exactly as it would be alone (no BLAS, no fused multiply-add).
+    """
+    return _sum(a * y[..., None, :], axis=-1)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Batched inner product ``u_i v_i`` over leading axes, as in ``_mv``."""
+    return _sum(u * v, axis=-1)
+
+
 @dataclass(frozen=True)
 class Point:
     """A position in R^n (n = 2 in all shipped configurations)."""
@@ -130,24 +190,28 @@ class TangentVector:
 
 
 def _check_sym_matrix(g: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """Symmetrized copy of a (..., dim, dim) stack of finite, symmetric matrices."""
     g = np.asarray(g, dtype=float)
-    if g.shape != (dim, dim):
+    if g.shape[-2:] != (dim, dim):
         raise ValueError(f"{what} must have shape ({dim},{dim}), got {g.shape}")
     if not np.all(np.isfinite(g)):
         raise DomainError(f"{what} has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(g))))
-    if np.max(np.abs(g - g.T)) > _SYM_TOL * scale:
+    gt = np.swapaxes(g, -1, -2)
+    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
+    if np.any(np.abs(g - gt).max(axis=(-2, -1)) > _SYM_TOL * scale):
         raise DomainError(f"{what} is not symmetric to tolerance {_SYM_TOL}")
-    return 0.5 * (g + g.T)
+    return 0.5 * (g + gt)
 
 
 @dataclass(frozen=True)
 class RiemannianField:
     """Symmetric positive-definite coefficient field x -> g_ij(x).
 
-    ``matrix_dx``, when supplied, returns the analytic derivatives
-    ``dg[m, i, j] = d g_ij / d x^m``; otherwise central differences are used
-    where derivatives are required.
+    ``matrix`` maps a (B, dim) batch of points to (B, dim, dim) (see the
+    module's field contract).  ``matrix_dx``, when supplied, returns the
+    analytic derivatives ``dg[b, m, i, j] = d g_ij / d x^m`` at point b;
+    otherwise central differences are used where derivatives are required.
+    Calling the field validates the schema and takes a point or a batch.
     """
 
     matrix: Callable[[np.ndarray], np.ndarray]
@@ -155,23 +219,30 @@ class RiemannianField:
     dim: int = 2
 
     def __call__(self, x) -> np.ndarray:
-        return _check_sym_matrix(self.matrix(_pt(x, self.dim)), self.dim, "metric matrix")
+        pts, single = _points(x, self.dim)
+        mat = _batch(self.matrix(pts), (len(pts), self.dim, self.dim), "metric matrix")
+        mat = _check_sym_matrix(mat, self.dim, "metric matrix")
+        return mat[0] if single else mat
 
     def derivative(self, x) -> np.ndarray:
-        x = _pt(x, self.dim)
+        pts, single = _points(x, self.dim)
         if self.matrix_dx is not None:
-            return np.asarray(self.matrix_dx(x), dtype=float)
-        return _fd_derivative(self.__call__, x, (self.dim, self.dim))
+            d = _batch(self.matrix_dx(pts), (len(pts),) + (self.dim,) * 3, "metric derivative")
+        else:
+            d = _fd_derivative(self.__call__, pts, (self.dim, self.dim))
+        return d[0] if single else d
 
 
 @dataclass(frozen=True)
 class CongestionField:
     """Congestion vector field x -> w(x) with optional analytic Jacobian.
 
-    ``vector_dx`` returns ``dw[m, i] = d w^i / d x^m``.  ``probes`` are the
-    field's natural validity sample points (grid nodes for sampled fields,
-    the extremal ring for the vortex preset); ``build_randers`` checks the
-    saturation bound there up front.
+    ``vector`` maps a (B, dim) batch of points to (B, dim) (see the module's
+    field contract); ``vector_dx`` returns ``dw[b, m, i] = d w^i / d x^m`` at
+    point b.  ``probes`` are the field's natural validity sample points (grid
+    nodes for sampled fields, the extremal ring for the vortex preset);
+    ``build_randers`` checks the saturation bound there up front.  Calling the
+    field validates the schema and takes a point or a batch.
     """
 
     vector: Callable[[np.ndarray], np.ndarray]
@@ -180,29 +251,37 @@ class CongestionField:
     dim: int = 2
 
     def __call__(self, x) -> np.ndarray:
-        w = np.asarray(self.vector(_pt(x, self.dim)), dtype=float)
-        if w.shape != (self.dim,):
-            raise ValueError(f"congestion vector has shape {w.shape}, expected ({self.dim},)")
-        if not np.all(np.isfinite(w)):
-            raise DomainError(f"congestion vector non-finite at {x}")
-        return w
+        pts, single = _points(x, self.dim)
+        w = _batch(self.vector(pts), pts.shape, "congestion vector")
+        bad = ~np.isfinite(w).all(axis=1)
+        if bad.any():
+            raise DomainError(f"congestion vector non-finite at {pts[bad.argmax()]}")
+        return w[0].copy() if single else w.copy()
 
     def derivative(self, x) -> np.ndarray:
-        x = _pt(x, self.dim)
+        pts, single = _points(x, self.dim)
         if self.vector_dx is not None:
-            return np.asarray(self.vector_dx(x), dtype=float)
-        return _fd_derivative(self.__call__, x, (self.dim,))
+            d = _batch(self.vector_dx(pts), (len(pts), self.dim, self.dim), "congestion derivative")
+        else:
+            d = _fd_derivative(self.__call__, pts, (self.dim,))
+        return d[0] if single else d
 
 
 def _fd_derivative(fn, x: np.ndarray, value_shape: tuple, step_rel: float = COEFF_FD_STEP) -> np.ndarray:
-    """Central-difference x-derivative of a coefficient map, derivative axis first."""
-    n = x.shape[0]
-    out = np.empty((n, *value_shape))
+    """Central-difference x-derivative of a coefficient map at a point or a
+    batch of points ``x[..., :]``; the derivative axis follows the batch axes."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    batch = x.shape[:-1]
+    out = np.empty((*batch, n, *value_shape))
     for m in range(n):
-        h = step_rel * max(1.0, abs(x[m]))
-        e = np.zeros(n)
-        e[m] = h
-        out[m] = (np.asarray(fn(x + e), float) - np.asarray(fn(x - e), float)) / (2 * h)
+        h = step_rel * np.maximum(1.0, np.abs(x[..., m]))
+        e = np.zeros_like(x)
+        e[..., m] = h
+        diff = np.asarray(fn(x + e), float) - np.asarray(fn(x - e), float)
+        out[(Ellipsis, m) + (slice(None),) * len(value_shape)] = diff / (2 * h).reshape(
+            batch + (1,) * len(value_shape)
+        )
     return out
 
 
@@ -210,9 +289,12 @@ def _fd_derivative(fn, x: np.ndarray, value_shape: tuple, step_rel: float = COEF
 class RandersStructure:
     """Coefficient fields (a_ij, b_i) of F(x,y) = sqrt(a_ij y^i y^j) + b_i y^i.
 
-    ``bundle(x)`` returns ``(a, b, da, db)``, derivative axis first, and is the
-    only way the structure is evaluated; ``coefficients`` (which re-validates
-    the schema) and ``coefficient_derivatives`` are views over it.  The raw
+    ``bundle(x)`` maps a (B, dim) batch of points to ``(a, b, da, db)`` of
+    shapes (B, dim, dim), (B, dim), (B, dim, dim, dim) and (B, dim, dim), the
+    derivative axis right after the batch axis (or anything broadcasting to
+    those shapes, such as constants).  It is the only way the structure is
+    evaluated; ``coefficients`` (which re-validates the schema) and
+    ``coefficient_derivatives`` are one-point views over it.  The raw
     dataclass represents arbitrary coefficient pairs so that
     ``validate_structure`` can report on invalid ones; the bundles attached by
     ``constant_randers`` and ``build_randers`` enforce validity.
@@ -223,19 +305,18 @@ class RandersStructure:
 
     def coefficients(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = _pt(x, self.dim)
-        a, b, _, _ = self.bundle(x)
-        a = _check_sym_matrix(a, self.dim, "alpha matrix")
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.dim,):
-            raise ValueError(f"beta has shape {b.shape}, expected ({self.dim},)")
+        a, b, _, _ = self.bundle(x[None])
+        a = _check_sym_matrix(_batch(a, (1, self.dim, self.dim), "alpha matrix")[0], self.dim, "alpha matrix")
+        b = _batch(b, (1, self.dim), "beta")[0]
         if not np.all(np.isfinite(b)):
             raise DomainError(f"beta non-finite at {x}")
         return a, b
 
     def coefficient_derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(da, db) with da[m,i,j] = d a_ij/d x^m, db[m,i] = d b_i/d x^m."""
-        _, _, da, db = self.bundle(_pt(x, self.dim))
-        return np.asarray(da, dtype=float), np.asarray(db, dtype=float)
+        _, _, da, db = self.bundle(_pt(x, self.dim)[None])
+        dim = self.dim
+        return _batch(da, (1, dim, dim, dim), "alpha derivative")[0], _batch(db, (1, dim, dim), "beta derivative")[0]
 
 
 @dataclass(frozen=True)
@@ -263,13 +344,19 @@ def norm_g(g: RiemannianField, x, y) -> float:
     return float(np.sqrt(max(y @ mat @ y, 0.0)))
 
 
+def _covector_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Norm of the covector b with respect to the inverse of a, over leading axes."""
+    return np.sqrt(np.maximum(_dot(b, np.linalg.solve(a, b[..., None])[..., 0]), 0.0))
+
+
 def covector_norm(a: np.ndarray, b: np.ndarray) -> float:
     """Norm of the covector b with respect to the inverse of a."""
-    return float(np.sqrt(max(b @ np.linalg.solve(a, b), 0.0)))
+    return float(_covector_norms(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
 
 
-def _raw_eval(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:
-    return float(np.sqrt(max(y @ a @ y, 0.0)) + b @ y)
+def _raw_eval(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sqrt(a_ij y^i y^j) + b_i y^i over leading axes (no validity checks)."""
+    return np.sqrt(np.maximum(_dot(y, _mv(a, y)), 0.0)) + _dot(b, y)
 
 
 def randers_eval(F: RandersStructure, x, y) -> float:
@@ -277,9 +364,23 @@ def randers_eval(F: RandersStructure, x, y) -> float:
     domain error (F would lose positivity)."""
     a, b = F.coefficients(x)
     nb = covector_norm(a, b)
-    if nb >= 1.0:
+    if not nb < 1.0:
         raise DomainError(f"invalid drift: ||b||_a = {nb:.6g} >= 1 at {_pt(x)}")
     y = _vec(y, "tangent components")
+    return float(_raw_eval(a, b, y))
+
+
+def _speeds(F: RandersStructure, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """F(x_k, y_k) for a (B, dim) batch of states from one ``bundle`` call;
+    drift with ||b||_a >= 1 is a domain error naming the first such point."""
+    a, b, _, _ = F.bundle(x)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    nb = np.broadcast_to(_covector_norms(a, b), x.shape[:-1])
+    bad = ~(nb < 1.0)
+    if bad.any():
+        k = int(bad.argmax())
+        raise DomainError(f"invalid drift: ||b||_a = {nb[k]:.6g} >= 1 at {x[k]}")
     return _raw_eval(a, b, y)
 
 
@@ -295,61 +396,86 @@ def build_randers(
     ``||b||_a = ||w||_g``; their x-derivatives come from the chain rule, with
     central differences for a field lacking ``matrix_dx`` / ``vector_dx``.
     The saturation bound ``||w||_g <= 1 - eps_cong`` is verified up front at
-    the field's probe points plus ``check_points``, and again lazily at every
-    later coefficient evaluation; violations raise ``DomainError`` naming the
-    offending point (nothing is clamped).
+    the field's probe points plus ``check_points`` (one batched evaluation),
+    and again lazily at every later coefficient evaluation; violations raise
+    ``DomainError`` naming the first offending point (nothing is clamped).
     """
     if g.dim != omega.dim:
         raise ValueError("metric and congestion field dimensions differ")
     if not 0 < eps_cong < 1:
         raise ValueError("eps_cong must lie in (0, 1)")
+    dim = g.dim
+    bound = 1.0 - eps_cong
 
-    def fields_at(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        mat = np.asarray(g.matrix(x), dtype=float)
-        w = np.asarray(omega.vector(x), dtype=float)
-        nw = float(np.sqrt(max(w @ mat @ w, 0.0)))
-        if not nw < 1.0 - eps_cong:  # also trips on NaN
+    def saturation(x: np.ndarray, mat: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(g w, ||w||_g) at each point; raises at the first saturated one."""
+        gw = _mv(mat, w)
+        nw = np.sqrt(np.maximum(_dot(w, gw), 0.0))
+        bad = ~(nw < bound)  # also trips on NaN
+        if bad.any():
+            k = int(bad.argmax())
             raise DomainError(
-                f"congestion saturated or non-finite: ||w||_g = {nw:.6g} "
-                f"(bound {1 - eps_cong:.6g}) at {x}"
+                f"congestion saturated or non-finite: ||w||_g = {nw[k]:.6g} "
+                f"(bound {bound:.6g}) at {x[k]}"
             )
-        return mat, w, nw
+        return gw, nw
 
-    for p in (*omega.probes, *check_points):
-        p = _pt(p, g.dim)
-        _check_sym_matrix(g.matrix(p), g.dim, "metric matrix")
-        omega(p)  # full schema validation at the probes
-        fields_at(p)
+    def check(x: np.ndarray) -> None:
+        """Schema (metric shape, symmetry, finiteness; congestion shape,
+        finiteness) and saturation at a batch of points."""
+        mat = _check_sym_matrix(_batch(g.matrix(x), (len(x), dim, dim), "metric matrix"), dim, "metric matrix")
+        saturation(x, mat, omega(x))
+
+    points = np.concatenate([_point_rows(omega.probes, dim), _point_rows(check_points, dim)])
+    try:
+        if len(points):
+            check(points)
+    except DomainError:
+        # name the first offending point in order: a field that raises for
+        # the whole batch (a grid left by one point) may have named another
+        for k in range(len(points)):
+            check(points[k:k + 1])
+        raise
 
     matrix_dx = g.matrix_dx if g.matrix_dx is not None else g.derivative
     vector_dx = omega.vector_dx if omega.vector_dx is not None else omega.derivative
 
     def bundle(x: np.ndarray) -> tuple:
-        mat, w, nw = fields_at(x)
+        mat = np.asarray(g.matrix(x), dtype=float)
+        w = np.asarray(omega.vector(x), dtype=float)
+        if w.shape != x.shape:  # a constant field
+            w = np.broadcast_to(w, x.shape)
+        gw, nw = saturation(x, mat, w)
         lam = 1.0 - nw**2
-        a = mat / lam**2
-        gw = mat @ w
-        b = gw / lam
+        lam2 = (lam**2)[:, None, None]
+        a = mat / lam2
+        b = gw / lam[:, None]
         dmat = np.asarray(matrix_dx(x), dtype=float)
         dw = np.asarray(vector_dx(x), dtype=float)
-        dmat_w = dmat @ w  # [m, i] = d_m g_ij w^j
-        dlam = -(dmat_w @ w + 2.0 * (dw @ gw))
-        da = dmat / lam**2 - (2.0 / lam**3) * dlam[:, None, None] * mat
-        db = (dmat_w + dw @ mat) / lam - dlam[:, None] * gw / lam**2
+        dmat_w = _mv(dmat, w[:, None, :])  # [b, m, i] = d_m g_ij w^j
+        dlam = -(_dot(dmat_w, w[:, None, :]) + 2.0 * _dot(dw, gw[:, None, :]))
+        da = dmat / lam2[..., None] - ((2.0 / lam**3)[:, None] * dlam)[:, :, None, None] * mat[..., None, :, :]
+        dw_mat = _sum(dw[..., :, :, None] * mat[..., None, :, :], axis=-2)  # [b, m, i] = d_m w^k g_ki
+        db = (dmat_w + dw_mat) / lam[:, None, None] - dlam[:, :, None] * gw[:, None, :] / lam2
         return a, b, da, db
 
-    return RandersStructure(bundle=bundle, dim=g.dim)
+    return RandersStructure(bundle=bundle, dim=dim)
 
 
-def _fundamental_matrix(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Closed-form fiber Hessian of F^2/2 for coefficients (a, b) at y != 0."""
-    al = np.sqrt(y @ a @ y)
-    if al == 0.0:
-        raise DomainError("fundamental tensor undefined at y = 0")
-    ell = (a @ y) / al
-    Fv = al + b @ y
+def _fiber(a: np.ndarray, b: np.ndarray, y: np.ndarray, what: str) -> tuple:
+    """Fiber quantities at directions y != 0 over leading axes: alpha,
+    ell = a y / alpha, F, ell + b, and the closed-form fiber Hessian of F^2/2
+    (the fundamental tensor).  ``what`` names the quantity in the y = 0 error."""
+    ay = _mv(a, y)
+    al = np.sqrt(np.maximum(_dot(ay, y), 0.0))
+    if not np.all(al):
+        raise DomainError(f"{what} undefined at y = 0")
+    ell = ay / al[..., None]
+    Fv = al + _dot(b, y)
     lb = ell + b
-    return (Fv / al) * (a - ell[:, None] * ell) + lb[:, None] * lb
+    outer = ell[..., :, None] * ell[..., None, :]
+    tensor = (Fv / al)[..., None, None] * (a - outer) + lb[..., :, None] * lb[..., None, :]
+    return al, ell, Fv, lb, tensor
 
 
 def fundamental_tensor(
@@ -371,12 +497,12 @@ def fundamental_tensor(
     if ny == 0.0:
         raise DomainError("fundamental tensor undefined at y = 0")
     if mode == "analytic":
-        return FundamentalTensor(_fundamental_matrix(a, b, y))
+        return FundamentalTensor(_fiber(a, b, y, "fundamental tensor")[-1])
     if mode != "finite_difference":
         raise ValueError(f"unknown mode {mode!r}")
 
     def fsq(v: np.ndarray) -> float:
-        return _raw_eval(a, b, v) ** 2
+        return float(_raw_eval(a, b, v)) ** 2
 
     n = y.shape[0]
     h = step_rel * ny
@@ -453,17 +579,17 @@ def validate_structure(F: RandersStructure, samples: Sequence) -> StructureValid
         y = _vec(y, "tangent components")
         if np.linalg.norm(y) == 0.0:
             raise ValueError("samples must use nonzero tangent vectors")
-        val = _raw_eval(a, b, y)
+        val = float(_raw_eval(a, b, y))
         hom_err = 0.0
         for lam in HOMOGENEITY_SCALES:
-            scaled = _raw_eval(a, b, lam * y)
+            scaled = float(_raw_eval(a, b, lam * y))
             hom_err = max(hom_err, abs(scaled - lam * val) / max(abs(lam * val), 1e-300))
         try:
             drift = covector_norm(a, b)
         except np.linalg.LinAlgError:
             drift = float("inf")
         try:
-            tensor = _fundamental_matrix(a, b, y)
+            tensor = _fiber(a, b, y, "fundamental tensor")[-1]
             det = float(np.linalg.det(tensor))
             eigs = np.linalg.eigvalsh(tensor)
             pd = bool(np.all(eigs > 0.0))
@@ -548,6 +674,9 @@ def congestion_uniform(wx: float, wy: float) -> CongestionField:
     )
 
 
+_ROT_SIGNS = np.array([-1.0, 1.0])
+
+
 def congestion_vortex(cx: float, cy: float, strength: float) -> CongestionField:
     """Gaussian-damped rigid swirl about (cx, cy).
 
@@ -557,34 +686,59 @@ def congestion_vortex(cx: float, cy: float, strength: float) -> CongestionField:
     """
     c = np.array([float(cx), float(cy)])
     s = float(strength)
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    rot_t = np.array([[0.0, 1.0], [-1.0, 0.0]])  # rot90 transposed: rot_t[m, i] = rot[i, m]
+
+    def swirl(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        u = x - c
+        env = s * np.exp((1.0 - _dot(u, u)) / 2.0)
+        ru = u[..., ::-1] * _ROT_SIGNS  # rot90 @ u = (-u_1, u_0)
+        return u, env, ru
 
     def vector(x: np.ndarray) -> np.ndarray:
-        u = x - c
-        return s * np.exp((1.0 - u @ u) / 2.0) * (rot @ u)
+        _, env, ru = swirl(x)
+        return env[..., None] * ru
 
     def vector_dx(x: np.ndarray) -> np.ndarray:
-        u = x - c
-        env = s * np.exp((1.0 - u @ u) / 2.0)
-        ru = rot @ u
         # dw[m, i] = env * (-u_m * ru_i + rot[i, m])
-        return env * (-np.outer(u, ru) + rot.T)
+        u, env, ru = swirl(x)
+        return env[..., None, None] * (rot_t - u[..., :, None] * ru[..., None, :])
 
     ring = [(cx + math.cos(t), cy + math.sin(t)) for t in np.linspace(0.0, 2 * math.pi, 8, endpoint=False)]
     return CongestionField(vector=vector, vector_dx=vector_dx, probes=tuple(ring), dim=2)
 
 
-def _hermite_basis(t: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cubic Hermite basis on a cell of width h and its derivative along the axis.
+# Cubic Hermite basis on [0, 1] as polynomial coefficients: _HERMITE[p, k] is
+# the t^p coefficient of basis function k (value at 0, value at 1, slope at 0,
+# slope at 1); _HERMITE_DT holds those of its derivative in t.
+_HERMITE = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [-3.0, 3.0, -2.0, -1.0], [2.0, -2.0, 1.0, 1.0]])
+_HERMITE_DT = _HERMITE[1:] * np.array([1.0, 2.0, 3.0])[:, None]
+_SLOPE_POWERS = np.array([0.0, 0.0, 1.0, 1.0])
 
-    ``t`` is the position scaled to [0, 1].  Order: value at 0, value at 1,
-    slope at 0, slope at 1.
+
+def _hermite_basis(t: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Cubic Hermite basis on cells of width h, and its derivative along the axis.
+
+    ``t`` holds positions scaled to [0, 1], any shape; the result has two more
+    axes: [..., 0, k] is basis function k and [..., 1, k] its derivative, k
+    ordered value at 0, value at 1, slope at 0, slope at 1 (the slope
+    functions scale with h).
     """
-    t2 = t * t
-    t3 = t2 * t
-    basis = np.array([2 * t3 - 3 * t2 + 1, 3 * t2 - 2 * t3, h * (t3 - 2 * t2 + t), h * (t3 - t2)])
-    slope = np.array([(6 * t2 - 6 * t) / h, (6 * t - 6 * t2) / h, 3 * t2 - 4 * t + 1, 3 * t2 - 2 * t])
-    return basis, slope
+    t = t[..., None]
+    scale = h[..., None] ** _SLOPE_POWERS  # 1, 1, h, h
+    basis = ((_HERMITE[3] * t + _HERMITE[2]) * t + _HERMITE[1]) * t + _HERMITE[0]
+    slope = (_HERMITE_DT[2] * t + _HERMITE_DT[1]) * t + _HERMITE_DT[0]
+    out = np.empty(t.shape[:-1] + (2, 4))
+    out[..., 0, :] = basis * scale
+    out[..., 1, :] = slope * (scale / h[..., None])
+    return out
+
+
+def _hermite_sum(bx: np.ndarray, by: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_ab bx[..., a] by[..., b] coef[a, b, :] for each point of a batch
+    (coef[k] is point k's patch; bx and by may carry one more axis after k)."""
+    if bx.ndim == 3:
+        coef = coef[:, None]
+    return _sum(_sum(bx[..., :, None, None] * by[..., None, :, None] * coef, axis=-2), axis=-2)
 
 
 def grid_congestion(xs, ys, vectors) -> CongestionField:
@@ -621,30 +775,40 @@ def grid_congestion(xs, ys, vectors) -> CongestionField:
     wx = slopes(vectors, 0, xs)
     wy = slopes(vectors, 1, ys)
     wxy = slopes(wx, 1, ys)
-    # nodal[kx, i, ky, j] = d^(kx+ky) w / dx^kx dy^ky at node (i, j), so that a
-    # cell's 2x2 corner block reshapes to its (4, 4, 2) Hermite coefficients
-    nodal = np.ascontiguousarray(np.array([[vectors, wy], [wx, wxy]]).transpose(0, 2, 1, 3, 4))
+    # nodal[kx, i, ky, j] = d^(kx+ky) w / dx^kx dy^ky at node (i, j); cells[i, j]
+    # gathers cell (i, j)'s corners as its (4, 4, 2) Hermite coefficients, each
+    # axis ordered value at 0, value at 1, slope at 0, slope at 1
+    nodal = np.array([[vectors, wy], [wx, wxy]]).transpose(0, 2, 1, 3, 4)
+    corners = np.lib.stride_tricks.sliding_window_view(nodal, (2, 2), axis=(1, 3))  # [kx, i, ky, j, c, di, dj]
+    cells = np.ascontiguousarray(corners.transpose(1, 3, 0, 5, 2, 6, 4)).reshape(len(xs) - 1, len(ys) - 1, 4, 4, 2)
+    hx, hy = np.diff(xs), np.diff(ys)
+    lo, hi = np.array([xs[0], ys[0]]), np.array([xs[-1], ys[-1]])
 
-    def patch(x: np.ndarray):
-        px, py = x
-        if not (xs[0] <= px <= xs[-1] and ys[0] <= py <= ys[-1]):
-            raise DomainError(f"point {tuple(x)} outside congestion grid "
+    def patch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's cell coefficients and its Hermite basis along both
+        axes: basis[k, axis, 0 or 1 (derivative), function]."""
+        inside = np.logical_and.reduce((lo <= x) & (x <= hi), axis=-1)  # NaN is outside too
+        if not inside.all():
+            k = int(inside.argmin())
+            raise DomainError(f"point {tuple(x[k])} outside congestion grid "
                               f"[{xs[0]},{xs[-1]}]x[{ys[0]},{ys[-1]}]")
-        i = min(max(int(np.searchsorted(xs, px) - 1), 0), len(xs) - 2)
-        j = min(max(int(np.searchsorted(ys, py) - 1), 0), len(ys) - 2)
-        dx = xs[i + 1] - xs[i]
-        dy = ys[j + 1] - ys[j]
-        bx, sx = _hermite_basis((px - xs[i]) / dx, dx)
-        by, sy = _hermite_basis((py - ys[j]) / dy, dy)
-        return nodal[:, i:i + 2, :, j:j + 2].reshape(4, 4, 2), bx, sx, by, sy
+        # the cell whose right edge is the first node >= p; a point on the
+        # left boundary belongs to the first cell
+        i = np.maximum(np.searchsorted(xs, x[:, 0]) - 1, 0)
+        j = np.maximum(np.searchsorted(ys, x[:, 1]) - 1, 0)
+        left = np.empty_like(x)
+        width = np.empty_like(x)
+        left[:, 0], left[:, 1], width[:, 0], width[:, 1] = xs[i], ys[j], hx[i], hy[j]
+        return cells[i, j], _hermite_basis((x - left) / width, width)
 
     def vector(x: np.ndarray) -> np.ndarray:
-        coef, bx, _, by, _ = patch(x)
-        return bx @ (by @ coef)
+        coef, basis = patch(x)
+        return _hermite_sum(basis[:, 0, 0], basis[:, 1, 0], coef)
 
     def vector_dx(x: np.ndarray) -> np.ndarray:
-        coef, bx, sx, by, sy = patch(x)
-        return np.stack([sx @ (by @ coef), bx @ (sy @ coef)])
+        # dw[m] pairs the derivative along axis m with the value along the other
+        coef, basis = patch(x)
+        return _hermite_sum(basis[:, 0, (1, 0)], basis[:, 1, (0, 1)], coef)
 
     probes = tuple((float(px), float(py)) for px in xs for py in ys)
     return CongestionField(vector=vector, vector_dx=vector_dx, probes=probes, dim=2)

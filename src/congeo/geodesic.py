@@ -10,22 +10,34 @@ where L_i and L_ij are fiber derivatives (L_ij equals the fundamental tensor,
 invertible away from y = 0).  Curves are stored on grids over the unit
 interval with free parametrization speed; geodesics of L keep F(x, xd)
 constant along the way, which the tests use as a first integral.
+
+Everything is evaluated in batches.  ``Lagrangian`` takes states stacked
+along a leading axis and makes one ``bundle`` call per batch (the structure's
+fields must follow the batch contract in ``finsler``); a one-state call is
+the batch-of-one row.  One classical RK4 integrator advances a batch of
+shots; a row that leaves the validity domain or turns non-finite drops out
+and the others go on unchanged, and ``geodesic_ivp`` is a batch of one.  The
+rows of a batch are computed with elementwise operations only (as are the
+preset fields), so each row equals the same state or shot computed alone,
+bit for bit, and batching changes no decision of ``geodesic_bvp``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._common import trapezoid
-from .finsler import DomainError, RandersStructure, _fundamental_matrix, _pt, _raw_eval, _vec, randers_eval
+from .finsler import DomainError, RandersStructure, _dot, _fiber, _mv, _pt, _raw_eval, _speeds, _sum, _vec
 
 __all__ = [
     "Curve",
     "GeodesicIvp",
     "BvpConfig",
     "BvpResult",
+    "StartOutcome",
     "Lagrangian",
     "finite_difference_velocities",
     "curve_length",
@@ -33,6 +45,9 @@ __all__ = [
     "geodesic_ivp",
     "geodesic_bvp",
 ]
+
+# Backtracking levels of a Newton step shot speculatively in one batch.
+SPECULATIVE_BACKTRACKS = 4
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float)
@@ -100,110 +115,118 @@ def _second_differences(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return 2.0 * (h1 * x[2:] - (h1 + h2) * x[1:-1] + h2 * x[:-2]) / (h1 * h2 * (h1 + h2))
 
 
+def _states(x, y) -> tuple[np.ndarray, np.ndarray, bool]:
+    """One state or a (B, dim) batch of them as a batch, plus whether it was one state."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return x[None], _vec(y)[None], True
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise DomainError("tangent vectors have non-finite components")
+    return x, y, False
+
+
 @dataclass(frozen=True)
 class Lagrangian:
-    """Quadratic action density L(x, y) = F(x, y)^2 / 2 and its derivatives,
-    each from a single ``bundle`` evaluation of the structure."""
+    """Quadratic action density L(x, y) = F(x, y)^2 / 2 and its derivatives.
+
+    Each method takes one state (1-d ``x`` and ``y``) or a batch stacked along
+    a leading axis, and derives all its terms from one ``bundle`` call."""
 
     structure: RandersStructure
 
-    def _coeffs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.structure.bundle(np.asarray(x, dtype=float))
+    def _terms(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        """(F, ell + b, tensor, dF, mixed) at a (B, dim) batch of states, where
+        tensor = L_ij (the fundamental tensor), dF[m] = dF/dx^m and
+        mixed[m, i] = dL_i/dx^m; so L_i = F (ell + b) and dL/dx = F dF."""
+        a, b, da, db = self.structure.bundle(x)
+        al, ell, Fv, lb, tensor = _fiber(a, b, y, "Lagrangian fiber derivatives")
+        ym = y[:, None, :]
+        da_y = _mv(da, ym)  # [b, m, i] = d_m a_ij y^j
+        dal = _dot(da_y, ym) / (2.0 * al[:, None])
+        dF = dal + _dot(db, ym)
+        al_m = al[:, None, None]
+        dell = da_y / al_m - dal[:, :, None] * ell[:, None, :] / al_m
+        mixed = dF[:, :, None] * lb[:, None, :] + Fv[:, None, None] * (dell + db)
+        return Fv, lb, tensor, dF, mixed
 
-    def value(self, x, y) -> float:
-        a, b, _, _ = self._coeffs(x)
-        return 0.5 * _raw_eval(a, b, _vec(y)) ** 2
+    def _at(self, x, y, term):
+        x, y, single = _states(x, y)
+        out = term(*self._terms(x, y))
+        return out[0] if single else out
 
-    @staticmethod
-    def _fiber(a, b, y):
-        al = np.sqrt(max(y @ a @ y, 0.0))
-        if al == 0.0:
-            raise DomainError("Lagrangian fiber derivatives undefined at y = 0")
-        ell = (a @ y) / al
-        Fv = al + b @ y
-        return al, ell, Fv
-
-    def _terms(self, x, y):
-        """(tensor, F, dF, mixed) at (x, y) from one bundle call, where
-        tensor = L_ij (as ``_fundamental_matrix``), dF[m] = dF/dx^m and
-        mixed[m, i] = dL_i/dx^m, so dL/dx = F * dF."""
-        a, b, da, db = self._coeffs(x)
-        al, ell, Fv = self._fiber(a, b, y)
-        lb = ell + b
-        tensor = (Fv / al) * (a - ell[:, None] * ell) + lb[:, None] * lb
-        da_y = da @ y
-        dal = (da_y @ y) / (2.0 * al)
-        dF = dal + db @ y
-        dell = da_y / al - np.outer(dal, ell) / al
-        mixed = np.outer(dF, lb) + Fv * (dell + db)
-        return tensor, Fv, dF, mixed
+    def value(self, x, y):
+        x, y, single = _states(x, y)
+        a, b, _, _ = self.structure.bundle(x)
+        out = 0.5 * _raw_eval(a, b, y) ** 2
+        return float(out[0]) if single else out
 
     def fiber_grad(self, x, y) -> np.ndarray:
-        a, b, _, _ = self._coeffs(x)
-        _, ell, Fv = self._fiber(a, b, _vec(y))
-        return Fv * (ell + b)
+        return self._at(x, y, lambda Fv, lb, *_: Fv[:, None] * lb)
 
     def fiber_hessian(self, x, y) -> np.ndarray:
-        a, b, _, _ = self._coeffs(x)
-        return _fundamental_matrix(a, b, _vec(y))
+        return self._at(x, y, lambda Fv, lb, tensor, *_: tensor)
 
     def position_grad(self, x, y) -> np.ndarray:
-        _, Fv, dF, _ = self._terms(x, _vec(y))
-        return Fv * dF
+        return self._at(x, y, lambda Fv, lb, tensor, dF, mixed: Fv[:, None] * dF)
 
     def mixed(self, x, y) -> np.ndarray:
         """dL_i/dx^m with derivative axis first: mixed[m, i]."""
-        return self._terms(x, _vec(y))[3]
+        return self._at(x, y, lambda Fv, lb, tensor, dF, mixed: mixed)
 
     def acceleration(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Solve L_ij xdd = dL/dx - (dL_i/dx^j) xd^j for the geodesic flow."""
-        tensor, Fv, dF, mixed = self._terms(x, v)
-        rhs = Fv * dF - mixed.T @ v
-        if tensor.shape == (2, 2):
-            det = tensor[0, 0] * tensor[1, 1] - tensor[0, 1] * tensor[1, 0]
-            if det == 0.0:
-                raise DomainError(f"singular fiber Hessian at x={tuple(x)}")
-            return np.array(
-                [
-                    (tensor[1, 1] * rhs[0] - tensor[0, 1] * rhs[1]) / det,
-                    (tensor[0, 0] * rhs[1] - tensor[1, 0] * rhs[0]) / det,
-                ]
-            )
-        try:
-            return np.linalg.solve(tensor, rhs)
-        except np.linalg.LinAlgError:
-            raise DomainError(f"singular fiber Hessian at x={tuple(x)}") from None
+        """Solve L_ij xdd = dL/dx - (dL_i/dx^j) xd^j for the geodesic flow.
+
+        Takes one state or a (B, dim) batch; a singular fiber Hessian in any
+        row is a domain error naming that row's point."""
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        single = x.ndim == 1
+        if single:
+            x, v = x[None], v[None]
+        Fv, _, tensor, dF, mixed = self._terms(x, v)
+        rhs = Fv[:, None] * dF - _sum(mixed * v[:, :, None], axis=1)
+        if x.shape[1] == 2:
+            det = tensor[:, 0, 0] * tensor[:, 1, 1] - tensor[:, 0, 1] * tensor[:, 1, 0]
+            singular = det == 0.0
+            if singular.any():
+                raise DomainError(f"singular fiber Hessian at x={tuple(x[singular.argmax()])}")
+            # Cramer's rule: (t11 r0 - t01 r1, t00 r1 - t10 r0) / det
+            acc = (tensor[:, (1, 0), (1, 0)] * rhs - tensor[:, (0, 1), (1, 0)] * rhs[:, ::-1]) / det[:, None]
+        else:
+            try:
+                acc = np.linalg.solve(tensor, rhs[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                raise DomainError(f"singular fiber Hessian at x={tuple(x[0])}") from None
+        return acc[0] if single else acc
 
 
 def curve_length(F: RandersStructure, c: Curve) -> float:
-    """Trapezoid quadrature of F(x, xd) along the curve (travel time); drift
-    with ||b||_a >= 1 at a node is a domain error, as in ``randers_eval``."""
+    """Trapezoid quadrature of F(x, xd) along the curve (travel time), all
+    nodes in one batched evaluation; drift with ||b||_a >= 1 at a node is a
+    domain error naming it, as in ``randers_eval``."""
     v = c.velocity_samples()
     if np.max(np.abs(v)) == 0.0:
         raise DomainError("degenerate curve: zero velocity everywhere")
-    speeds = [randers_eval(F, x, y) for x, y in zip(c.points, v)]
-    return float(trapezoid(speeds, c.params))
+    return float(trapezoid(_speeds(F, c.points, v), c.params))
 
 
 def el_residual(F: RandersStructure, c: Curve) -> np.ndarray:
     """Euler-Lagrange residual at the interior nodes, shape (n_nodes-2, dim).
 
     True geodesics drive this to zero as the grid refines (the derivatives
-    here are second-order differences of the stored nodes).
+    here are second-order differences of the stored nodes).  All interior
+    nodes are evaluated in one batch.
     """
     if c.n_nodes < 3:
         raise ValueError("residual needs at least three nodes")
-    lag = Lagrangian(F)
-    v = c.velocity_samples()
+    v = c.velocity_samples()[1:-1]
+    zero = ~v.any(axis=1)
+    if zero.any():
+        raise DomainError(f"zero velocity at interior node {int(zero.argmax()) + 1}")
     xdd = _second_differences(c.params, c.points)
-    out = np.empty((c.n_nodes - 2, c.dim))
-    for k in range(1, c.n_nodes - 1):
-        x, vk = c.points[k], v[k]
-        if np.linalg.norm(vk) == 0.0:
-            raise DomainError(f"zero velocity at interior node {k}")
-        tensor, Fv, dF, mixed = lag._terms(x, vk)
-        out[k - 1] = tensor @ xdd[k - 1] + mixed.T @ vk - Fv * dF
-    return out
+    Fv, _, tensor, dF, mixed = Lagrangian(F)._terms(c.points[1:-1], v)
+    return _mv(tensor, xdd) + _sum(mixed * v[:, :, None], axis=1) - Fv[:, None] * dF
 
 
 @dataclass(frozen=True)
@@ -230,38 +253,83 @@ class GeodesicIvp:
         object.__setattr__(self, "y0", y0)
 
 
+def _rk4_step(lag: Lagrangian, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """One classical RK4 step of size h of the geodesic flow, for a batch of states."""
+    half = 0.5 * h
+    a1 = lag.acceleration(x, v)
+    v2 = v + half * a1
+    a2 = lag.acceleration(x + half * v, v2)
+    v3 = v + half * a2
+    a3 = lag.acceleration(x + half * v2, v3)
+    v4 = v + h * a3
+    a4 = lag.acceleration(x + h * v3, v4)
+    return x + (h / 6.0) * (v + 2 * v2 + 2 * v3 + v4), v + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
+
+
+def _step(lag: Lagrangian, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, dict]:
+    """``_rk4_step`` plus the rows that left the validity domain, as row -> DomainError."""
+    try:
+        return *_rk4_step(lag, x, v, h), {}
+    except DomainError as exc:
+        if len(x) == 1:
+            return x, v, {0: exc}
+    # a field may raise for a batch as a whole: step each row alone
+    x_new, v_new, failed = np.empty_like(x), np.empty_like(v), {}
+    for r in range(len(x)):
+        try:
+            (x_new[r],), (v_new[r],) = _rk4_step(lag, x[r:r + 1], v[r:r + 1], h)
+        except DomainError as exc:
+            failed[r] = exc
+    return x_new, v_new, failed
+
+
+def _integrate(lag: Lagrangian, x0: np.ndarray, y0: np.ndarray, steps: int, h: float):
+    """Classical RK4 for a (B, dim) batch of initial states, ``steps`` steps of size h.
+
+    Returns the trajectories ``xs``, ``vs`` of shape (B, steps + 1, dim) and,
+    per row, the ``DomainError`` that stopped it or None.  A row that leaves
+    the validity domain or turns non-finite drops out of the batch (its
+    trajectory is undefined from there on); the other rows go on exactly as
+    if integrated alone.
+    """
+    batch, n = y0.shape
+    xs = np.empty((batch, steps + 1, n))
+    vs = np.empty((batch, steps + 1, n))
+    xs[:, 0], vs[:, 0] = x0, y0
+    errors: list[DomainError | None] = [None] * batch
+    finite = np.isfinite(xs[:, 0]).all(axis=1) & np.isfinite(vs[:, 0]).all(axis=1)
+    for r in np.flatnonzero(~finite):
+        errors[r] = DomainError("initial data must be finite")
+    rows = np.flatnonzero(finite)
+    for k in range(steps):
+        if not len(rows):
+            break
+        x, v, failed = _step(lag, xs[rows, k], vs[rows, k], h)
+        for r in np.flatnonzero(~(np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1))):
+            failed.setdefault(r, DomainError(f"non-finite state at integration step {k + 1}"))
+        if failed:
+            for r, exc in failed.items():
+                errors[rows[r]] = exc
+            keep = np.ones(len(rows), dtype=bool)
+            keep[list(failed)] = False
+            rows, x, v = rows[keep], x[keep], v[keep]
+        xs[rows, k + 1], vs[rows, k + 1] = x, v
+    return xs, vs, errors
+
+
 def geodesic_ivp(F: RandersStructure, ivp: GeodesicIvp) -> Curve:
     """Classical fourth-order Runge-Kutta integration of the geodesic flow.
 
     The returned curve is re-parametrized onto [0, 1] (velocities scaled by
     the horizon), so F-speed along it equals horizon * F(x0, y0) throughout.
+    Leaving the validity domain or a non-finite state raises ``DomainError``.
     """
-    lag = Lagrangian(F)
-    n = len(ivp.x0)
     steps = ivp.steps
-    h = ivp.horizon / steps
-    xs = np.empty((steps + 1, n))
-    vs = np.empty((steps + 1, n))
-    x = np.array(ivp.x0)
-    v = np.array(ivp.y0)
-    xs[0], vs[0] = x, v
-
-    def rhs(xc, vc):
-        return vc, lag.acceleration(xc, vc)
-
-    for k in range(steps):
-        k1x, k1v = rhs(x, v)
-        k2x, k2v = rhs(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k3x, k3v = rhs(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k4x, k4v = rhs(x + h * k3x, v + h * k3v)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise DomainError(f"non-finite state at integration step {k + 1}")
-        xs[k + 1], vs[k + 1] = x, v
-
+    xs, vs, errors = _integrate(Lagrangian(F), np.array([ivp.x0]), np.array([ivp.y0]), steps, ivp.horizon / steps)
+    if errors[0] is not None:
+        raise errors[0]
     params = np.linspace(0.0, 1.0, steps + 1)
-    return Curve(params=params, points=xs, velocities=vs * ivp.horizon)
+    return Curve(params=params, points=xs[0], velocities=vs[0] * ivp.horizon)
 
 
 @dataclass(frozen=True)
@@ -278,8 +346,29 @@ class BvpConfig:
     def __post_init__(self):
         if self.nodes < 3:
             raise ValueError("nodes must be at least 3")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
+        if self.max_newton < 0 or self.restarts < 0:
+            raise ValueError("max_newton and restarts must be nonnegative")
+        if self.max_backtracks < 1:
+            raise ValueError("max_backtracks must be at least 1")
+
+
+@dataclass(frozen=True)
+class StartOutcome:
+    """How one BVP start ended, after how many Newton iterations.
+
+    ``outcome`` is ``converged``; ``stalled`` (no backtracking level lowered
+    the endpoint error, the step vanished, or ``max_newton`` ran out);
+    ``diverged`` (the error grew past ten times its start); ``domain_exit``
+    (the start's own shot left the validity domain); ``fd_failed`` (a
+    finite-difference companion did); or ``singular`` (the shooting Jacobian
+    could not be solved)."""
+
+    outcome: str
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -292,11 +381,127 @@ class BvpResult:
     multiplicity: int
     length: float
     initial_velocity: tuple[float, ...]
+    starts: tuple[StartOutcome, ...]
 
 
-def _shoot(F: RandersStructure, p: np.ndarray, y0: np.ndarray, nodes: int) -> Curve:
-    ivp = GeodesicIvp(x0=tuple(p), y0=tuple(y0), horizon=1.0, steps=nodes - 1)
-    return geodesic_ivp(F, ivp)
+@dataclass(frozen=True)
+class _Shot:
+    """A shot of one trial velocity: its trajectory, plus the endpoints of its
+    finite-difference companions (None when one of them left the domain)."""
+
+    points: np.ndarray
+    velocities: np.ndarray
+    companions: np.ndarray | None
+    deltas: np.ndarray
+
+    def error(self, q: np.ndarray) -> float:
+        return float(np.linalg.norm(self.points[-1] - q))
+
+    def jacobian(self) -> np.ndarray | None:
+        """d endpoint / d velocity by forward differences, column j from companion j."""
+        if self.companions is None:
+            return None
+        return (self.companions - self.points[-1]).T / self.deltas
+
+    def curve(self) -> Curve:
+        return Curve(params=np.linspace(0.0, 1.0, len(self.points)), points=self.points, velocities=self.velocities)
+
+
+def _shoot(lag: Lagrangian, p: np.ndarray, trials: list, cfg: BvpConfig) -> list[_Shot | None]:
+    """Shoot every trial velocity together with its n finite-difference
+    companions (velocity + delta_j e_j) in one batch; None for a trial whose
+    own shot left the domain."""
+    n = len(p)
+    deltas = [cfg.fd_step * np.maximum(1.0, np.abs(u)) for u in trials]
+    y0 = np.concatenate([np.vstack([u, u + np.diag(d)]) for u, d in zip(trials, deltas)])
+    steps = cfg.nodes - 1
+    xs, vs, errors = _integrate(lag, np.broadcast_to(p, y0.shape), y0, steps, 1.0 / steps)
+    shots: list[_Shot | None] = []
+    for k, d in enumerate(deltas):
+        r = k * (n + 1)
+        if errors[r] is not None:
+            shots.append(None)
+            continue
+        companions_ok = all(e is None for e in errors[r + 1:r + n + 1])
+        companions = xs[r + 1:r + n + 1, -1].copy() if companions_ok else None
+        shots.append(_Shot(xs[r].copy(), vs[r].copy(), companions, d))
+    return shots
+
+
+def _newton(q: np.ndarray, y0: np.ndarray, cfg: BvpConfig):
+    """Damped Newton iteration on one start's initial velocity, as a generator.
+
+    It yields lists of trial velocities, is sent their shots (``_shoot``) and
+    returns ``(StartOutcome, (error, velocity, shot) or None)``.  It decides
+    exactly as if each velocity were shot when first needed: a backtracking
+    level past the accepted one is shot but never looked at, and an accepted
+    trial's companions give the next iteration's Jacobian.
+    """
+    (shot,) = yield [y0]
+    if shot is None:
+        return StartOutcome("domain_exit", 0), None
+    err = shot.error(q)
+    initial_err = err
+    converged = err <= cfg.tol
+    outcome, iterations = "stalled", 0
+    for _ in range(cfg.max_newton):
+        if converged:
+            break
+        if err > 10.0 * max(initial_err, 1.0):
+            outcome = "diverged"
+            break
+        iterations += 1
+        jac = shot.jacobian()
+        if jac is None:
+            outcome = "fd_failed"
+            break
+        try:
+            step = np.linalg.solve(jac, -(shot.points[-1] - q))
+        except np.linalg.LinAlgError:
+            outcome = "singular"
+            break
+        if not np.all(np.isfinite(step)):
+            outcome = "singular"
+            break
+        accepted = None
+        for first in range(0, cfg.max_backtracks, SPECULATIVE_BACKTRACKS):
+            levels = [0.5**k for k in range(first, min(first + SPECULATIVE_BACKTRACKS, cfg.max_backtracks))]
+            trials = [y0 + t * step for t in levels]
+            shots = yield trials
+            accepted = next(
+                ((t, u, s) for t, u, s in zip(levels, trials, shots) if s is not None and s.error(q) < err), None
+            )
+            if accepted is not None:
+                break
+        if accepted is None:
+            break
+        t, y0, shot = accepted
+        err = shot.error(q)
+        if np.linalg.norm(t * step) < 1e-16:
+            break
+        converged = err <= cfg.tol
+    if converged:
+        outcome = "converged"
+    return StartOutcome(outcome, iterations), (err, y0, shot)
+
+
+def _lockstep(lag: Lagrangian, p: np.ndarray, q: np.ndarray, starts: list, cfg: BvpConfig) -> list:
+    """Run the Newton iterations of all starts side by side, the shots of each
+    round in one batch; returns each start's ``_newton`` result in order."""
+    runs = [_newton(q, y0, cfg) for y0 in starts]
+    results: list = [None] * len(runs)
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    while pending:
+        order = list(pending)
+        shots = _shoot(lag, p, [u for i in order for u in pending[i]], cfg)
+        for i in order:
+            mine, shots = shots[:len(pending[i])], shots[len(pending[i]):]
+            try:
+                pending[i] = runs[i].send(mine)
+            except StopIteration as stop:
+                results[i] = stop.value
+                del pending[i]
+    return results
 
 
 def geodesic_bvp(F: RandersStructure, p, q, config: BvpConfig | None = None) -> BvpResult:
@@ -306,7 +511,15 @@ def geodesic_bvp(F: RandersStructure, p, q, config: BvpConfig | None = None) -> 
     restarts from deterministically seeded rotations/rescalings of it.  With
     ``explore`` set, every start is tried and the shortest converged geodesic
     wins (``multiplicity`` counts distinct converged initial velocities).
-    Non-convergence is reported through the result, never raised.
+    Non-convergence is reported through the result, never raised; ``starts``
+    records how each start that ran ended.
+
+    Batching changes no decision: each Newton trial velocity is shot together
+    with its finite-difference companions (so an accepted trial carries the
+    next Jacobian), the first ``SPECULATIVE_BACKTRACKS`` backtracking levels
+    go in one batch, and under ``explore`` all starts advance in lockstep,
+    one batch per round.  Without ``explore`` the starts run one after the
+    other and the first converged one ends the solve.
     """
     cfg = config or BvpConfig()
     p = _pt(p)
@@ -326,71 +539,26 @@ def geodesic_bvp(F: RandersStructure, p, q, config: BvpConfig | None = None) -> 
         else:
             starts.append(scale * (q - p) + 0.3 * np.linalg.norm(q - p) * rng.normal(size=n))
 
-    def endpoint_error(curve: Curve) -> float:
-        return float(np.linalg.norm(curve.points[-1] - q))
+    lag = Lagrangian(F)
+    if cfg.explore:
+        runs = iter(_lockstep(lag, p, q, starts, cfg))
+    else:
+        runs = (_lockstep(lag, p, q, [y0], cfg)[0] for y0 in starts)
 
     total_iters = 0
     best: tuple[float, Curve, np.ndarray] | None = None
     solutions: list[tuple[np.ndarray, Curve, float]] = []
-    attempts_used = 0
-
-    for y0 in starts:
-        attempts_used += 1
-        y0 = np.array(y0, dtype=float)
-        try:
-            curve = _shoot(F, p, y0, cfg.nodes)
-        except DomainError:
+    records: list[StartOutcome] = []
+    for record, found in runs:
+        records.append(record)
+        total_iters += record.iterations
+        if found is None:
             continue
-        err = endpoint_error(curve)
-        initial_err = err
-        converged_here = err <= cfg.tol
-        for _ in range(cfg.max_newton):
-            if converged_here or err > 10.0 * max(initial_err, 1.0):
-                break
-            total_iters += 1
-            resid = curve.points[-1] - q
-            jac = np.empty((n, n))
-            fd_failed = False
-            for j in range(n):
-                delta = cfg.fd_step * max(1.0, abs(y0[j]))
-                e = np.zeros(n)
-                e[j] = delta
-                try:
-                    curve_j = _shoot(F, p, y0 + e, cfg.nodes)
-                except DomainError:
-                    fd_failed = True
-                    break
-                jac[:, j] = (curve_j.points[-1] - curve.points[-1]) / delta
-            if fd_failed:
-                break
-            try:
-                step = np.linalg.solve(jac, -resid)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
-                break
-            t = 1.0
-            improved = False
-            for _ in range(cfg.max_backtracks):
-                try:
-                    trial = _shoot(F, p, y0 + t * step, cfg.nodes)
-                except DomainError:
-                    t *= 0.5
-                    continue
-                trial_err = endpoint_error(trial)
-                if trial_err < err:
-                    y0 = y0 + t * step
-                    curve, err = trial, trial_err
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved or np.linalg.norm(t * step) < 1e-16:
-                break
-            converged_here = err <= cfg.tol
-
+        err, y0, shot = found
+        curve = shot.curve()
         if best is None or err < best[0]:
             best = (err, curve, y0)
-        if converged_here:
+        if record.outcome == "converged":
             if not any(np.linalg.norm(y0 - s[0]) <= 1e-4 * max(1.0, np.linalg.norm(y0)) for s in solutions):
                 solutions.append((y0, curve, curve_length(F, curve)))
             if not cfg.explore:
@@ -400,13 +568,14 @@ def geodesic_bvp(F: RandersStructure, p, q, config: BvpConfig | None = None) -> 
         y0, curve, length = min(solutions, key=lambda s: s[2])
         return BvpResult(
             curve=curve,
-            endpoint_error=endpoint_error(curve),
+            endpoint_error=float(np.linalg.norm(curve.points[-1] - q)),
             converged=True,
             iterations=total_iters,
-            restarts_used=attempts_used - 1,
+            restarts_used=len(records) - 1,
             multiplicity=len(solutions),
             length=length,
             initial_velocity=tuple(y0),
+            starts=tuple(records),
         )
     if best is None:
         raise DomainError("every shooting attempt left the structure's validity domain")
@@ -416,8 +585,9 @@ def geodesic_bvp(F: RandersStructure, p, q, config: BvpConfig | None = None) -> 
         endpoint_error=err,
         converged=False,
         iterations=total_iters,
-        restarts_used=attempts_used - 1,
+        restarts_used=len(records) - 1,
         multiplicity=0,
         length=curve_length(F, curve),
         initial_velocity=tuple(y0),
+        starts=tuple(records),
     )

@@ -23,7 +23,7 @@ from .finsler import (
     build_randers,
     _pt,
 )
-from .geodesic import BvpConfig, Curve, curve_length, geodesic_bvp
+from .geodesic import BvpConfig, Curve, StartOutcome, curve_length, geodesic_bvp
 
 __all__ = [
     "RoutingScenario",
@@ -66,6 +66,7 @@ class RoutingDiagnostics:
     multiplicity: int
     iterations: int
     chord_time: float
+    starts: tuple[StartOutcome, ...]
 
 
 @dataclass(frozen=True)
@@ -127,5 +128,6 @@ def route(scenario: RoutingScenario) -> RouteResult:
             multiplicity=result.multiplicity,
             iterations=result.iterations,
             chord_time=chord_time,
+            starts=result.starts,
         ),
     )

@@ -255,6 +255,11 @@ class TestRouteCommand:
         assert none_summary["travel_time"] == pytest.approx(1.0, abs=1e-6)
         assert uniform_summary["travel_time"] == pytest.approx(2.0, abs=1e-8)
         assert (tmp_path / "scenario_none_route.svg").exists()
+        # one record per start: flat geometry converges from every start,
+        # at once from the chord
+        starts = none_summary["starts"]
+        assert [s["outcome"] for s in starts] == ["converged"] * (none_summary["restarts"] + 1)
+        assert starts[0]["iterations"] == 0
 
     def test_jobs_flag_same_results(self, tmp_path):
         out1, out2 = tmp_path / "seq", tmp_path / "par"

@@ -118,13 +118,30 @@ class TestBuildRanders:
 
     def test_lazy_check_names_offending_point(self):
         field = finsler.CongestionField(
-            vector=lambda x: np.array([min(0.9999, 0.2 + 0.3 * x[0] ** 2), 0.0]),
+            vector=lambda x: np.stack([np.minimum(0.9999, 0.2 + 0.3 * x[..., 0] ** 2), 0.0 * x[..., 0]], axis=-1),
             probes=((0.0, 0.0),),
         )
         F = build_randers(euclidean_metric(), field)
         F.coefficients((0.1, 0.0))
         with pytest.raises(DomainError, match="saturated"):
             F.coefficients((2.0, 0.0))
+
+    def test_batched_check_names_first_offending_point(self):
+        # ||w|| = 0.5 |x_0| saturates from x_0 = 1.998 on; both late points do
+        field = finsler.CongestionField(
+            vector=lambda x: np.stack([0.5 * x[..., 0], 0.0 * x[..., 0]], axis=-1),
+            probes=((0.0, 0.0),),
+        )
+        with pytest.raises(DomainError, match=r"saturated.*at \[3\. 0\.\]"):
+            build_randers(euclidean_metric(), field, check_points=[(0.0, 0.0), (3.0, 0.0), (2.5, 0.0)])
+
+    def test_batched_check_keeps_metric_checks(self):
+        asymmetric = finsler.RiemannianField(matrix=lambda x: np.array([[1.0, 0.1], [0.0, 1.0]]))
+        with pytest.raises(DomainError, match="not symmetric"):
+            build_randers(asymmetric, congestion_none())
+        wrong_shape = finsler.RiemannianField(matrix=lambda x: np.eye(3))
+        with pytest.raises(ValueError, match="shape"):
+            build_randers(wrong_shape, congestion_none())
 
     def test_drift_norm_equals_congestion_norm(self, rng):
         g = euclidean_metric()
@@ -149,12 +166,14 @@ class TestBuildRanders:
         # neither field supplies matrix_dx / vector_dx: the chain rule runs
         # over central differences of each field
         g = finsler.RiemannianField(
-            matrix=lambda x: np.array(
-                [[1.0 + 0.2 * x[0] ** 2, 0.1 * x[1]], [0.1 * x[1], 1.5 + 0.3 * np.sin(x[0])]]
+            matrix=lambda x: np.moveaxis(
+                np.array([[1.0 + 0.2 * x[..., 0] ** 2, 0.1 * x[..., 1]], [0.1 * x[..., 1], 1.5 + 0.3 * np.sin(x[..., 0])]]),
+                (0, 1),
+                (-2, -1),
             )
         )
         field = finsler.CongestionField(
-            vector=lambda x: 0.3 * np.array([np.cos(x[1]), np.sin(x[0] * x[1])]),
+            vector=lambda x: 0.3 * np.stack([np.cos(x[..., 1]), np.sin(x[..., 0] * x[..., 1])], axis=-1),
             probes=((0.0, 0.0),),
         )
         F = build_randers(g, field)
@@ -340,6 +359,47 @@ class TestGridCongestion:
     def test_non_monotone_axis_rejected(self):
         with pytest.raises(ValueError):
             grid_congestion([0.0, 0.0, 1.0], [0.0, 1.0], np.zeros((3, 2, 2)))
+
+
+class TestBatchedPresets:
+    """Preset fields evaluated on a batch equal their per-point evaluation."""
+
+    @staticmethod
+    def _fields():
+        xs = np.array([-2.0, -1.1, -0.2, 0.4, 1.3, 2.0])  # non-uniform axes
+        ys = np.array([-2.0, -0.5, 0.1, 0.9, 2.0])
+        w = np.array([[[0.2 * np.sin(2 * px) * np.cos(py), 0.1 * px * py] for py in ys] for px in xs])
+        return {
+            "vortex": congestion_vortex(0.3, -0.2, 0.7),
+            "uniform": congestion_uniform(0.4, -0.1),
+            "grid": grid_congestion(xs, ys, w),
+        }
+
+    @pytest.mark.parametrize("name", ["vortex", "uniform", "grid"])
+    def test_batch_equals_per_point(self, rng, name):
+        field = self._fields()[name]
+        pts = rng.uniform(-1.9, 1.9, size=(25, 2))
+        batch_w = field(pts)
+        batch_dw = field.derivative(pts)
+        assert batch_w.shape == (25, 2) and batch_dw.shape == (25, 2, 2)
+        for k, p in enumerate(pts):
+            assert np.allclose(batch_w[k], field(p), rtol=1e-14, atol=0.0)
+            assert np.allclose(batch_dw[k], field.derivative(p), rtol=1e-14, atol=0.0)
+
+    def test_batched_structure_equals_per_point(self, rng):
+        F = build_randers(euclidean_metric(), self._fields()["grid"])
+        pts = rng.uniform(-1.9, 1.9, size=(25, 2))
+        a, b, da, db = F.bundle(pts)
+        for k, p in enumerate(pts):
+            a1, b1 = F.coefficients(p)
+            da1, db1 = F.coefficient_derivatives(p)
+            for batched, single in ((a, a1), (b, b1), (da, da1), (db, db1)):
+                assert np.allclose(batched[k], single, rtol=1e-14, atol=0.0)
+
+    def test_grid_batch_names_point_outside(self):
+        field = self._fields()["grid"]
+        with pytest.raises(DomainError, match=r"point \([^,]*\b2\.5\b[^,]*, .*outside"):
+            field(np.array([[0.0, 0.0], [2.5, 0.0], [3.0, 0.0]]))
 
 
 class TestPresetParsing:

@@ -3,12 +3,15 @@ import pytest
 
 from congeo.finsler import (
     DomainError,
+    RandersStructure,
     build_randers,
     congestion_vortex,
     constant_randers,
     euclidean_metric,
     euclidean_randers,
+    grid_congestion,
 )
+from congeo import geodesic
 from congeo.geodesic import (
     BvpConfig,
     Curve,
@@ -32,6 +35,14 @@ def straight_curve(p, q, n=200):
 
 def vortex_structure(strength=0.8):
     return build_randers(euclidean_metric(), congestion_vortex(0.0, 0.0, strength))
+
+
+def small_grid_structure():
+    """A swirl sampled on non-uniform axes over [-1.5, 1.5]^2."""
+    xs = np.array([-1.5, -1.0, -0.2, 0.3, 0.9, 1.5])
+    ys = np.array([-1.5, -0.7, 0.0, 0.4, 1.5])
+    w = np.array([[[0.2 * np.sin(2 * px) * np.cos(py), 0.1 * px * py] for py in ys] for px in xs])
+    return build_randers(euclidean_metric(), grid_congestion(xs, ys, w))
 
 
 class TestCurve:
@@ -74,6 +85,16 @@ class TestCurveLength:
     def test_invalid_drift_rejected(self):
         with pytest.raises(DomainError, match="drift"):
             curve_length(invalid_drift_structure(), straight_curve((0, 0), (1, 0)))
+
+    def test_invalid_drift_names_first_node(self):
+        # ||b|| = x_0 reaches 1 at the fourth of five nodes on [0, 1.5]
+        def bundle(x):
+            b = np.stack([x[..., 0], 0.0 * x[..., 0]], axis=-1)
+            return np.eye(2), b, np.zeros((2, 2, 2)), np.zeros((2, 2))
+
+        c = straight_curve((0, 0), (1.5, 0), n=5)  # x_0 = 0, 0.375, 0.75, 1.125, 1.5
+        with pytest.raises(DomainError, match=r"drift: \|\|b\|\|_a = 1.125 >= 1 at \[1.125 0\.\s*\]"):
+            curve_length(RandersStructure(bundle=bundle), c)
 
     def test_degenerate_curve_rejected(self):
         c = Curve(params=np.linspace(0, 1, 5), points=np.ones((5, 2)))
@@ -132,6 +153,55 @@ class TestLagrangian:
             e[m] = h
             fd = (lag.fiber_grad(x + e, y) - lag.fiber_grad(x - e, y)) / (2 * h)
             assert np.allclose(mx[m], fd, rtol=1e-5, atol=1e-8)
+
+
+class TestBatching:
+    """Rows of a batch equal the same states (or shots) computed alone, bit for bit."""
+
+    @pytest.mark.parametrize("make", [vortex_structure, small_grid_structure])
+    def test_acceleration_rows_equal_single_states(self, rng, make):
+        lag = Lagrangian(make())
+        x = rng.uniform(-1.2, 1.2, size=(27, 2))
+        v = rng.normal(size=(27, 2))
+        batch = lag.acceleration(x, v)
+        for k in range(27):
+            assert np.array_equal(batch[k], lag.acceleration(x[k], v[k]))
+
+    def test_other_terms_rows_equal_single_states(self, rng):
+        lag = Lagrangian(vortex_structure(0.6))
+        x = rng.uniform(-1.2, 1.2, size=(9, 2))
+        y = rng.normal(size=(9, 2))
+        for term in (lag.value, lag.fiber_grad, lag.fiber_hessian, lag.position_grad, lag.mixed):
+            batch = term(x, y)
+            for k in range(9):
+                assert np.array_equal(batch[k], term(x[k], y[k]))
+
+    @pytest.mark.parametrize("make", [vortex_structure, small_grid_structure])
+    def test_batched_shot_rows_equal_solo_shots(self, make):
+        F = make()
+        x0 = (-0.5, 0.1)
+        # on the grid, the third velocity carries its shot out of the grid
+        y0 = np.array([[1.0, 0.2], [0.5, -0.3], [30.0, 1.0], [0.9, 0.9]])
+        steps = 30
+        xs, vs, errors = geodesic._integrate(
+            Lagrangian(F), np.broadcast_to(x0, y0.shape), y0, steps, 1.0 / steps
+        )
+        for k in range(len(y0)):
+            try:
+                solo = geodesic_ivp(F, GeodesicIvp(x0, tuple(y0[k]), steps=steps))
+            except DomainError as exc:
+                assert errors[k] is not None and str(errors[k]) == str(exc)
+                continue
+            assert errors[k] is None
+            assert np.array_equal(xs[k], solo.points)
+            assert np.array_equal(vs[k], solo.velocities)
+        if make is small_grid_structure:
+            assert [e is None for e in errors] == [True, True, False, True]
+            assert "outside" in str(errors[2])
+
+    def test_single_ivp_raises_the_row_error(self):
+        with pytest.raises(DomainError, match="outside congestion grid"):
+            geodesic_ivp(small_grid_structure(), GeodesicIvp((-0.5, 0.1), (30.0, 1.0), steps=30))
 
 
 class TestElResidual:
@@ -241,6 +311,10 @@ class TestGeodesicBvp:
         F = vortex_structure(0.8)
         res = geodesic_bvp(F, (-2, 0), (2, 0), BvpConfig(explore=True))
         assert res.converged
+        # the decisions of the unbatched solver (63 Newton iterations, four
+        # distinct geodesics, the same chosen start)
+        assert (res.iterations, res.multiplicity, res.restarts_used) == (63, 4, 8)
+        assert np.allclose(res.initial_velocity, [2.802499374474956, 2.4194874062777747], rtol=0.0, atol=1e-9)
         chord = straight_curve((-2, 0), (2, 0), n=400)
         assert res.length <= curve_length(F, chord) + 1e-8
 
@@ -276,3 +350,73 @@ class TestGeodesicBvp:
         r2 = geodesic_bvp(F, (-2, 0), (2, 0), BvpConfig(seed=7))
         assert np.array_equal(r1.curve.points, r2.curve.points)
         assert r1.length == r2.length
+
+
+# 24-node vortex scenarios (route-vortex benchmark pool, seed 1, instances 2,
+# 7 and 22) with the decisions of the unbatched solver: for explore on and
+# off, (iterations, restarts used, multiplicity, chosen initial velocity).
+PINNED_BVPS = [
+    (
+        (0.303492, -1.155872), (0.831098, 1.903128), (0.46875, 0.390625, 0.775),
+        {True: (23, 2, 3, (-2.615364147075801, 2.1026073234770712)),
+         False: (8, 0, 1, (2.412697192717185, -3.8499952153070534))},
+    ),
+    (
+        (-0.7838, -0.662342), (1.733734, -0.184404), (0.46875, -0.390625, 0.4917),
+        {True: (16, 2, 1, (1.3223973943969967, 2.386404094692849)),
+         False: (16, 2, 1, (1.3223973943969967, 2.386404094692849))},
+    ),
+    (
+        (-0.9272549999999999, 0.510281), (1.872044, -0.38013), (0.421875, -0.09375, 0.4417),
+        {True: (14, 2, 1, (2.7140418909975796, 0.9721685026825235)),
+         False: (10, 1, 1, (2.7140418909975796, 0.9721685026825235))},
+    ),
+]
+
+
+class TestBvpDecisions:
+    @pytest.mark.parametrize("explore", [True, False])
+    @pytest.mark.parametrize("case", range(len(PINNED_BVPS)))
+    def test_batching_keeps_the_decisions(self, case, explore):
+        p, q, vortex, expected = PINNED_BVPS[case]
+        F = build_randers(euclidean_metric(), congestion_vortex(*vortex))
+        res = geodesic_bvp(F, p, q, BvpConfig(nodes=24, restarts=2, explore=explore))
+        iterations, restarts, multiplicity, y0 = expected[explore]
+        assert res.converged
+        assert (res.iterations, res.restarts_used, res.multiplicity) == (iterations, restarts, multiplicity)
+        assert np.allclose(res.initial_velocity, y0, rtol=0.0, atol=1e-9)
+        assert len(res.starts) == res.restarts_used + 1
+        assert sum(s.iterations for s in res.starts) == res.iterations
+
+    def test_start_outcomes_repeat_and_report_domain_exit(self):
+        # the fourth of five starts shoots out of the sampled grid
+        F = small_grid_structure()
+        cfg = BvpConfig(explore=True, restarts=4, nodes=30, seed=2)
+        runs = [geodesic_bvp(F, (-1.0, 0.0), (1.0, 0.0), cfg) for _ in range(2)]
+        assert runs[0].starts == runs[1].starts
+        outcomes = [s.outcome for s in runs[0].starts]
+        assert outcomes == ["converged", "converged", "converged", "domain_exit", "converged"]
+        assert all(s.iterations == 0 for s in runs[0].starts if s.outcome == "domain_exit")
+
+    def test_stalled_outcome(self):
+        F = vortex_structure(0.8)
+        res = geodesic_bvp(F, (-2, 0), (2, 0), BvpConfig(max_newton=0, restarts=0))
+        assert [(s.outcome, s.iterations) for s in res.starts] == [("stalled", 0)]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tol": float("inf")},
+            {"tol": float("nan")},
+            {"tol": 0.0},
+            {"fd_step": 0.0},
+            {"fd_step": -1e-6},
+            {"fd_step": float("nan")},
+            {"max_newton": -1},
+            {"restarts": -1},
+            {"max_backtracks": 0},
+        ],
+    )
+    def test_config_rejects_invalid(self, bad):
+        with pytest.raises(ValueError):
+            BvpConfig(**bad)
