@@ -24,6 +24,7 @@ from .finsler import (
     constant_randers,
     euclidean_metric,
     euclidean_randers,
+    fd_jet,
     fundamental_tensor,
     grid_congestion,
     norm_g,

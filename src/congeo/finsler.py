@@ -15,12 +15,15 @@ Derivative-array convention: the derivative axis comes first (right after
 the batch axis of a batched evaluation), i.e. ``dg[m, i, j] = d g_ij / d x^m``
 and ``dw[m, i] = d w^i / d x^m``.
 
-Field contract: every coefficient callable (``RiemannianField.matrix`` and
-``matrix_dx``, ``CongestionField.vector`` and ``vector_dx``,
-``RandersStructure.bundle``) takes a batch of points ``x`` of shape
-``(B, dim)`` and returns its values stacked along the same leading axis,
-e.g. ``(B, dim, dim)`` for a metric; a result that broadcasts to that shape,
-such as a constant, is accepted.  Index point components as ``x[..., i]``:
+Field contract: each coefficient field is one callable, its *jet*, which
+maps a batch of points ``x`` of shape ``(B, dim)`` to its value and its
+x-derivative together, stacked along the same leading axis:
+``RiemannianField.jet`` gives ``(g, dg)`` of shapes ``(B, dim, dim)`` and
+``(B, dim, dim, dim)``, ``CongestionField.jet`` gives ``(w, dw)`` of shapes
+``(B, dim)`` and ``(B, dim, dim)``, and ``RandersStructure.bundle`` gives
+``(a, b, da, db)``.  Results that broadcast to those shapes, such as
+constants, are accepted.  A field known only by its values gets its jet from
+``fd_jet`` (central differences).  Index point components as ``x[..., i]``:
 a callable written for one point (``x[0]``) reads the first *point* of a
 batch and gives a wrong answer at B = 2 without raising an error.  The
 public one-point methods (``field(x)``, ``F.coefficients(x)``, ...) still
@@ -45,6 +48,7 @@ __all__ = [
     "CongestionField",
     "RandersStructure",
     "FundamentalTensor",
+    "fd_jet",
     "SampleCheck",
     "StructureValidation",
     "norm_g",
@@ -207,52 +211,48 @@ def _check_sym_matrix(g: np.ndarray, dim: int, what: str) -> np.ndarray:
 class RiemannianField:
     """Symmetric positive-definite coefficient field x -> g_ij(x).
 
-    ``matrix`` maps a (B, dim) batch of points to (B, dim, dim) (see the
-    module's field contract).  ``matrix_dx``, when supplied, returns the
-    analytic derivatives ``dg[b, m, i, j] = d g_ij / d x^m`` at point b;
-    otherwise central differences are used where derivatives are required.
-    Calling the field validates the schema and takes a point or a batch.
+    ``jet`` maps a (B, dim) batch of points to ``(g, dg)``: the metrics, shape
+    (B, dim, dim), and their derivatives ``dg[b, m, i, j] = d g_ij / d x^m``
+    at point b (see the module's field contract).  Calling the field gives
+    the schema-checked metric and ``derivative`` the derivative, each at a
+    point or a batch.
     """
 
-    matrix: Callable[[np.ndarray], np.ndarray]
-    matrix_dx: Callable[[np.ndarray], np.ndarray] | None = None
+    jet: Callable[[np.ndarray], tuple]
     dim: int = 2
 
     def __call__(self, x) -> np.ndarray:
         pts, single = _points(x, self.dim)
-        mat = _batch(self.matrix(pts), (len(pts), self.dim, self.dim), "metric matrix")
+        mat = _batch(self.jet(pts)[0], (len(pts), self.dim, self.dim), "metric matrix")
         mat = _check_sym_matrix(mat, self.dim, "metric matrix")
         return mat[0] if single else mat
 
     def derivative(self, x) -> np.ndarray:
         pts, single = _points(x, self.dim)
-        if self.matrix_dx is not None:
-            d = _batch(self.matrix_dx(pts), (len(pts),) + (self.dim,) * 3, "metric derivative")
-        else:
-            d = _fd_derivative(self.__call__, pts, (self.dim, self.dim))
+        d = _batch(self.jet(pts)[1], (len(pts),) + (self.dim,) * 3, "metric derivative")
         return d[0] if single else d
 
 
 @dataclass(frozen=True)
 class CongestionField:
-    """Congestion vector field x -> w(x) with optional analytic Jacobian.
+    """Congestion vector field x -> w(x).
 
-    ``vector`` maps a (B, dim) batch of points to (B, dim) (see the module's
-    field contract); ``vector_dx`` returns ``dw[b, m, i] = d w^i / d x^m`` at
-    point b.  ``probes`` are the field's natural validity sample points (grid
-    nodes for sampled fields, the extremal ring for the vortex preset);
-    ``build_randers`` checks the saturation bound there up front.  Calling the
-    field validates the schema and takes a point or a batch.
+    ``jet`` maps a (B, dim) batch of points to ``(w, dw)``: the vectors, shape
+    (B, dim), and their Jacobians ``dw[b, m, i] = d w^i / d x^m`` at point b
+    (see the module's field contract).  ``probes`` are the field's natural
+    validity sample points (grid nodes for sampled fields, the extremal ring
+    for the vortex preset); ``build_randers`` checks the saturation bound
+    there up front.  Calling the field gives the schema-checked vector and
+    ``derivative`` the Jacobian, each at a point or a batch.
     """
 
-    vector: Callable[[np.ndarray], np.ndarray]
-    vector_dx: Callable[[np.ndarray], np.ndarray] | None = None
+    jet: Callable[[np.ndarray], tuple]
     probes: tuple[tuple[float, ...], ...] = ()
     dim: int = 2
 
     def __call__(self, x) -> np.ndarray:
         pts, single = _points(x, self.dim)
-        w = _batch(self.vector(pts), pts.shape, "congestion vector")
+        w = _batch(self.jet(pts)[0], pts.shape, "congestion vector")
         bad = ~np.isfinite(w).all(axis=1)
         if bad.any():
             raise DomainError(f"congestion vector non-finite at {pts[bad.argmax()]}")
@@ -260,29 +260,34 @@ class CongestionField:
 
     def derivative(self, x) -> np.ndarray:
         pts, single = _points(x, self.dim)
-        if self.vector_dx is not None:
-            d = _batch(self.vector_dx(pts), (len(pts), self.dim, self.dim), "congestion derivative")
-        else:
-            d = _fd_derivative(self.__call__, pts, (self.dim,))
+        d = _batch(self.jet(pts)[1], (len(pts), self.dim, self.dim), "congestion derivative")
         return d[0] if single else d
 
 
-def _fd_derivative(fn, x: np.ndarray, value_shape: tuple, step_rel: float = COEFF_FD_STEP) -> np.ndarray:
-    """Central-difference x-derivative of a coefficient map at a point or a
-    batch of points ``x[..., :]``; the derivative axis follows the batch axes."""
+def _fd_derivative(fn, x: np.ndarray, value_shape: tuple) -> np.ndarray:
+    """Central-difference x-derivative (relative step ``COEFF_FD_STEP``) of a
+    coefficient map at a point or a batch of points ``x[..., :]``; the
+    derivative axis follows the batch axes."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
     batch = x.shape[:-1]
-    out = np.empty((*batch, n, *value_shape))
-    for m in range(n):
-        h = step_rel * np.maximum(1.0, np.abs(x[..., m]))
+    columns = []
+    for m in range(x.shape[-1]):
+        h = COEFF_FD_STEP * np.maximum(1.0, np.abs(x[..., m]))
         e = np.zeros_like(x)
         e[..., m] = h
         diff = np.asarray(fn(x + e), float) - np.asarray(fn(x - e), float)
-        out[(Ellipsis, m) + (slice(None),) * len(value_shape)] = diff / (2 * h).reshape(
-            batch + (1,) * len(value_shape)
-        )
-    return out
+        columns.append(diff / (2 * h).reshape(batch + (1,) * len(value_shape)))
+    # stacked, not written into a preallocated array, so that a value of the
+    # wrong shape reaches the field's schema check and its error message
+    return np.stack(columns, axis=len(batch))
+
+
+def fd_jet(values: Callable[[np.ndarray], np.ndarray], value_shape: tuple) -> Callable[[np.ndarray], tuple]:
+    """Jet of a field known only by its values, e.g.
+    ``CongestionField(fd_jet(vector, (2,)))``: ``values`` maps a (B, dim)
+    batch to values of shape ``(B, *value_shape)`` (or a broadcasting
+    constant), and the derivative comes from central differences."""
+    return lambda x: (values(x), _fd_derivative(values, x, value_shape))
 
 
 @dataclass(frozen=True)
@@ -393,8 +398,8 @@ def build_randers(
     """Build the Randers structure induced by congestion ``omega`` over ``g``.
 
     Coefficients: lam = 1 - ||w||_g^2, a = g/lam^2, b = g w/lam, which gives
-    ``||b||_a = ||w||_g``; their x-derivatives come from the chain rule, with
-    central differences for a field lacking ``matrix_dx`` / ``vector_dx``.
+    ``||b||_a = ||w||_g``; their x-derivatives come from the chain rule over
+    one ``jet`` call per field.
     The saturation bound ``||w||_g <= 1 - eps_cong`` is verified up front at
     the field's probe points plus ``check_points`` (one batched evaluation),
     and again lazily at every later coefficient evaluation; violations raise
@@ -423,8 +428,7 @@ def build_randers(
     def check(x: np.ndarray) -> None:
         """Schema (metric shape, symmetry, finiteness; congestion shape,
         finiteness) and saturation at a batch of points."""
-        mat = _check_sym_matrix(_batch(g.matrix(x), (len(x), dim, dim), "metric matrix"), dim, "metric matrix")
-        saturation(x, mat, omega(x))
+        saturation(x, g(x), omega(x))
 
     points = np.concatenate([_point_rows(omega.probes, dim), _point_rows(check_points, dim)])
     try:
@@ -437,12 +441,8 @@ def build_randers(
             check(points[k:k + 1])
         raise
 
-    matrix_dx = g.matrix_dx if g.matrix_dx is not None else g.derivative
-    vector_dx = omega.vector_dx if omega.vector_dx is not None else omega.derivative
-
     def bundle(x: np.ndarray) -> tuple:
-        mat = np.asarray(g.matrix(x), dtype=float)
-        w = np.asarray(omega.vector(x), dtype=float)
+        mat, dmat, w, dw = (np.asarray(t, dtype=float) for t in (*g.jet(x), *omega.jet(x)))
         if w.shape != x.shape:  # a constant field
             w = np.broadcast_to(w, x.shape)
         gw, nw = saturation(x, mat, w)
@@ -450,8 +450,6 @@ def build_randers(
         lam2 = (lam**2)[:, None, None]
         a = mat / lam2
         b = gw / lam[:, None]
-        dmat = np.asarray(matrix_dx(x), dtype=float)
-        dw = np.asarray(vector_dx(x), dtype=float)
         dmat_w = _mv(dmat, w[:, None, :])  # [b, m, i] = d_m g_ij w^j
         dlam = -(_dot(dmat_w, w[:, None, :]) + 2.0 * _dot(dw, gw[:, None, :]))
         da = dmat / lam2[..., None] - ((2.0 / lam**3)[:, None] * dlam)[:, :, None, None] * mat[..., None, :, :]
@@ -478,18 +476,13 @@ def _fiber(a: np.ndarray, b: np.ndarray, y: np.ndarray, what: str) -> tuple:
     return al, ell, Fv, lb, tensor
 
 
-def fundamental_tensor(
-    F: RandersStructure,
-    x,
-    y,
-    mode: str = "analytic",
-    step_rel: float = HESSIAN_FD_STEP,
-) -> FundamentalTensor:
+def fundamental_tensor(F: RandersStructure, x, y, mode: str = "analytic") -> FundamentalTensor:
     """g_ij(x, y) = half the fiber Hessian of F^2 at (x, y), y != 0.
 
     ``mode="analytic"`` uses the closed-form Randers Hessian;
     ``mode="finite_difference"`` applies central second differences to F^2
-    with step ``step_rel * ||y||`` and serves as the independent cross-check.
+    with step ``HESSIAN_FD_STEP * ||y||`` and serves as the independent
+    cross-check.
     """
     a, b = F.coefficients(x)
     y = _vec(y, "tangent components")
@@ -505,7 +498,7 @@ def fundamental_tensor(
         return float(_raw_eval(a, b, v)) ** 2
 
     n = y.shape[0]
-    h = step_rel * ny
+    h = HESSIAN_FD_STEP * ny
     mat = np.empty((n, n))
     f0 = fsq(y)
     for i in range(n):
@@ -618,9 +611,8 @@ def validate_structure(F: RandersStructure, samples: Sequence) -> StructureValid
 # ---------------------------------------------------------------------------
 
 def euclidean_metric(dim: int = 2) -> RiemannianField:
-    eye = np.eye(dim)
-    zeros = np.zeros((dim, dim, dim))
-    return RiemannianField(matrix=lambda x: eye, matrix_dx=lambda x: zeros, dim=dim)
+    packed = (np.eye(dim), np.zeros((dim, dim, dim)))
+    return RiemannianField(jet=lambda x: packed, dim=dim)
 
 
 def constant_metric(matrix) -> RiemannianField:
@@ -630,8 +622,8 @@ def constant_metric(matrix) -> RiemannianField:
     except np.linalg.LinAlgError:
         raise DomainError("constant metric must be positive-definite") from None
     dim = mat.shape[0]
-    zeros = np.zeros((dim, dim, dim))
-    return RiemannianField(matrix=lambda x: mat, matrix_dx=lambda x: zeros, dim=dim)
+    packed = (mat, np.zeros((dim, dim, dim)))
+    return RiemannianField(jet=lambda x: packed, dim=dim)
 
 
 def constant_randers(a, b) -> RandersStructure:
@@ -653,25 +645,13 @@ def euclidean_randers(dim: int = 2) -> RandersStructure:
 
 
 def congestion_none(dim: int = 2) -> CongestionField:
-    zero = np.zeros(dim)
-    zero_dx = np.zeros((dim, dim))
-    return CongestionField(
-        vector=lambda x: zero,
-        vector_dx=lambda x: zero_dx,
-        probes=(tuple(np.zeros(dim)),),
-        dim=dim,
-    )
+    packed = (np.zeros(dim), np.zeros((dim, dim)))
+    return CongestionField(jet=lambda x: packed, probes=(tuple(np.zeros(dim)),), dim=dim)
 
 
 def congestion_uniform(wx: float, wy: float) -> CongestionField:
-    w = np.array([float(wx), float(wy)])
-    zero_dx = np.zeros((2, 2))
-    return CongestionField(
-        vector=lambda x: w,
-        vector_dx=lambda x: zero_dx,
-        probes=((0.0, 0.0),),
-        dim=2,
-    )
+    packed = (np.array([float(wx), float(wy)]), np.zeros((2, 2)))
+    return CongestionField(jet=lambda x: packed, probes=((0.0, 0.0),), dim=2)
 
 
 _ROT_SIGNS = np.array([-1.0, 1.0])
@@ -688,23 +668,15 @@ def congestion_vortex(cx: float, cy: float, strength: float) -> CongestionField:
     s = float(strength)
     rot_t = np.array([[0.0, 1.0], [-1.0, 0.0]])  # rot90 transposed: rot_t[m, i] = rot[i, m]
 
-    def swirl(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def swirl(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = x - c
         env = s * np.exp((1.0 - _dot(u, u)) / 2.0)
         ru = u[..., ::-1] * _ROT_SIGNS  # rot90 @ u = (-u_1, u_0)
-        return u, env, ru
-
-    def vector(x: np.ndarray) -> np.ndarray:
-        _, env, ru = swirl(x)
-        return env[..., None] * ru
-
-    def vector_dx(x: np.ndarray) -> np.ndarray:
         # dw[m, i] = env * (-u_m * ru_i + rot[i, m])
-        u, env, ru = swirl(x)
-        return env[..., None, None] * (rot_t - u[..., :, None] * ru[..., None, :])
+        return env[..., None] * ru, env[..., None, None] * (rot_t - u[..., :, None] * ru[..., None, :])
 
     ring = [(cx + math.cos(t), cy + math.sin(t)) for t in np.linspace(0.0, 2 * math.pi, 8, endpoint=False)]
-    return CongestionField(vector=vector, vector_dx=vector_dx, probes=tuple(ring), dim=2)
+    return CongestionField(jet=swirl, probes=tuple(ring), dim=2)
 
 
 # Cubic Hermite basis on [0, 1] as polynomial coefficients: _HERMITE[p, k] is
@@ -731,14 +703,6 @@ def _hermite_basis(t: np.ndarray, h: np.ndarray) -> np.ndarray:
     out[..., 0, :] = basis * scale
     out[..., 1, :] = slope * (scale / h[..., None])
     return out
-
-
-def _hermite_sum(bx: np.ndarray, by: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_ab bx[..., a] by[..., b] coef[a, b, :] for each point of a batch
-    (coef[k] is point k's patch; bx and by may carry one more axis after k)."""
-    if bx.ndim == 3:
-        coef = coef[:, None]
-    return _sum(_sum(bx[..., :, None, None] * by[..., None, :, None] * coef, axis=-2), axis=-2)
 
 
 def grid_congestion(xs, ys, vectors) -> CongestionField:
@@ -785,8 +749,7 @@ def grid_congestion(xs, ys, vectors) -> CongestionField:
     lo, hi = np.array([xs[0], ys[0]]), np.array([xs[-1], ys[-1]])
 
     def patch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each point's cell coefficients and its Hermite basis along both
-        axes: basis[k, axis, 0 or 1 (derivative), function]."""
+        """Value and Jacobian at each point from its cell's Hermite patch."""
         inside = np.logical_and.reduce((lo <= x) & (x <= hi), axis=-1)  # NaN is outside too
         if not inside.all():
             k = int(inside.argmin())
@@ -799,19 +762,17 @@ def grid_congestion(xs, ys, vectors) -> CongestionField:
         left = np.empty_like(x)
         width = np.empty_like(x)
         left[:, 0], left[:, 1], width[:, 0], width[:, 1] = xs[i], ys[j], hx[i], hy[j]
-        return cells[i, j], _hermite_basis((x - left) / width, width)
-
-    def vector(x: np.ndarray) -> np.ndarray:
-        coef, basis = patch(x)
-        return _hermite_sum(basis[:, 0, 0], basis[:, 1, 0], coef)
-
-    def vector_dx(x: np.ndarray) -> np.ndarray:
-        # dw[m] pairs the derivative along axis m with the value along the other
-        coef, basis = patch(x)
-        return _hermite_sum(basis[:, 0, (1, 0)], basis[:, 1, (0, 1)], coef)
+        basis = _hermite_basis((x - left) / width, width)  # [k, axis, 0 or 1 (derivative), function]
+        # rows[k, r] = sum_ab bx[k, r, a] by[k, r, b] coef[k, a, b]: row 0 pairs
+        # the values along both axes (w), row 1 + m the derivative along axis
+        # m with the value along the other (dw[m])
+        bx, by = basis[:, 0, (0, 1, 0)], basis[:, 1, (0, 0, 1)]
+        coef = cells[i, j][:, None]
+        rows = _sum(_sum(bx[..., :, None, None] * by[..., None, :, None] * coef, axis=-2), axis=-2)
+        return rows[:, 0], rows[:, 1:]
 
     probes = tuple((float(px), float(py)) for px in xs for py in ys)
-    return CongestionField(vector=vector, vector_dx=vector_dx, probes=probes, dim=2)
+    return CongestionField(jet=patch, probes=probes, dim=2)
 
 
 def parse_congestion_spec(spec: str) -> CongestionField:

@@ -197,7 +197,13 @@ class Lagrangian:
             try:
                 acc = np.linalg.solve(tensor, rhs[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
-                raise DomainError(f"singular fiber Hessian at x={tuple(x[0])}") from None
+                # the batched solve does not say which row failed: find the first
+                for k in range(len(x)):
+                    try:
+                        np.linalg.solve(tensor[k], rhs[k])
+                    except np.linalg.LinAlgError:
+                        raise DomainError(f"singular fiber Hessian at x={tuple(x[k])}") from None
+                raise
         return acc[0] if single else acc
 
 

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+# Relative step of the forward-difference Jacobian of an F given without one.
+JACOBIAN_FD_STEP = 1e-7
 
 
 def fb_phi(a, b):
@@ -64,13 +66,12 @@ class NcpProblem:
     """Dimension n plus the mapping F (and optionally its Jacobian).
 
     Without an analytic Jacobian, forward differences with relative step
-    ``fd_step_rel`` are used.
+    ``JACOBIAN_FD_STEP`` are used.
     """
 
     n: int
     f: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step_rel: float = 1e-7
 
     def __post_init__(self):
         if self.n < 1:
@@ -95,7 +96,7 @@ class NcpProblem:
             f0 = self.f_eval(x)
             jac = np.empty((self.n, self.n))
             for j in range(self.n):
-                h = self.fd_step_rel * max(1.0, abs(x[j]))
+                h = JACOBIAN_FD_STEP * max(1.0, abs(x[j]))
                 e = np.zeros(self.n)
                 e[j] = h
                 jac[:, j] = (self.f_eval(x + e) - f0) / h

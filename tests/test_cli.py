@@ -229,10 +229,7 @@ class TestReadmeCommands:
             "solve-ncp", "solve-ue", "route", "dynamic", "validate", "--config",
         }
 
-    # route lines take 8 s or more each; TestRouteCommand covers them
-    @pytest.mark.parametrize(
-        "argv", [a for a in _readme_commands() if a[0] != "route"], ids=" ".join
-    )
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
     def test_command_exits_0(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)  # a config's relative "out" lands here
         argv = [os.path.join(DEMO, a[len("demo/"):]) if a.startswith("demo/") else a for a in argv]

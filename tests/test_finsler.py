@@ -15,6 +15,7 @@ from congeo.finsler import (
     covector_norm,
     euclidean_metric,
     euclidean_randers,
+    fd_jet,
     fundamental_tensor,
     grid_congestion,
     norm_g,
@@ -57,7 +58,7 @@ class TestNormG:
         assert norm_g(g, (0, 0), (1, 1)) == pytest.approx(np.sqrt(5.0), abs=1e-14)
 
     def test_rejects_indefinite_metric(self):
-        g = finsler.RiemannianField(matrix=lambda x: np.diag([1.0, -1.0]))
+        g = finsler.RiemannianField(fd_jet(lambda x: np.diag([1.0, -1.0]), (2, 2)))
         with pytest.raises(DomainError):
             norm_g(g, (0, 0), (1, 0))
 
@@ -118,7 +119,7 @@ class TestBuildRanders:
 
     def test_lazy_check_names_offending_point(self):
         field = finsler.CongestionField(
-            vector=lambda x: np.stack([np.minimum(0.9999, 0.2 + 0.3 * x[..., 0] ** 2), 0.0 * x[..., 0]], axis=-1),
+            fd_jet(lambda x: np.stack([np.minimum(0.9999, 0.2 + 0.3 * x[..., 0] ** 2), 0.0 * x[..., 0]], axis=-1), (2,)),
             probes=((0.0, 0.0),),
         )
         F = build_randers(euclidean_metric(), field)
@@ -129,19 +130,39 @@ class TestBuildRanders:
     def test_batched_check_names_first_offending_point(self):
         # ||w|| = 0.5 |x_0| saturates from x_0 = 1.998 on; both late points do
         field = finsler.CongestionField(
-            vector=lambda x: np.stack([0.5 * x[..., 0], 0.0 * x[..., 0]], axis=-1),
+            fd_jet(lambda x: np.stack([0.5 * x[..., 0], 0.0 * x[..., 0]], axis=-1), (2,)),
             probes=((0.0, 0.0),),
         )
         with pytest.raises(DomainError, match=r"saturated.*at \[3\. 0\.\]"):
             build_randers(euclidean_metric(), field, check_points=[(0.0, 0.0), (3.0, 0.0), (2.5, 0.0)])
 
     def test_batched_check_keeps_metric_checks(self):
-        asymmetric = finsler.RiemannianField(matrix=lambda x: np.array([[1.0, 0.1], [0.0, 1.0]]))
+        asymmetric = finsler.RiemannianField(fd_jet(lambda x: np.array([[1.0, 0.1], [0.0, 1.0]]), (2, 2)))
         with pytest.raises(DomainError, match="not symmetric"):
             build_randers(asymmetric, congestion_none())
-        wrong_shape = finsler.RiemannianField(matrix=lambda x: np.eye(3))
+        wrong_shape = finsler.RiemannianField(fd_jet(lambda x: np.eye(3), (2, 2)))
         with pytest.raises(ValueError, match="shape"):
             build_randers(wrong_shape, congestion_none())
+
+    @pytest.mark.parametrize("name", ["vortex", "grid"])
+    def test_bundle_calls_each_jet_once(self, rng, name):
+        calls = {"metric": 0, "congestion": 0}
+
+        def counted(key, jet):
+            def counting_jet(x):
+                calls[key] += 1
+                return jet(x)
+
+            return counting_jet
+
+        g, field = euclidean_metric(), TestBatchedPresets._fields()[name]
+        F = build_randers(
+            finsler.RiemannianField(counted("metric", g.jet)),
+            finsler.CongestionField(counted("congestion", field.jet), probes=field.probes),
+        )
+        calls.update(metric=0, congestion=0)
+        F.bundle(rng.uniform(-1.9, 1.9, size=(12, 2)))
+        assert calls == {"metric": 1, "congestion": 1}
 
     def test_drift_norm_equals_congestion_norm(self, rng):
         g = euclidean_metric()
@@ -163,17 +184,20 @@ class TestBuildRanders:
             assert np.allclose(db, db_fd, rtol=1e-6, atol=1e-8)
 
     def test_fields_without_derivatives_match_fd(self, rng):
-        # neither field supplies matrix_dx / vector_dx: the chain rule runs
-        # over central differences of each field
+        # both fields are given by values alone: the chain rule runs over
+        # central differences of each field
         g = finsler.RiemannianField(
-            matrix=lambda x: np.moveaxis(
-                np.array([[1.0 + 0.2 * x[..., 0] ** 2, 0.1 * x[..., 1]], [0.1 * x[..., 1], 1.5 + 0.3 * np.sin(x[..., 0])]]),
-                (0, 1),
-                (-2, -1),
+            fd_jet(
+                lambda x: np.moveaxis(
+                    np.array([[1.0 + 0.2 * x[..., 0] ** 2, 0.1 * x[..., 1]], [0.1 * x[..., 1], 1.5 + 0.3 * np.sin(x[..., 0])]]),
+                    (0, 1),
+                    (-2, -1),
+                ),
+                (2, 2),
             )
         )
         field = finsler.CongestionField(
-            vector=lambda x: 0.3 * np.stack([np.cos(x[..., 1]), np.sin(x[..., 0] * x[..., 1])], axis=-1),
+            fd_jet(lambda x: 0.3 * np.stack([np.cos(x[..., 1]), np.sin(x[..., 0] * x[..., 1])], axis=-1), (2,)),
             probes=((0.0, 0.0),),
         )
         F = build_randers(g, field)
@@ -416,12 +440,34 @@ class TestPresetParsing:
         assert np.linalg.norm(f((2.0, 2.0))) == pytest.approx(0.8, abs=1e-12)
         assert np.linalg.norm(f((1.0, 2.0))) == pytest.approx(0.0, abs=1e-15)
 
-    def test_vortex_jacobian_matches_fd(self, rng):
-        f = parse_congestion_spec("vortex(0, 0, 0.7)")
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "euclidean_metric",
+            "constant_metric",
+            "congestion_none",
+            "congestion_uniform",
+            "congestion_vortex",
+            "grid_congestion",
+        ],
+    )
+    def test_jet_derivative_matches_fd(self, rng, name):
+        xs = np.array([-2.5, -1.1, -0.2, 0.4, 1.3, 2.5])  # non-uniform axes
+        ys = np.array([-2.5, -0.5, 0.1, 0.9, 2.5])
+        w = np.array([[[0.2 * np.sin(2 * px) * np.cos(py), 0.1 * px * py] for py in ys] for px in xs])
+        field = {
+            "euclidean_metric": euclidean_metric,
+            "constant_metric": lambda: finsler.constant_metric([[1.4, 0.2], [0.2, 0.9]]),
+            "congestion_none": congestion_none,
+            "congestion_uniform": lambda: parse_congestion_spec("uniform(0.5, -0.25)"),
+            "congestion_vortex": lambda: parse_congestion_spec("vortex(0, 0, 0.7)"),
+            "grid_congestion": lambda: grid_congestion(xs, ys, w),
+        }[name]()
+        shape = (2, 2) if isinstance(field, finsler.RiemannianField) else (2,)
         for _ in range(20):
-            x = rng.uniform(-2, 2, size=2)
-            d_an = f.derivative(x)
-            d_fd = finsler._fd_derivative(f, x, (2,))
+            x = rng.uniform(-2, 2, size=(1, 2))
+            d_an = np.broadcast_to(field.jet(x)[1], (1, 2) + shape)
+            d_fd = finsler._fd_derivative(lambda p: field.jet(p)[0], x, shape)
             assert np.allclose(d_an, d_fd, rtol=1e-7, atol=1e-9)
 
     @pytest.mark.parametrize(

@@ -204,6 +204,29 @@ class TestBatching:
             geodesic_ivp(small_grid_structure(), GeodesicIvp((-0.5, 0.1), (30.0, 1.0), steps=30))
 
 
+class TestGeneralDimension:
+    """n = 3: the batched linear solve of ``acceleration`` and the non-planar
+    restart rule of ``geodesic_bvp`` (2-D uses Cramer's rule and rotations)."""
+
+    def test_singular_row_is_named(self):
+        # row 1 moves along -b with ||b||_a = 1, so F = 0 and its tensor vanishes
+        packed = (np.eye(3), np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3, 3)), np.zeros((3, 3)))
+        lag = Lagrangian(RandersStructure(bundle=lambda x: packed, dim=3))
+        x = np.array([[0.0, 0.0, 0.0], [5.0, 6.0, 7.0]])
+        v = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(DomainError, match=r"singular fiber Hessian at x=\(.*5\.0.*6\.0.*7\.0"):
+            lag.acceleration(x, v)
+
+    def test_constant_structure_geodesics(self):
+        F = constant_randers(np.eye(3), (0.3, -0.1, 0.2))
+        y0 = np.array([1.0, -0.5, 0.25])
+        c = geodesic_ivp(F, GeodesicIvp((0.0, 0.0, 0.0), tuple(y0), steps=40))
+        assert np.allclose(c.points, c.params[:, None] * y0, rtol=0.0, atol=1e-12)
+        res = geodesic_bvp(F, (0, 0, 0), (1.0, 2.0, -0.5), BvpConfig(explore=True, restarts=2, nodes=20))
+        assert res.converged and res.multiplicity == 1
+        assert [s.outcome for s in res.starts] == ["converged"] * 3
+
+
 class TestElResidual:
     def test_straight_line_euclidean(self):
         c = straight_curve((0, 0), (3, 4), n=50)
