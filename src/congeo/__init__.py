@@ -75,7 +75,6 @@ from .dynamic import (
     AffineCost,
     DynamicConfig,
     MinimizeResult,
-    OptimizerSettings,
     Trajectory,
     complementarity_merit,
     dynamic_gap,

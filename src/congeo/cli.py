@@ -272,8 +272,7 @@ def cmd_dynamic(cfg: RunConfig):
     if costs is None and model is None:
         raise SchemaError("trajectory has no cost column; supply --cost-model")
 
-    opt = dyn.OptimizerSettings(tol=cfg.tol) if cfg.tol else dyn.OptimizerSettings()
-    dyn_cfg = dyn.DynamicConfig(variant=cfg.variant, optimizer=opt)
+    dyn_cfg = dyn.DynamicConfig(variant=cfg.variant, tol=cfg.tol) if cfg.tol else dyn.DynamicConfig(variant=cfg.variant)
     try:
         if model is not None:
             traj = dyn.Trajectory(grid=grid, h=flows, cost=model)

@@ -30,7 +30,6 @@ __all__ = [
     "AffineCost",
     "Trajectory",
     "DynamicConfig",
-    "OptimizerSettings",
     "MinimizeResult",
     "dynamic_gap",
     "complementarity_merit",
@@ -40,6 +39,12 @@ __all__ = [
 ]
 
 VARIANTS = ("half_phi", "half_phi_squared")
+# Projected gradient descent: the first trial step, the growth factor after
+# an accepted step and its cap, and the relative step of the FD gradient.
+INITIAL_STEP = 1.0
+STEP_GROWTH = 1.5
+MAX_STEP = 1e8
+GRADIENT_FD_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -100,30 +105,22 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class OptimizerSettings:
-    step: float = 1.0
-    max_iter: int = 500
-    tol: float = 1e-10
-    step_growth: float = 1.5
-    max_step: float = 1e8
-    fd_step: float = 1e-7
-
-    def __post_init__(self):
-        for name in ("step", "max_iter", "tol", "step_growth", "max_step", "fd_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
 class DynamicConfig:
+    """The merit's variant and price offset, plus ``minimize_dynamic``'s
+    iteration budget and its stopping tolerance on the max-norm flow step."""
+
     variant: str = "half_phi_squared"
     pi_offset: float = 0.0  # replaces c by c - pi_offset
     fix_endpoints: bool = False
-    optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
+    max_iter: int = 500
+    tol: float = 1e-10
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        for name in ("max_iter", "tol"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 def _psi(h: np.ndarray, c: np.ndarray, variant: str) -> np.ndarray:
@@ -228,7 +225,6 @@ def minimize_dynamic(
     ``converged=False``.
     """
     cfg = cfg or DynamicConfig()
-    opt = cfg.optimizer
     grid = np.asarray(grid, dtype=float)
     if h0 is None:
         h = np.ones_like(grid)
@@ -253,16 +249,16 @@ def minimize_dynamic(
 
     val = objective(h)
     history = [val]
-    step = opt.step
+    step = INITIAL_STEP
     converged = False
     iterations = 0
     endpoints0 = (h[0], h[-1])
 
-    for iterations in range(1, opt.max_iter + 1):
+    for iterations in range(1, cfg.max_iter + 1):
         if exact:
             grad = _affine_gradient(cost_model, grid, h, cfg)
         else:
-            grad = _fd_gradient(objective, h, opt.fd_step)
+            grad = _fd_gradient(objective, h, GRADIENT_FD_STEP)
         if cfg.fix_endpoints:
             grad[0] = grad[-1] = 0.0
         moved = False
@@ -276,8 +272,8 @@ def minimize_dynamic(
                 h, val = trial, tval
                 history.append(val)
                 moved = True
-                step = min(step * opt.step_growth, opt.max_step)
-                if delta <= opt.tol:
+                step = min(step * STEP_GROWTH, MAX_STEP)
+                if delta <= cfg.tol:
                     converged = True
                 break
             step *= 0.5

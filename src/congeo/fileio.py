@@ -528,13 +528,17 @@ def read_times_csv(path: str) -> dict[str, float]:
     return dict(zip(keys, data[:, 0].tolist()))
 
 
-def write_curve_svg(path: str, curve: Curve, pad_frac: float = 0.05) -> None:
+# Margin of the SVG viewBox on each side, as a fraction of the curve's larger extent.
+SVG_PAD_FRAC = 0.05
+
+
+def write_curve_svg(path: str, curve: Curve) -> None:
     """Minimal SVG polyline with a viewBox fitted to the curve."""
     pts = curve.points
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
-    pad = pad_frac * float(np.max(span))
+    pad = SVG_PAD_FRAC * float(np.max(span))
     origin = lo - pad
     size = span + 2 * pad
     # SVG y grows downward; mirror the second coordinate inside the box

@@ -69,10 +69,6 @@ __all__ = [
 
 # Relative step for x-derivatives of coefficient fields (first derivatives).
 COEFF_FD_STEP = 1e-5
-# Relative step for the finite-difference fundamental tensor (second
-# derivatives).  1e-4 keeps the round-off floor near 1e-7 relative; smaller
-# steps amplify cancellation past the 1e-6 agreement target.
-HESSIAN_FD_STEP = 1e-4
 # Default saturation margin: reject congestion with ||w||_g > 1 - EPS_CONG.
 EPS_CONG = 1e-3
 
@@ -476,43 +472,12 @@ def _fiber(a: np.ndarray, b: np.ndarray, y: np.ndarray, what: str) -> tuple:
     return al, ell, Fv, lb, tensor
 
 
-def fundamental_tensor(F: RandersStructure, x, y, mode: str = "analytic") -> FundamentalTensor:
-    """g_ij(x, y) = half the fiber Hessian of F^2 at (x, y), y != 0.
-
-    ``mode="analytic"`` uses the closed-form Randers Hessian;
-    ``mode="finite_difference"`` applies central second differences to F^2
-    with step ``HESSIAN_FD_STEP * ||y||`` and serves as the independent
-    cross-check.
-    """
+def fundamental_tensor(F: RandersStructure, x, y) -> FundamentalTensor:
+    """g_ij(x, y) = half the fiber Hessian of F^2 at (x, y), y != 0, in the
+    closed Randers form."""
     a, b = F.coefficients(x)
     y = _vec(y, "tangent components")
-    ny = float(np.linalg.norm(y))
-    if ny == 0.0:
-        raise DomainError("fundamental tensor undefined at y = 0")
-    if mode == "analytic":
-        return FundamentalTensor(_fiber(a, b, y, "fundamental tensor")[-1])
-    if mode != "finite_difference":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def fsq(v: np.ndarray) -> float:
-        return float(_raw_eval(a, b, v)) ** 2
-
-    n = y.shape[0]
-    h = HESSIAN_FD_STEP * ny
-    mat = np.empty((n, n))
-    f0 = fsq(y)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        mat[i, i] = (fsq(y + ei) - 2 * f0 + fsq(y - ei)) / h**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            mixed = (
-                fsq(y + ei + ej) - fsq(y + ei - ej) - fsq(y - ei + ej) + fsq(y - ei - ej)
-            ) / (4 * h**2)
-            mat[i, j] = mat[j, i] = mixed
-    return FundamentalTensor(0.5 * mat)
+    return FundamentalTensor(_fiber(a, b, y, "fundamental tensor")[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +718,7 @@ def grid_congestion(xs, ys, vectors) -> CongestionField:
         inside = np.logical_and.reduce((lo <= x) & (x <= hi), axis=-1)  # NaN is outside too
         if not inside.all():
             k = int(inside.argmin())
-            raise DomainError(f"point {tuple(x[k])} outside congestion grid "
+            raise DomainError(f"point {tuple(map(float, x[k]))} outside congestion grid "
                               f"[{xs[0]},{xs[-1]}]x[{ys[0]},{ys[-1]}]")
         # the cell whose right edge is the first node >= p; a point on the
         # left boundary belongs to the first cell

@@ -46,6 +46,10 @@ __all__ = [
     "geodesic_bvp",
 ]
 
+# Relative step of the finite-difference shooting Jacobian.
+SHOT_FD_STEP = 1e-6
+# Step lengths 1, 1/2, 1/4, ... a Newton step tries, at most this many.
+MAX_BACKTRACKS = 12
 # Backtracking levels of a Newton step shot speculatively in one batch.
 SPECULATIVE_BACKTRACKS = 4
 
@@ -190,7 +194,7 @@ class Lagrangian:
             det = tensor[:, 0, 0] * tensor[:, 1, 1] - tensor[:, 0, 1] * tensor[:, 1, 0]
             singular = det == 0.0
             if singular.any():
-                raise DomainError(f"singular fiber Hessian at x={tuple(x[singular.argmax()])}")
+                raise DomainError(f"singular fiber Hessian at x={tuple(map(float, x[singular.argmax()]))}")
             # Cramer's rule: (t11 r0 - t01 r1, t00 r1 - t10 r0) / det
             acc = (tensor[:, (1, 0), (1, 0)] * rhs - tensor[:, (0, 1), (1, 0)] * rhs[:, ::-1]) / det[:, None]
         else:
@@ -202,7 +206,7 @@ class Lagrangian:
                     try:
                         np.linalg.solve(tensor[k], rhs[k])
                     except np.linalg.LinAlgError:
-                        raise DomainError(f"singular fiber Hessian at x={tuple(x[k])}") from None
+                        raise DomainError(f"singular fiber Hessian at x={tuple(map(float, x[k]))}") from None
                 raise
         return acc[0] if single else acc
 
@@ -346,20 +350,14 @@ class BvpConfig:
     restarts: int = 8
     seed: int = 0
     explore: bool = False
-    fd_step: float = 1e-6
-    max_backtracks: int = 12
 
     def __post_init__(self):
         if self.nodes < 3:
             raise ValueError("nodes must be at least 3")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
-            raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
         if self.max_newton < 0 or self.restarts < 0:
             raise ValueError("max_newton and restarts must be nonnegative")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -418,7 +416,7 @@ def _shoot(lag: Lagrangian, p: np.ndarray, trials: list, cfg: BvpConfig) -> list
     companions (velocity + delta_j e_j) in one batch; None for a trial whose
     own shot left the domain."""
     n = len(p)
-    deltas = [cfg.fd_step * np.maximum(1.0, np.abs(u)) for u in trials]
+    deltas = [SHOT_FD_STEP * np.maximum(1.0, np.abs(u)) for u in trials]
     y0 = np.concatenate([np.vstack([u, u + np.diag(d)]) for u, d in zip(trials, deltas)])
     steps = cfg.nodes - 1
     xs, vs, errors = _integrate(lag, np.broadcast_to(p, y0.shape), y0, steps, 1.0 / steps)
@@ -470,8 +468,8 @@ def _newton(q: np.ndarray, y0: np.ndarray, cfg: BvpConfig):
             outcome = "singular"
             break
         accepted = None
-        for first in range(0, cfg.max_backtracks, SPECULATIVE_BACKTRACKS):
-            levels = [0.5**k for k in range(first, min(first + SPECULATIVE_BACKTRACKS, cfg.max_backtracks))]
+        for first in range(0, MAX_BACKTRACKS, SPECULATIVE_BACKTRACKS):
+            levels = [0.5**k for k in range(first, min(first + SPECULATIVE_BACKTRACKS, MAX_BACKTRACKS))]
             trials = [y0 + t * step for t in levels]
             shots = yield trials
             accepted = next(

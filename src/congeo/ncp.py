@@ -31,6 +31,15 @@ __all__ = [
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 # Relative step of the forward-difference Jacobian of an F given without one.
 JACOBIAN_FD_STEP = 1e-7
+# Line search and descent test of De Luca, Facchinei & Kanzow (1996): accept
+# step t when G(x + t d) <= G(x) + ARMIJO_SIGMA t d.grad G, shrinking t by
+# the factor ARMIJO_BETA down to MIN_STEP; keep the Newton direction d only when
+# d.grad G <= -DESCENT_RHO ||d||^DESCENT_P.
+ARMIJO_SIGMA = 1e-4
+ARMIJO_BETA = 0.5
+DESCENT_RHO = 1e-10
+DESCENT_P = 2.1
+MIN_STEP = 1e-16
 
 
 def fb_phi(a, b):
@@ -110,19 +119,11 @@ class SolverConfig:
     tol_merit: float = 1e-12
     tol_residual: float = 1e-8
     max_iter: int = 200
-    armijo_sigma: float = 1e-4
-    armijo_beta: float = 0.5
-    descent_rho: float = 1e-10
-    descent_p: float = 2.1
-    min_step: float = 1e-16
 
     def __post_init__(self):
-        for name in ("tol_merit", "tol_residual", "max_iter", "armijo_sigma",
-                     "descent_rho", "descent_p", "min_step"):
+        for name in ("tol_merit", "tol_residual", "max_iter"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.armijo_beta < 1.0:
-            raise ValueError("armijo_beta must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ def solve_ncp(
             cand = np.linalg.solve(jac_sys, -phi)
             if np.all(np.isfinite(cand)):
                 slope = float(cand @ grad)
-                if slope <= -cfg.descent_rho * np.linalg.norm(cand) ** cfg.descent_p:
+                if slope <= -DESCENT_RHO * np.linalg.norm(cand) ** DESCENT_P:
                     direction = cand
         except np.linalg.LinAlgError:
             pass
@@ -228,21 +229,21 @@ def solve_ncp(
 
         step = 1.0
         accepted = False
-        while step >= cfg.min_step:
+        while step >= MIN_STEP:
             x_new = x + step * direction
             try:
                 fx_new = problem.f_eval(x_new)
             except FloatingPointError:
-                step *= cfg.armijo_beta
+                step *= ARMIJO_BETA
                 continue
             phi_new = fb_phi(x_new, fx_new)
             g_new = 0.5 * float(phi_new @ phi_new)
-            if g_new <= g_val + cfg.armijo_sigma * step * slope:
+            if g_new <= g_val + ARMIJO_SIGMA * step * slope:
                 x, fx, phi, g_val = x_new, fx_new, phi_new, g_new
                 history.append(g_val)
                 accepted = True
                 break
-            step *= cfg.armijo_beta
+            step *= ARMIJO_BETA
         if not accepted:
             return finish("line_search_failure", it + 1)
 

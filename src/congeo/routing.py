@@ -34,6 +34,9 @@ __all__ = [
     "validity_box",
 ]
 
+# Sample points per axis of the grid on which the validity box is certified.
+BOX_SAMPLES = 21
+
 
 @dataclass(frozen=True)
 class RoutingScenario:
@@ -44,7 +47,6 @@ class RoutingScenario:
     eps_cong: float = EPS_CONG
     bvp: BvpConfig = field(default_factory=lambda: BvpConfig(explore=True))
     box_margin: float = 0.5
-    box_samples: int = 21
 
     def __post_init__(self):
         p = _pt(self.origin)
@@ -53,8 +55,6 @@ class RoutingScenario:
             raise ValueError("origin and destination must differ")
         if self.box_margin < 0:
             raise ValueError("box_margin must be nonnegative")
-        if self.box_samples < 2:
-            raise ValueError("box_samples must be at least 2")
         object.__setattr__(self, "origin", tuple(p))
         object.__setattr__(self, "destination", tuple(q))
 
@@ -106,7 +106,7 @@ def route(scenario: RoutingScenario) -> RouteResult:
     p = np.array(scenario.origin)
     q = np.array(scenario.destination)
     lo, hi = validity_box(p, q, scenario.box_margin)
-    axes = [np.linspace(lo[i], hi[i], scenario.box_samples) for i in range(len(lo))]
+    axes = [np.linspace(lo[i], hi[i], BOX_SAMPLES) for i in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
     check_points = np.stack([m.ravel() for m in mesh], axis=1)
 

@@ -13,8 +13,11 @@ pi_k per OD pair, paired against flow conservation sum_{r in k} h_r -
 d_k(pi_k).  ``per_route`` gives every route its own time pi_r, paired
 against h_r - d_od(r)(pi_r), which forces every route to carry the full
 demand; the layouts coincide on single-route networks and diverge
-otherwise.  ``_layout`` turns the choice into a route -> time-variable
-map, and every function below has one body for both.
+otherwise.  ``per_route`` is kept for comparison only: the solver converges
+on the two demo networks but stops at ``max_iter`` on all 8 seed-1
+``small_net_*`` lattices of the cli-small benchmark workload.  ``_layout``
+turns the choice into a route -> time-variable map, and every function
+below has one body for both.
 """
 
 from __future__ import annotations

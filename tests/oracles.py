@@ -2,14 +2,20 @@
 
 Everything here deliberately avoids the library's own solution paths:
 the LCP oracle enumerates active sets, the two-route equilibrium comes from
-equal-times algebra, and curve perturbations are rebuilt from splined
-control points.
+equal-times algebra, the fundamental tensor comes from second differences of
+F^2, and curve perturbations are rebuilt from splined control points.
 """
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from congeo.finsler import DomainError, _raw_eval, _vec
 from congeo.ncp import NcpProblem
+
+# Relative step for the finite-difference fundamental tensor (second
+# derivatives).  1e-4 keeps the round-off floor near 1e-7 relative; smaller
+# steps amplify cancellation past the 1e-6 agreement target.
+HESSIAN_FD_STEP = 1e-4
 
 
 def affine_problem(M, q):
@@ -59,6 +65,37 @@ def two_route_closed_form(t01, m1, t02, m2, d):
     if h1 > d:
         return np.array([d, 0.0]), t01 + m1 * d
     return np.array([h1, d - h1]), t01 + m1 * h1
+
+
+def fd_fundamental_tensor(F, x, y):
+    """Half the fiber Hessian of F^2 at (x, y), y != 0, by central second
+    differences with step ``HESSIAN_FD_STEP * ||y||``: the cross-check of the
+    closed-form ``finsler.fundamental_tensor``."""
+    a, b = F.coefficients(x)
+    y = _vec(y, "tangent components")
+    ny = float(np.linalg.norm(y))
+    if ny == 0.0:
+        raise DomainError("fundamental tensor undefined at y = 0")
+
+    def fsq(v: np.ndarray) -> float:
+        return float(_raw_eval(a, b, v)) ** 2
+
+    n = y.shape[0]
+    h = HESSIAN_FD_STEP * ny
+    mat = np.empty((n, n))
+    f0 = fsq(y)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h
+        mat[i, i] = (fsq(y + ei) - 2 * f0 + fsq(y - ei)) / h**2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = h
+            mixed = (
+                fsq(y + ei + ej) - fsq(y + ei - ej) - fsq(y - ei + ej) + fsq(y - ei - ej)
+            ) / (4 * h**2)
+            mat[i, j] = mat[j, i] = mixed
+    return 0.5 * mat
 
 
 def perturbed_curve(rng, curve, n_ctrl=7, amp_range=(0.03, 0.10)):

@@ -30,6 +30,7 @@ from congeo.traffic import gap_value, solve_ue
 from conftest import random_randers
 from oracles import (
     affine_problem,
+    fd_fundamental_tensor,
     lcp_enumeration_oracle,
     perturbed_curve,
     random_monotone_affine,
@@ -145,10 +146,10 @@ def test_criterion_5_finsler_validity_suite():
             for lam in (0.5, 2.0, 10.0):
                 scaled = randers_eval(F, x, lam * y)
                 assert abs(scaled - lam * base) <= 1e-10 * abs(lam * base)
-            analytic = fundamental_tensor(F, x, y, mode="analytic").matrix
+            analytic = fundamental_tensor(F, x, y).matrix
             eigs = np.linalg.eigvalsh(analytic)
             assert np.all(eigs > 0.0)
-            fd = fundamental_tensor(F, x, y, mode="finite_difference").matrix
+            fd = fd_fundamental_tensor(F, x, y)
             assert np.max(np.abs(analytic - fd)) <= 1e-6 * np.max(np.abs(analytic))
 
 

@@ -217,6 +217,30 @@ class TestRunContract:
         assert runs[0] == runs[1]
 
 
+# The status and iteration count each command reaches at its default
+# principal tolerance and under the given --tol.
+TOL_CASES = {
+    "solve-ncp": (("solve-ncp", demo("ncp_affine.json")), "1e-10", ("converged", 4), ("converged", 5)),
+    "solve-ue": (("solve-ue", demo("network_two_routes.json")), "0.1", ("converged", 5), ("converged", 4)),
+    "dynamic": (
+        ("dynamic", demo("trajectory_constant.csv"), "--cost-model", "identity", "--minimize"), "0.5",
+        ("converged", 18), ("converged", 1),
+    ),
+    "validate": (("validate", demo("scenario_uniform.json")), "0.6", ("valid", None), ("invalid", None)),
+}
+
+
+class TestTolFlag:
+    @pytest.mark.parametrize("argv, tol, default, overridden", TOL_CASES.values(), ids=TOL_CASES.keys())
+    def test_tol_reaches_the_principal_tolerance(self, tmp_path, argv, tol, default, overridden):
+        outcomes = []
+        for name, extra in (("default", ()), ("tol", ("--tol", tol))):
+            run_cli(*argv, *extra, "--out", str(tmp_path / name))
+            summary = fileio.load_json(str(tmp_path / name / f"{argv[0]}_summary.json"))
+            outcomes.append((summary["status"], summary["results"].get("iterations")))
+        assert outcomes == [default, overridden]
+
+
 def _readme_commands():
     text = open(README, encoding="utf-8").read()
     block = text.split("## Command line", 1)[1].split("```")[1]

@@ -5,7 +5,6 @@ from scipy.integrate import quad
 from congeo.dynamic import (
     AffineCost,
     DynamicConfig,
-    OptimizerSettings,
     Trajectory,
     complementarity_merit,
     dynamic_gap,
@@ -154,7 +153,7 @@ class TestMinimizeDynamic:
 
     def test_iteration_budget_reported(self):
         grid = np.linspace(0, 1, 31)
-        cfg = DynamicConfig(optimizer=OptimizerSettings(max_iter=2))
+        cfg = DynamicConfig(max_iter=2)
         res = minimize_dynamic(parse_cost_model("identity"), grid, cfg, h0=np.ones(31))
         assert not res.converged
         assert res.iterations == 2

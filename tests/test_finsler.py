@@ -24,6 +24,7 @@ from congeo.finsler import (
     validate_structure,
 )
 from conftest import invalid_drift_structure, random_direction, random_randers
+from oracles import fd_fundamental_tensor
 
 
 class TestPointsAndVectors:
@@ -222,7 +223,7 @@ class TestFundamentalTensor:
         with pytest.raises(DomainError):
             fundamental_tensor(euclidean_randers(), (0, 0), (0, 0))
         with pytest.raises(DomainError):
-            fundamental_tensor(euclidean_randers(), (0, 0), (0, 0), mode="finite_difference")
+            fd_fundamental_tensor(euclidean_randers(), (0, 0), (0, 0))
 
     def test_analytic_matches_finite_difference(self, rng):
         worst = 0.0
@@ -230,8 +231,8 @@ class TestFundamentalTensor:
             F = random_randers(rng)
             x = rng.uniform(-1, 1, size=2)
             y = random_direction(rng)
-            ga = fundamental_tensor(F, x, y, mode="analytic").matrix
-            gf = fundamental_tensor(F, x, y, mode="finite_difference").matrix
+            ga = fundamental_tensor(F, x, y).matrix
+            gf = fd_fundamental_tensor(F, x, y)
             worst = max(worst, np.max(np.abs(ga - gf)) / np.max(np.abs(ga)))
         assert worst <= 1e-6
 
@@ -246,8 +247,8 @@ class TestFundamentalTensor:
         F = build_randers(euclidean_metric(), congestion_vortex(0.0, 0.0, 0.6))
         x = np.array([0.7, -0.4])
         y = np.array([1.0, 2.0])
-        ga = fundamental_tensor(F, x, y, mode="analytic").matrix
-        gf = fundamental_tensor(F, x, y, mode="finite_difference").matrix
+        ga = fundamental_tensor(F, x, y).matrix
+        gf = fd_fundamental_tensor(F, x, y)
         assert np.max(np.abs(ga - gf)) / np.max(np.abs(ga)) <= 1e-6
 
 
@@ -341,6 +342,12 @@ class TestGridCongestion:
         field = grid_congestion(xs, ys, w)
         with pytest.raises(DomainError, match="outside"):
             field((5.0, 0.0))
+
+    def test_outside_grid_message_prints_plain_floats(self):
+        field = grid_congestion([0, 1, 2], [0, 1, 2], np.zeros((3, 3, 2)))
+        with pytest.raises(DomainError) as exc:
+            field((5.0, 0.0))
+        assert str(exc.value) == "point (5.0, 0.0) outside congestion grid [0.0,2.0]x[0.0,2.0]"
 
     def test_grid_probes_gate_saturation(self):
         xs = ys = np.linspace(-1, 1, 3)
