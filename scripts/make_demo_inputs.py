@@ -106,7 +106,7 @@ def main():
     t2 = np.linspace(0.0, 1.0, 101)
     fileio.write_trajectory_csv(
         os.path.join(DEMO, "trajectory_constant.csv"),
-        Trajectory(grid=t2, h=np.ones_like(t2), cost=lambda h, tt: h),
+        Trajectory(grid=t2, h=np.ones_like(t2), c=np.ones_like(t2)),
         include_cost=False,
     )
 

@@ -263,21 +263,19 @@ def cmd_route(cfg: RunConfig):
 
 def cmd_dynamic(cfg: RunConfig):
     grid, flows, costs = fileio.read_trajectory_csv(cfg.inputs[0])
-    model = None
     if cfg.cost_model is not None:
         try:
             model = dyn.parse_cost_model(cfg.cost_model)
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
-    if costs is None and model is None:
+    elif costs is not None:
+        model = dyn.AffineCost(0.0, costs)
+    else:
         raise SchemaError("trajectory has no cost column; supply --cost-model")
 
     dyn_cfg = dyn.DynamicConfig(variant=cfg.variant, tol=cfg.tol) if cfg.tol else dyn.DynamicConfig(variant=cfg.variant)
     try:
-        if model is not None:
-            traj = dyn.Trajectory(grid=grid, h=flows, cost=model)
-        else:
-            traj = dyn.Trajectory(grid=grid, h=flows, c=costs)
+        traj = dyn.Trajectory(grid=grid, h=flows, c=model(flows, grid))
     except ValueError as exc:
         raise SchemaError(f"{cfg.inputs[0]}: {exc}") from None
 
@@ -289,8 +287,6 @@ def cmd_dynamic(cfg: RunConfig):
     }
     if not cfg.minimize:
         return "converged", results, []
-    if model is None:
-        model = dyn.AffineCost(0.0, np.array(costs))
     res = dyn.minimize_dynamic(model, grid, dyn_cfg, h0=flows)
     results.update(
         {
@@ -299,12 +295,11 @@ def cmd_dynamic(cfg: RunConfig):
             "iterations": res.iterations,
             "minimizer_converged": res.converged,
             "minimizer_objective_evaluations": res.objective_evaluations,
-            "minimizer_gradient": res.gradient,
             "minimized_monotone_flow": res.monotone_flow,
         }
     )
     opt_path = os.path.join(cfg.out, "dynamic_minimized.csv")
-    fileio.write_trajectory_csv(opt_path, res.trajectory, include_cost=True)
+    fileio.write_trajectory_csv(opt_path, res.trajectory)
     return "converged" if res.converged else "non_converged", results, [opt_path]
 
 

@@ -1,7 +1,7 @@
 """Time-dependent complementarity functionals over flow trajectories.
 
-For a flow trajectory h(t) with travel cost c(t) (sampled or produced by a
-cost model c(h, t)), two quantities are evaluated on the grid:
+For a flow trajectory h(t) with sampled travel cost c(t), two quantities are
+evaluated on the grid:
 
 * ``dynamic_gap`` -- the literal line integral of psi(h, c) against dh,
   i.e. the quadrature of psi(h(t), c(t)) h'(t) dt, with psi either phi/2
@@ -19,7 +19,6 @@ cost model c(h, t)), two quantities are evaluated on the grid:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -39,30 +38,26 @@ __all__ = [
 ]
 
 VARIANTS = ("half_phi", "half_phi_squared")
-# Projected gradient descent: the first trial step, the growth factor after
-# an accepted step and its cap, and the relative step of the FD gradient.
+# Projected gradient descent: the first trial step, and the growth factor
+# after an accepted step and its cap.
 INITIAL_STEP = 1.0
 STEP_GROWTH = 1.5
 MAX_STEP = 1e8
-GRADIENT_FD_STEP = 1e-7
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Flow samples h >= 0 on a strictly increasing time grid.
-
-    Costs come either as per-node samples ``c`` or as a model ``cost(h, t)``
-    evaluated on demand (exactly one of the two must be present).
-    """
+    """Flow samples h >= 0 and cost samples c on a strictly increasing time
+    grid."""
 
     grid: np.ndarray
     h: np.ndarray
-    c: np.ndarray | None = None
-    cost: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    c: np.ndarray
 
     def __post_init__(self):
         t = np.array(self.grid, dtype=float)
         h = np.array(self.h, dtype=float)
+        c = np.array(self.c, dtype=float)
         if t.ndim != 1 or t.shape[0] < 3:
             raise ValueError("trajectory grid needs at least three nodes")
         if np.any(np.diff(t) <= 0):
@@ -71,30 +66,15 @@ class Trajectory:
             raise ValueError("flows must match the grid and be finite")
         if np.any(h < 0):
             raise ValueError("flows must be nonnegative")
-        if (self.c is None) == (self.cost is None):
-            raise ValueError("provide exactly one of sampled costs or a cost model")
-        t.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(self, "grid", t)
-        object.__setattr__(self, "h", h)
-        if self.c is not None:
-            c = np.array(self.c, dtype=float)
-            if c.shape != t.shape or not np.all(np.isfinite(c)):
-                raise ValueError("cost samples must match the grid and be finite")
-            c.setflags(write=False)
-            object.__setattr__(self, "c", c)
+        if c.shape != t.shape or not np.all(np.isfinite(c)):
+            raise ValueError("cost samples must match the grid and be finite")
+        for name, arr in (("grid", t), ("h", h), ("c", c)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_nodes(self) -> int:
         return self.grid.shape[0]
-
-    def cost_values(self) -> np.ndarray:
-        if self.c is not None:
-            return self.c
-        vals = np.asarray(self.cost(self.h, self.grid), dtype=float)
-        if vals.shape != self.grid.shape or not np.all(np.isfinite(vals)):
-            raise ValueError("cost model must return finite per-node values")
-        return vals
 
     def monotone(self) -> bool:
         return bool(np.all(np.diff(self.h) >= 0.0))
@@ -106,12 +86,10 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class DynamicConfig:
-    """The merit's variant and price offset, plus ``minimize_dynamic``'s
-    iteration budget and its stopping tolerance on the max-norm flow step."""
+    """The merit's variant, plus ``minimize_dynamic``'s iteration budget and
+    its stopping tolerance on the max-norm flow step."""
 
     variant: str = "half_phi_squared"
-    pi_offset: float = 0.0  # replaces c by c - pi_offset
-    fix_endpoints: bool = False
     max_iter: int = 500
     tol: float = 1e-10
 
@@ -131,27 +109,25 @@ def _psi(h: np.ndarray, c: np.ndarray, variant: str) -> np.ndarray:
 
 
 def dynamic_gap(traj: Trajectory, cfg: DynamicConfig | None = None) -> float:
-    """Trapezoid value of the literal integral of psi(h, c - pi) h'(t) dt."""
+    """Trapezoid value of the literal integral of psi(h, c) h'(t) dt."""
     cfg = cfg or DynamicConfig()
-    c = traj.cost_values() - cfg.pi_offset
-    integrand = _psi(traj.h, c, cfg.variant) * traj.flow_rate()
+    integrand = _psi(traj.h, traj.c, cfg.variant) * traj.flow_rate()
     return float(trapezoid(integrand, traj.grid))
 
 
 def complementarity_merit(traj: Trajectory, cfg: DynamicConfig | None = None) -> float:
-    """Trapezoid value of psi(h, c - pi) dt; in the squared variant this is
+    """Trapezoid value of psi(h, c) dt; in the squared variant this is
     nonnegative and zero exactly when phi vanishes at every node."""
     cfg = cfg or DynamicConfig()
-    c = traj.cost_values() - cfg.pi_offset
-    return float(trapezoid(_psi(traj.h, c, cfg.variant), traj.grid))
+    return float(trapezoid(_psi(traj.h, traj.c, cfg.variant), traj.grid))
 
 
 @dataclass(frozen=True)
 class AffineCost:
     """Cost model c(h, t) = a*h + b, with ``b`` a scalar or per-node samples.
 
-    Its pointwise slope dc/dh = a lets ``minimize_dynamic`` use the exact
-    merit gradient instead of finite differences.
+    Its pointwise slope dc/dh = a gives ``minimize_dynamic`` the exact merit
+    gradient.
     """
 
     a: float
@@ -170,7 +146,6 @@ class MinimizeResult:
     converged: bool
     monotone_flow: bool
     objective_evaluations: int  # merit evaluations, line search included
-    gradient: str  # "exact" (AffineCost) or "finite_difference"
     objective_history: tuple[float, ...] = field(repr=False, default=())
 
 
@@ -185,45 +160,29 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 def _affine_gradient(model: AffineCost, grid: np.ndarray, h: np.ndarray, cfg: DynamicConfig) -> np.ndarray:
     """Exact merit gradient for c = a*h + b: each node's psi depends on its
     own flow only, so dM/dh_k = w_k psi'(phi_k) (d_a phi + a d_b phi) at
-    (h_k, c_k - pi), with the symmetric generalized gradient of phi at the
+    (h_k, c_k), with the symmetric generalized gradient of phi at the
     origin."""
-    c = model(h, grid) - cfg.pi_offset
+    c = model(h, grid)
     da, db = fb_subgradient(h, c)
     dpsi = fb_phi(h, c) if cfg.variant == "half_phi_squared" else 0.5
     return _trapezoid_weights(grid) * dpsi * (da + model.a * db)
 
 
-def _fd_gradient(objective: Callable[[np.ndarray], float], h: np.ndarray, fd_step: float) -> np.ndarray:
-    """Central differences of the objective, one-sided at h_k = 0; the
-    reference path, and the only one for costs that may couple nodes."""
-    g = np.empty_like(h)
-    for k in range(h.shape[0]):
-        d = fd_step * max(1.0, abs(h[k]))
-        hp = h.copy()
-        hp[k] += d
-        hm = h.copy()
-        hm[k] = max(hm[k] - d, 0.0)
-        span = hp[k] - hm[k]
-        g[k] = (objective(hp) - objective(hm)) / span
-    return g
-
-
 def minimize_dynamic(
-    cost_model: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    cost_model: AffineCost,
     grid,
     cfg: DynamicConfig | None = None,
     h0=None,
 ) -> MinimizeResult:
     """Projected gradient descent of the complementarity merit over node flows.
 
-    The flows stay clamped at h >= 0 (endpoints additionally pinned when
-    ``fix_endpoints`` is set).  For an ``AffineCost`` the gradient is exact
-    and costs no objective evaluation; any other callable may couple nodes,
-    so its gradient is central finite differences of the objective (2N
-    evaluations).  The objective never increases across accepted steps; if
-    the iteration budget runs out the best iterate is returned with
-    ``converged=False``.
+    The flows stay clamped at h >= 0.  The gradient is the closed form of
+    the ``AffineCost`` and costs no objective evaluation.  The objective
+    never increases across accepted steps; if the iteration budget runs out
+    the best iterate is returned with ``converged=False``.
     """
+    if not isinstance(cost_model, AffineCost):
+        raise TypeError(f"cost_model must be an AffineCost, not {type(cost_model).__name__}")
     cfg = cfg or DynamicConfig()
     grid = np.asarray(grid, dtype=float)
     if h0 is None:
@@ -233,39 +192,24 @@ def minimize_dynamic(
         if h.shape != grid.shape:
             raise ValueError("h0 must match the grid")
     h = np.maximum(h, 0.0)
-    exact = isinstance(cost_model, AffineCost)
     evaluations = 0
 
     def objective(hv: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        return complementarity_merit(Trajectory(grid=grid, h=hv, cost=cost_model), cfg)
-
-    def project(hv: np.ndarray) -> np.ndarray:
-        out = np.maximum(hv, 0.0)
-        if cfg.fix_endpoints:
-            out[0], out[-1] = h[0], h[-1]
-        return out
+        return complementarity_merit(Trajectory(grid=grid, h=hv, c=cost_model(hv, grid)), cfg)
 
     val = objective(h)
     history = [val]
     step = INITIAL_STEP
     converged = False
     iterations = 0
-    endpoints0 = (h[0], h[-1])
 
     for iterations in range(1, cfg.max_iter + 1):
-        if exact:
-            grad = _affine_gradient(cost_model, grid, h, cfg)
-        else:
-            grad = _fd_gradient(objective, h, GRADIENT_FD_STEP)
-        if cfg.fix_endpoints:
-            grad[0] = grad[-1] = 0.0
+        grad = _affine_gradient(cost_model, grid, h, cfg)
         moved = False
         while step >= 1e-18:
-            trial = project(h - step * grad)
-            if cfg.fix_endpoints:
-                trial[0], trial[-1] = endpoints0
+            trial = np.maximum(h - step * grad, 0.0)
             tval = objective(trial)
             if tval <= val:
                 delta = float(np.max(np.abs(trial - h)))
@@ -281,7 +225,7 @@ def minimize_dynamic(
             converged = converged or not moved  # stationary: no descent direction left
             break
 
-    final = Trajectory(grid=grid, h=h, cost=cost_model)
+    final = Trajectory(grid=grid, h=h, c=cost_model(h, grid))
     return MinimizeResult(
         trajectory=final,
         objective=val,
@@ -290,7 +234,6 @@ def minimize_dynamic(
         converged=converged,
         monotone_flow=final.monotone(),
         objective_evaluations=evaluations,
-        gradient="exact" if exact else "finite_difference",
         objective_history=tuple(history),
     )
 

@@ -494,9 +494,8 @@ def read_curve_csv(path: str) -> Curve:
         raise SchemaError(f"{path}: {exc}") from None
 
 
-def write_trajectory_csv(path: str, traj: Trajectory, include_cost: bool | None = None) -> None:
-    cost = traj.cost_values() if (include_cost or (include_cost is None and traj.c is not None)) else None
-    columns = (traj.grid, traj.h) if cost is None else (traj.grid, traj.h, cost)
+def write_trajectory_csv(path: str, traj: Trajectory, include_cost: bool = True) -> None:
+    columns = (traj.grid, traj.h, traj.c) if include_cost else (traj.grid, traj.h)
     _write_table(path, ["t", "h", "c"][: len(columns)], columns)
 
 

@@ -374,17 +374,14 @@ def _default_start(network: TrafficNetwork, demand_block: str) -> np.ndarray:
 def wardrop_residuals(network: TrafficNetwork, solution, demand_block: str = "per_od") -> WardropResiduals:
     """Evaluate the equilibrium violation measures at a candidate solution.
 
-    Accepts a UeSolution or an (h, pi) pair; costs are evaluated with flows
-    clamped at zero so infeasible candidates still report finite numbers.
+    ``solution`` is an (h, pi) pair; costs are evaluated with flows clamped
+    at zero so infeasible candidates still report finite numbers.
     Demand gaps are keyed by the layout's time variables: OD ids for
     ``per_od``, route ids for ``per_route``.
     """
-    if isinstance(solution, UeSolution):
-        h, pi, demand_block = solution.h, solution.pi, solution.demand_block
-    else:
-        h, pi = solution
-        h = np.asarray(h, dtype=float)
-        pi = np.asarray(pi, dtype=float)
+    h, pi = solution
+    h = np.asarray(h, dtype=float)
+    pi = np.asarray(pi, dtype=float)
     group, ids, demands = _layout(network, demand_block)
     R = network.n_routes
     costs = _route_costs_clamped(network, h)

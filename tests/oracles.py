@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own solution paths:
 the LCP oracle enumerates active sets, the two-route equilibrium comes from
 equal-times algebra, the fundamental tensor comes from second differences of
-F^2, and curve perturbations are rebuilt from splined control points.
+F^2, the dynamic merit gradient from first differences of the merit, and
+curve perturbations are rebuilt from splined control points.
 """
 
 import numpy as np
@@ -16,6 +17,8 @@ from congeo.ncp import NcpProblem
 # derivatives).  1e-4 keeps the round-off floor near 1e-7 relative; smaller
 # steps amplify cancellation past the 1e-6 agreement target.
 HESSIAN_FD_STEP = 1e-4
+# Relative step for the finite-difference gradient of the dynamic merit.
+GRADIENT_FD_STEP = 1e-7
 
 
 def affine_problem(M, q):
@@ -96,6 +99,21 @@ def fd_fundamental_tensor(F, x, y):
             ) / (4 * h**2)
             mat[i, j] = mat[j, i] = mixed
     return 0.5 * mat
+
+
+def fd_gradient(objective, h):
+    """Central differences of the objective with step ``GRADIENT_FD_STEP *
+    max(1, |h_k|)``, one-sided at h_k = 0: the cross-check of the
+    closed-form ``dynamic._affine_gradient``."""
+    g = np.empty_like(h)
+    for k in range(h.shape[0]):
+        d = GRADIENT_FD_STEP * max(1.0, abs(h[k]))
+        hp = h.copy()
+        hp[k] += d
+        hm = h.copy()
+        hm[k] = max(hm[k] - d, 0.0)
+        g[k] = (objective(hp) - objective(hm)) / (hp[k] - hm[k])
+    return g
 
 
 def perturbed_curve(rng, curve, n_ctrl=7, amp_range=(0.03, 0.10)):

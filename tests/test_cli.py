@@ -221,7 +221,8 @@ class TestRunContract:
 # principal tolerance and under the given --tol.
 TOL_CASES = {
     "solve-ncp": (("solve-ncp", demo("ncp_affine.json")), "1e-10", ("converged", 4), ("converged", 5)),
-    "solve-ue": (("solve-ue", demo("network_two_routes.json")), "0.1", ("converged", 5), ("converged", 4)),
+    "solve-ncp-loose": (("solve-ncp", demo("ncp_affine.json")), "0.1", ("converged", 4), ("converged", 2)),
+    "solve-ue": (("solve-ue", demo("network_two_routes.json")), "0.1", ("converged", 5), ("converged", 2)),
     "dynamic": (
         ("dynamic", demo("trajectory_constant.csv"), "--cost-model", "identity", "--minimize"), "0.5",
         ("converged", 18), ("converged", 1),
@@ -343,7 +344,6 @@ class TestDynamicCommand:
         assert code == EXIT_OK
         results = fileio.load_json(str(tmp_path / "dynamic_summary.json"))["results"]
         grid, _, _ = fileio.read_trajectory_csv(path)
-        assert results["minimizer_gradient"] == "exact"
         assert 0 < results["minimizer_objective_evaluations"] < grid.shape[0]
 
     def test_missing_cost_model_exits_1(self, tmp_path):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from congeo.ncp import solve_ncp
 from congeo.traffic import ElasticDemand, FixedDemand, solve_ue
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demo")
+MAKE_DEMO = os.path.join(os.path.dirname(__file__), "..", "scripts", "make_demo_inputs.py")
 
 
 class TestJsonFormatting:
@@ -266,7 +268,7 @@ class TestTableFormats:
 
     def test_trajectory_roundtrip_without_cost(self, tmp_path):
         t = np.linspace(0, 1, 9)
-        traj = Trajectory(grid=t, h=np.ones_like(t), cost=lambda h, tt: h)
+        traj = Trajectory(grid=t, h=np.ones_like(t), c=np.ones_like(t))
         path = str(tmp_path / "traj.csv")
         fileio.write_trajectory_csv(path, traj, include_cost=False)
         grid, h, c = fileio.read_trajectory_csv(path)
@@ -321,3 +323,16 @@ class TestTableErrors:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match=re.escape(f"{path}:{line}: ") + match):
             getattr(fileio, reader)(str(path))
+
+
+class TestDemoInputs:
+    def test_script_reproduces_demo_files(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("make_demo_inputs", MAKE_DEMO)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        script.DEMO = str(tmp_path)
+        script.main()
+        assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(DEMO))
+        for name in os.listdir(DEMO):
+            with open(os.path.join(DEMO, name), "rb") as want, open(tmp_path / name, "rb") as got:
+                assert got.read() == want.read(), name
