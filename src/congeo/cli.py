@@ -179,8 +179,18 @@ def cmd_solve_ncp(cfg: RunConfig):
         },
         solution_path,
     )
-    results = {"merit": report.merit, "residual": report.residual, "iterations": report.iterations}
+    results = {"merit": report.merit, "residual": report.residual, **_work_counts(report)}
     return report.status, results, [solution_path]
+
+
+def _work_counts(report) -> dict:
+    """The solver's iteration and step counts, reported in the summary only."""
+    return {
+        "iterations": report.iterations,
+        "newton_steps": report.newton_steps,
+        "gradient_steps": report.gradient_steps,
+        "backtracks": report.backtracks,
+    }
 
 
 def cmd_solve_ue(cfg: RunConfig):
@@ -205,7 +215,7 @@ def cmd_solve_ue(cfg: RunConfig):
         "demand_block": sol.demand_block,
         "merit": sol.report.merit,
         "residual": sol.report.residual,
-        "iterations": sol.report.iterations,
+        **_work_counts(sol.report),
     }
     return sol.report.status, results, [flows_path, times_path, resid_path]
 

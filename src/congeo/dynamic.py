@@ -72,10 +72,6 @@ class Trajectory:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.grid.shape[0]
-
     def monotone(self) -> bool:
         return bool(np.all(np.diff(self.h) >= 0.0))
 
@@ -134,7 +130,8 @@ class AffineCost:
     b: float | np.ndarray
 
     def __call__(self, h: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return self.a * np.asarray(h, dtype=float) + self.b
+        with np.errstate(over="ignore", invalid="ignore"):  # Trajectory rejects a non-finite cost
+            return self.a * np.asarray(h, dtype=float) + self.b
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,14 @@ the NCP and the merit G(x) = ||phi(x)||^2 / 2 turns it into unconstrained
 minimization.  The solver runs damped semismooth Newton steps on the system
 with Armijo backtracking on the merit, replacing steps that are not
 sufficient descent directions by the negative merit gradient.
+
+With (d_a, d_b) = fb_subgradient(x, F(x)) and J = F'(x), the system
+Jacobian is H = diag(d_a) + diag(d_b) J.  The Newton step solves the
+Tikhonov-regularized equation (H + eps diag(d_b)) d = -phi with
+eps = REGULARIZATION ||phi||_2 (Facchinei & Kanzow 1999), which keeps the
+step defined where H is singular (non-unique route flows) and vanishes with
+phi, so fast local convergence is kept.  The descent test and the merit
+gradient H^T phi use the unregularized H.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ ARMIJO_BETA = 0.5
 DESCENT_RHO = 1e-10
 DESCENT_P = 2.1
 MIN_STEP = 1e-16
+# Tikhonov weight of the Newton equation: eps = REGULARIZATION * ||phi||_2.
+REGULARIZATION = 1e-4
 
 
 def fb_phi(a, b):
@@ -133,6 +143,9 @@ class SolveReport:
     iterations: int
     status: str  # converged | max_iter | line_search_failure
     merit_history: tuple[float, ...] = field(default=(), repr=False)
+    newton_steps: int = 0  # iterations that took the Newton direction
+    gradient_steps: int = 0  # iterations that fell back to the negative merit gradient
+    backtracks: int = 0  # rejected line-search trial points
 
     @property
     def converged(self) -> bool:
@@ -151,10 +164,15 @@ def merit(x, problem: NcpProblem) -> float:
     return 0.5 * float(phi @ phi)
 
 
-def _system_jacobian(x: np.ndarray, fx: np.ndarray, problem: NcpProblem) -> np.ndarray:
-    da, db = fb_subgradient(x, fx)
-    jac = problem.jac_eval(x)
-    return np.diag(np.atleast_1d(da)) + np.atleast_1d(db)[:, None] * jac
+def _system_jacobian(jac: np.ndarray, da: np.ndarray, db: np.ndarray, eps: float = 0.0,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """H + eps diag(d_b) with H = diag(d_a) + diag(d_b) J, written into ``out``
+    (a new array when None).  ``jac`` is only read: a problem may return the
+    same array on every call."""
+    out = np.multiply(db[:, None], jac, out=out)
+    diag = np.arange(len(db))
+    out[diag, diag] += da + eps * db
+    return out
 
 
 def merit_gradient(x, problem: NcpProblem) -> np.ndarray:
@@ -162,7 +180,7 @@ def merit_gradient(x, problem: NcpProblem) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     fx = problem.f_eval(x)
     phi = fb_phi(x, fx)
-    return _system_jacobian(x, fx, problem).T @ phi
+    return _system_jacobian(problem.jac_eval(x), *fb_subgradient(x, fx)).T @ phi
 
 
 def solve_ncp(
@@ -172,7 +190,9 @@ def solve_ncp(
 ) -> SolveReport:
     """Damped semismooth Newton on the componentwise system.
 
-    Newton directions failing the sufficient-descent test
+    Each step solves the regularized Newton equation of the module docstring
+    in one (n, n) array the solver reuses across iterations.  Newton
+    directions failing the sufficient-descent test
     d . grad G <= -rho ||d||^p fall back to the negative merit gradient;
     steps are accepted under the Armijo condition on the merit.  Convergence
     is the max-norm system residual reaching its tolerance, which bounds the
@@ -193,6 +213,8 @@ def solve_ncp(
     phi = fb_phi(x, fx)
     g_val = 0.5 * float(phi @ phi)
     history = [g_val]
+    system = np.empty((problem.n, problem.n))
+    newton_steps = gradient_steps = backtracks = 0
 
     def finish(status: str, iterations: int) -> SolveReport:
         return SolveReport(
@@ -202,6 +224,9 @@ def solve_ncp(
             iterations=iterations,
             status=status,
             merit_history=tuple(history),
+            newton_steps=newton_steps,
+            gradient_steps=gradient_steps,
+            backtracks=backtracks,
         )
 
     for it in range(cfg.max_iter):
@@ -209,12 +234,14 @@ def solve_ncp(
         if residual <= cfg.tol_residual:
             return finish("converged", it)
 
-        jac_sys = _system_jacobian(x, fx, problem)
-        grad = jac_sys.T @ phi
+        da, db = fb_subgradient(x, fx)
+        eps = REGULARIZATION * float(np.linalg.norm(phi))
+        _system_jacobian(problem.jac_eval(x), da, db, eps, out=system)
+        grad = system.T @ phi - eps * db * phi  # H^T phi, without the regularization
 
         direction = None
         try:
-            cand = np.linalg.solve(jac_sys, -phi)
+            cand = np.linalg.solve(system, -phi)
             if np.all(np.isfinite(cand)):
                 slope = float(cand @ grad)
                 if slope <= -DESCENT_RHO * np.linalg.norm(cand) ** DESCENT_P:
@@ -223,6 +250,9 @@ def solve_ncp(
             pass
         if direction is None:
             direction = -grad
+            gradient_steps += 1
+        else:
+            newton_steps += 1
         slope = float(direction @ grad)
 
         step = 1.0
@@ -233,6 +263,7 @@ def solve_ncp(
                 fx_new = problem.f_eval(x_new)
             except FloatingPointError:
                 step *= ARMIJO_BETA
+                backtracks += 1
                 continue
             phi_new = fb_phi(x_new, fx_new)
             g_new = 0.5 * float(phi_new @ phi_new)
@@ -242,6 +273,7 @@ def solve_ncp(
                 accepted = True
                 break
             step *= ARMIJO_BETA
+            backtracks += 1
         if not accepted:
             return finish("line_search_failure", it + 1)
 

@@ -14,10 +14,11 @@ d_k(pi_k).  ``per_route`` gives every route its own time pi_r, paired
 against h_r - d_od(r)(pi_r), which forces every route to carry the full
 demand; the layouts coincide on single-route networks and diverge
 otherwise.  ``per_route`` is kept for comparison only: the solver converges
-on the two demo networks but stops at ``max_iter`` on all 8 seed-1
+on the two demo networks but stops at ``max_iter`` on 4 of the 8 seed-1
 ``small_net_*`` lattices of the cli-small benchmark workload.  ``_layout``
-turns the choice into a route -> time-variable map, and every function
-below has one body for both.
+turns the choice into a route -> time-variable map plus the demand arrays
+of d(pi) = max(0, d0 - k pi), and every function below has one body for
+both.
 """
 
 from __future__ import annotations
@@ -81,9 +82,6 @@ class FixedDemand:
     def __call__(self, pi: float) -> float:
         return self.value
 
-    def derivative(self, pi: float) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
 class ElasticDemand:
@@ -98,9 +96,6 @@ class ElasticDemand:
 
     def __call__(self, pi: float) -> float:
         return max(0.0, self.d0 - self.k * pi)
-
-    def derivative(self, pi: float) -> float:
-        return -self.k if self.d0 - self.k * pi > 0.0 else 0.0
 
 
 Demand = Union[FixedDemand, ElasticDemand]
@@ -259,25 +254,28 @@ def route_cost(network: TrafficNetwork, h) -> np.ndarray:
     return _route_costs_clamped(network, h)
 
 
-def _cost_jacobian(network: TrafficNetwork, h: np.ndarray) -> np.ndarray:
-    inc = network.incidence()
-    v = inc.T @ h
-    return (inc * _link_time_slopes(network, v)[None, :]) @ inc.T
-
-
-def _layout(network: TrafficNetwork, demand_block: str) -> tuple[np.ndarray, tuple[str, ...], list]:
+def _layout(network: TrafficNetwork, demand_block: str) -> tuple[np.ndarray, tuple[str, ...], np.ndarray, np.ndarray]:
     """The route -> time-variable map of a demand-block layout.
 
     Returns ``group`` (group[r] is the time variable route r is priced
-    against), the ids of the time variables and each one's demand function.
+    against), the ids of the time variables and each one's demand as the
+    arrays ``d0`` and ``k`` of d(pi) = max(0, d0 - k pi) (k = 0 for fixed
+    demand); ``_served`` evaluates it.
     """
     if demand_block not in DEMAND_BLOCKS:
         raise ValueError(f"demand_block must be one of {DEMAND_BLOCKS}")
     r_od = network.route_od_index()
+    demands = [od.demand for od in network.od_pairs]
+    d0 = np.array([d.value if isinstance(d, FixedDemand) else d.d0 for d in demands], dtype=float)
+    k = np.array([0.0 if isinstance(d, FixedDemand) else d.k for d in demands], dtype=float)
     if demand_block == "per_od":
-        return r_od, tuple(od.id for od in network.od_pairs), [od.demand for od in network.od_pairs]
-    demands = [network.od_pairs[k].demand for k in r_od]
-    return np.arange(network.n_routes), tuple(r.id for r in network.routes), demands
+        return r_od, tuple(od.id for od in network.od_pairs), d0, k
+    return np.arange(network.n_routes), tuple(r.id for r in network.routes), d0[r_od], k[r_od]
+
+
+def _served(d0: np.ndarray, k: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Demand d(pi) = max(0, d0 - k pi) of each time variable."""
+    return np.maximum(0.0, d0 - k * pi)
 
 
 def assemble_ncp(network: TrafficNetwork, demand_block: str = "per_od") -> NcpProblem:
@@ -289,24 +287,25 @@ def assemble_ncp(network: TrafficNetwork, demand_block: str = "per_od") -> NcpPr
     F = (c(h) - P pi; P^T h - d(pi)), and the Jacobian
     [[dc/dh, -P], [P^T, -diag(d'(pi))]] is filled into one (R+K)^2 array.
     """
-    group, _, demands = _layout(network, demand_block)
-    R, K = network.n_routes, len(demands)
+    group, _, d0, k = _layout(network, demand_block)
+    R, K = network.n_routes, len(d0)
+    inc = network.incidence()
     P = np.zeros((R, K))
     P[np.arange(R), group] = 1.0
 
     def f(x: np.ndarray) -> np.ndarray:
         h, pi = x[:R], x[R:]
         costs = _route_costs_clamped(network, h)
-        dem = np.array([d(p) for d, p in zip(demands, pi)])
-        return np.concatenate([costs - P @ pi, P.T @ h - dem])
+        return np.concatenate([costs - P @ pi, P.T @ h - _served(d0, k, pi)])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         h, pi = x[:R], x[R:]
-        jac = np.zeros((R + K, R + K))
-        jac[:R, :R] = _cost_jacobian(network, h)
+        jac = np.empty((R + K, R + K))
+        np.matmul(inc * _link_time_slopes(network, inc.T @ h), inc.T, out=jac[:R, :R])
         np.negative(P, out=jac[:R, R:])
         jac[R:, :R] = P.T
-        np.fill_diagonal(jac[R:, R:], [-d.derivative(p) for d, p in zip(demands, pi)])
+        jac[R:, R:] = 0.0
+        np.fill_diagonal(jac[R:, R:], k * (_served(d0, k, pi) > 0.0))  # -d'(pi)
         return jac
 
     return NcpProblem(n=R + K, f=f, jacobian=jacobian)
@@ -361,13 +360,12 @@ class UeSolution:
 def _default_start(network: TrafficNetwork, demand_block: str) -> np.ndarray:
     """Times at the cheapest free-flow route of each time variable; its
     demand at that time split evenly over the routes priced against it."""
-    group, _, demands = _layout(network, demand_block)
-    K = len(demands)
+    group, _, d0, k = _layout(network, demand_block)
+    K = len(d0)
     c0 = _route_costs_clamped(network, np.zeros(network.n_routes))
     pi0 = np.full(K, np.inf)
     np.minimum.at(pi0, group, c0)
-    served = np.array([d(p) for d, p in zip(demands, pi0)], dtype=float)
-    h0 = served[group] / np.bincount(group, minlength=K)[group]
+    h0 = _served(d0, k, pi0)[group] / np.bincount(group, minlength=K)[group]
     return np.concatenate([h0, pi0])
 
 
@@ -382,22 +380,19 @@ def wardrop_residuals(network: TrafficNetwork, solution, demand_block: str = "pe
     h, pi = solution
     h = np.asarray(h, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    group, ids, demands = _layout(network, demand_block)
+    group, ids, d0, k = _layout(network, demand_block)
     R = network.n_routes
     costs = _route_costs_clamped(network, h)
     pi_per_route = pi[group]
     comp = float(np.max(np.abs(h * (costs - pi_per_route)))) if R else 0.0
     time_violation = float(np.max(np.maximum(pi_per_route - costs, 0.0))) if R else 0.0
     neg_flow = float(np.max(np.maximum(-h, 0.0))) if R else 0.0
-    gaps = {
-        key: abs(float(np.sum(h[group == k])) - demands[k](float(pi[k])))
-        for k, key in enumerate(ids)
-    }
+    gaps = np.abs(np.bincount(group, weights=h, minlength=len(ids)) - _served(d0, k, pi))
     return WardropResiduals(
         max_complementarity=comp,
         max_time_violation=time_violation,
         max_negative_flow=neg_flow,
-        demand_gaps=gaps,
+        demand_gaps=dict(zip(ids, gaps.tolist())),
     )
 
 

@@ -1,10 +1,11 @@
 """Independent reference computations shared by the unit and acceptance tests.
 
 Everything here deliberately avoids the library's own solution paths:
-the LCP oracle enumerates active sets, the two-route equilibrium comes from
-equal-times algebra, the fundamental tensor comes from second differences of
-F^2, the dynamic merit gradient from first differences of the merit, and
-curve perturbations are rebuilt from splined control points.
+the LCP oracle enumerates active sets, the Newton system matrix is formed
+from fresh arrays, the two-route equilibrium comes from equal-times
+algebra, the fundamental tensor comes from second differences of F^2, the
+dynamic merit gradient from first differences of the merit, and curve
+perturbations are rebuilt from splined control points.
 """
 
 import numpy as np
@@ -25,6 +26,12 @@ def affine_problem(M, q):
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
     return NcpProblem(n=len(q), f=lambda x: M @ x + q, jacobian=lambda x: M)
+
+
+def system_jacobian_reference(jac, da, db):
+    """H = diag(d_a) + diag(d_b) J from fresh arrays: the reference for the
+    in-place system matrix ``ncp._system_jacobian`` builds."""
+    return np.diag(da) + db[:, None] * jac
 
 
 def random_monotone_affine(rng, n):

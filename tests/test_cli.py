@@ -466,3 +466,32 @@ class TestSubprocessEntryPoints:
             [sys.executable, "-m", "congeo", "solve-ncp"], capture_output=True, text=True
         )
         assert proc.returncode == EXIT_INPUT
+
+    def test_overflowing_cost_model_prints_one_input_error(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "congeo", "dynamic", demo("trajectory_constant.csv"),
+             "--cost-model", "affine(1e308,1e308)", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("congeo: input error: ") and "finite" in proc.stderr
+
+
+class TestSolverWorkCounts:
+    @pytest.mark.parametrize("argv", [
+        ("solve-ncp", demo("ncp_affine.json")),
+        ("solve-ue", demo("network_two_routes.json")),
+        ("solve-ue", demo("network_elastic.json"), "--demand-block", "per_route"),
+    ], ids=["solve-ncp", "solve-ue-per_od", "solve-ue-per_route"])
+    def test_summary_carries_step_counts(self, tmp_path, argv):
+        assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
+        results = fileio.load_json(str(tmp_path / f"{argv[0]}_summary.json"))["results"]
+        assert results["newton_steps"] + results["gradient_steps"] == results["iterations"]
+        assert results["backtracks"] >= 0
+        # the counts stay out of the hashed result artifacts
+        for name in os.listdir(tmp_path):
+            if not name.endswith("_summary.json"):
+                text = (tmp_path / name).read_text()
+                assert "newton_steps" not in text and "backtracks" not in text

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from congeo.ncp import (
+    REGULARIZATION,
     NcpProblem,
     SolverConfig,
+    _system_jacobian,
     fb_phi,
     fb_subgradient,
     fb_system,
@@ -12,7 +14,7 @@ from congeo.ncp import (
     merit_gradient,
     solve_ncp,
 )
-from oracles import affine_problem, lcp_enumeration_oracle, random_monotone_affine
+from oracles import affine_problem, lcp_enumeration_oracle, random_monotone_affine, system_jacobian_reference
 
 SQ2 = np.sqrt(2.0)
 
@@ -239,3 +241,62 @@ class TestComplementarityEquivalence:
         t = rng.uniform(0, 10, size=1000)
         assert np.all(np.abs(fb_phi(t, np.zeros_like(t))) <= 1e-12)
         assert np.all((t >= -1e-10) & (np.abs(t * 0.0) <= 1e-10))
+
+
+class TestRegularizedNewton:
+    """The in-place system matrix against its fresh-array reference, the
+    caller's Jacobian left untouched, and the step counts of the report."""
+
+    def test_system_matrix_matches_reference(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(1, 8))
+            M, q = random_monotone_affine(rng, n)
+            p = affine_problem(M, q)
+            x = rng.normal(size=n)
+            da, db = fb_subgradient(x, p.f_eval(x))
+            expected = system_jacobian_reference(M, da, db)
+            assert np.array_equal(_system_jacobian(M, da, db), expected)
+            stale = rng.normal(size=(n, n))  # a reused buffer holds the last iterate's matrix
+            assert np.array_equal(_system_jacobian(M, da, db, out=stale), expected)
+            assert np.array_equal(_system_jacobian(M, da, db, eps=0.0, out=stale), expected)
+
+    def test_regularization_adds_scaled_db_on_the_diagonal(self, rng):
+        M, q = random_monotone_affine(rng, 5)
+        x = rng.normal(size=5)
+        da, db = fb_subgradient(x, M @ x + q)
+        eps = REGULARIZATION * 3.0
+        expected = system_jacobian_reference(M, da, db) + np.diag(eps * db)
+        assert np.allclose(_system_jacobian(M, da, db, eps), expected, rtol=1e-15, atol=1e-15)
+
+    def test_solve_leaves_the_callers_jacobian_unchanged(self, rng):
+        # the affine problem returns the same M on every call
+        M, q = random_monotone_affine(rng, 5)
+        p = affine_problem(M, q)
+        before = M.copy()
+        rep = solve_ncp(p)
+        merit_gradient(rep.x_star, p)
+        assert rep.converged and rep.iterations > 1
+        assert p.jac_eval(rep.x_star) is p.jac_eval(np.ones(5))
+        assert np.array_equal(M, before)
+
+    def test_step_counts(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 7))
+            M, q = random_monotone_affine(rng, n)
+            calls = []
+
+            def f(x, M=M, q=q):
+                calls.append(1)
+                return M @ x + q
+
+            rep = solve_ncp(NcpProblem(n=n, f=f, jacobian=lambda x, M=M: M))
+            assert rep.converged
+            assert rep.newton_steps + rep.gradient_steps == rep.iterations
+            # one F at the start, then one per trial point: accepted or backtracked
+            assert len(calls) == 1 + (len(rep.merit_history) - 1) + rep.backtracks
+
+    def test_step_counts_of_a_failed_solve(self):
+        # F = -1 has no solution; the counts still add up to the iterations
+        rep = solve_ncp(NcpProblem(n=1, f=lambda x: np.array([-1.0])), SolverConfig(max_iter=20))
+        assert not rep.converged
+        assert rep.newton_steps + rep.gradient_steps == rep.iterations

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congeo.ncp import fb_system
+from congeo.ncp import _system_jacobian, fb_subgradient, fb_system
 from congeo.traffic import (
     ElasticDemand,
     FixedDemand,
@@ -20,6 +22,7 @@ from congeo.traffic import (
     solve_ue,
     wardrop_residuals,
 )
+from oracles import system_jacobian_reference
 
 
 def affine_link(lid, frm, to, t0, slope):
@@ -69,6 +72,39 @@ def mixed_demand_network():
             OdPair("od2", "o", "d2", FixedDemand(1.0)),
         ),
     )
+
+
+def lattice_network():
+    """4 x 4 lattice (links east and south) with every monotone route of
+    three OD pairs, 32 routes in all; fixed and elastic demand alternate.
+    Route flows are not unique, so the Newton matrix is nearly singular."""
+    side = 4
+
+    def node(i, j):
+        return f"n{i}{j}"
+
+    links = []
+    for i, j in itertools.product(range(side), repeat=2):
+        for di, dj in ((0, 1), (1, 0)):
+            if i + di < side and j + dj < side:
+                k = len(links)
+                links.append(Link(f"{node(i, j)}-{node(i + di, j + dj)}", node(i, j), node(i + di, j + dj),
+                                  t0=1.0 + 0.1 * (k % 3), capacity=1.0))
+    ods = (((0, 0), (3, 3)), ((1, 0), (3, 2)), ((0, 1), (2, 3)))
+    od_pairs, routes = [], []
+    for k, (o, d) in enumerate(ods):
+        demand = FixedDemand(3.0) if k % 2 == 0 else ElasticDemand(5.0, 0.2)
+        od_pairs.append(OdPair(f"od{k}", node(*o), node(*d), demand))
+        down, right = d[0] - o[0], d[1] - o[1]
+        for downs in itertools.combinations(range(down + right), down):
+            (i, j), path = o, []
+            for step in range(down + right):
+                ni, nj = (i + 1, j) if step in downs else (i, j + 1)
+                path.append(f"{node(i, j)}-{node(ni, nj)}")
+                i, j = ni, nj
+            routes.append(Route(f"r{len(routes)}", f"od{k}", tuple(path)))
+    nodes = tuple(node(i, j) for i, j in itertools.product(range(side), repeat=2))
+    return TrafficNetwork(nodes, tuple(links), tuple(routes), tuple(od_pairs))
 
 
 def two_route_closed_form(t01, m1, t02, m2, d):
@@ -437,3 +473,45 @@ class TestGapAndResiduals:
         assert set(flows) == {"r1", "r2"}
         assert flows["r1"] == pytest.approx(2.0, abs=1e-6)
         assert set(sol.times_by_key()) == {"od1"}
+
+
+class TestRegularizedNewtonOnNetworks:
+    def test_lattice_with_non_unique_route_flows_converges(self):
+        net = lattice_network()
+        assert net.n_routes == 32
+        sol = solve_ue(net)
+        assert sol.converged
+        assert sol.report.newton_steps + sol.report.gradient_steps == sol.report.iterations
+        assert wardrop_residuals(net, (sol.h, sol.pi)).within(1e-8)
+
+    @pytest.mark.parametrize("demand_block", ["per_od", "per_route"])
+    def test_system_matrix_matches_reference_on_lattice(self, rng, demand_block):
+        net = lattice_network()
+        problem = assemble_ncp(net, demand_block)
+        start = _default_start(net, demand_block)
+        buffer = np.empty((problem.n, problem.n))
+        for x in (start, start + rng.normal(scale=0.5, size=problem.n)):
+            jac = problem.jac_eval(x)
+            da, db = fb_subgradient(x, problem.f_eval(x))
+            _system_jacobian(jac, da, db, out=buffer)
+            assert np.array_equal(buffer, system_jacobian_reference(jac, da, db))
+
+    @pytest.mark.parametrize("demand_block", ["per_od", "per_route"])
+    def test_demand_block_matches_the_demand_objects(self, rng, demand_block):
+        net = mixed_demand_network()
+        problem = assemble_ncp(net, demand_block)
+        R = net.n_routes
+        r_od = net.route_od_index()
+        demands = [od.demand for od in net.od_pairs]
+        if demand_block == "per_route":
+            demands = [demands[k] for k in r_od]
+        for _ in range(20):
+            x = rng.uniform(0.0, 12.0, size=problem.n)  # the elastic demand hits zero at pi = 8
+            pi = x[R:]
+            served = np.array([d(p) for d, p in zip(demands, pi)])
+            group = r_od if demand_block == "per_od" else np.arange(R)
+            flows = np.array([x[:R][group == k].sum() for k in range(len(pi))])
+            assert np.allclose(problem.f_eval(x)[R:], flows - served, rtol=0.0, atol=1e-14)
+            # -d'(pi): the elastic slope while its demand is positive, else 0
+            slopes = [d.k if isinstance(d, ElasticDemand) and d(p) > 0.0 else 0.0 for d, p in zip(demands, pi)]
+            assert np.array_equal(problem.jac_eval(x)[R:, R:], np.diag(slopes))
