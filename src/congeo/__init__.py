@@ -73,7 +73,6 @@ from .traffic import (
 )
 from .dynamic import (
     AffineCost,
-    DynamicConfig,
     MinimizeResult,
     Trajectory,
     complementarity_merit,

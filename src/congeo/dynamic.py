@@ -11,24 +11,26 @@ evaluated on the grid:
 
 * ``complementarity_merit`` -- the plain time quadrature of psi.  In the
   squared variant this is nonnegative and vanishes exactly when the
-  complementarity residual phi(h(t), c(t)) vanishes at every node, so
-  ``minimize_dynamic`` drives this one (projected gradient, h >= 0); the
-  literal gap of the optimized trajectory is still reported alongside.
+  complementarity residual phi(h(t), c(t)) vanishes at every node.  Each
+  node's term depends on its own flow only, so for an affine cost
+  c = a*h + b ``minimize_dynamic`` writes the zero-merit flows down node by
+  node (h = -b/a where b < 0, the start where a = 0 = b, else 0) and
+  raises a ``ValueError`` when none exist; the literal gap of the minimized
+  trajectory is reported alongside.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._common import parse_call, trapezoid
-from .ncp import fb_phi, fb_subgradient
+from .ncp import fb_phi
 
 __all__ = [
     "AffineCost",
     "Trajectory",
-    "DynamicConfig",
     "MinimizeResult",
     "dynamic_gap",
     "complementarity_merit",
@@ -38,11 +40,6 @@ __all__ = [
 ]
 
 VARIANTS = ("half_phi", "half_phi_squared")
-# Projected gradient descent: the first trial step, and the growth factor
-# after an accepted step and its cap.
-INITIAL_STEP = 1.0
-STEP_GROWTH = 1.5
-MAX_STEP = 1e8
 
 
 @dataclass(frozen=True)
@@ -80,51 +77,30 @@ class Trajectory:
         return np.gradient(self.h, self.grid, edge_order=1)
 
 
-@dataclass(frozen=True)
-class DynamicConfig:
-    """The merit's variant, plus ``minimize_dynamic``'s iteration budget and
-    its stopping tolerance on the max-norm flow step."""
-
-    variant: str = "half_phi_squared"
-    max_iter: int = 500
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        for name in ("max_iter", "tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
 def _psi(h: np.ndarray, c: np.ndarray, variant: str) -> np.ndarray:
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, not {variant!r}")
     phi = fb_phi(h, c)
     if variant == "half_phi":
         return 0.5 * phi
     return 0.5 * phi * phi
 
 
-def dynamic_gap(traj: Trajectory, cfg: DynamicConfig | None = None) -> float:
+def dynamic_gap(traj: Trajectory, *, variant: str = "half_phi_squared") -> float:
     """Trapezoid value of the literal integral of psi(h, c) h'(t) dt."""
-    cfg = cfg or DynamicConfig()
-    integrand = _psi(traj.h, traj.c, cfg.variant) * traj.flow_rate()
+    integrand = _psi(traj.h, traj.c, variant) * traj.flow_rate()
     return float(trapezoid(integrand, traj.grid))
 
 
-def complementarity_merit(traj: Trajectory, cfg: DynamicConfig | None = None) -> float:
+def complementarity_merit(traj: Trajectory, *, variant: str = "half_phi_squared") -> float:
     """Trapezoid value of psi(h, c) dt; in the squared variant this is
     nonnegative and zero exactly when phi vanishes at every node."""
-    cfg = cfg or DynamicConfig()
-    return float(trapezoid(_psi(traj.h, traj.c, cfg.variant), traj.grid))
+    return float(trapezoid(_psi(traj.h, traj.c, variant), traj.grid))
 
 
 @dataclass(frozen=True)
 class AffineCost:
-    """Cost model c(h, t) = a*h + b, with ``b`` a scalar or per-node samples.
-
-    Its pointwise slope dc/dh = a gives ``minimize_dynamic`` the exact merit
-    gradient.
-    """
+    """Cost model c(h, t) = a*h + b, with ``b`` a scalar or per-node samples."""
 
     a: float
     b: float | np.ndarray
@@ -139,99 +115,59 @@ class MinimizeResult:
     trajectory: Trajectory
     objective: float  # complementarity merit of the final trajectory
     gap: float  # literal dynamic_gap of the final trajectory
-    iterations: int
-    converged: bool
     monotone_flow: bool
-    objective_evaluations: int  # merit evaluations, line search included
-    objective_history: tuple[float, ...] = field(repr=False, default=())
-
-
-def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
-    dt = np.diff(grid)
-    w = np.zeros_like(grid)
-    w[:-1] += 0.5 * dt
-    w[1:] += 0.5 * dt
-    return w
-
-
-def _affine_gradient(model: AffineCost, grid: np.ndarray, h: np.ndarray, cfg: DynamicConfig) -> np.ndarray:
-    """Exact merit gradient for c = a*h + b: each node's psi depends on its
-    own flow only, so dM/dh_k = w_k psi'(phi_k) (d_a phi + a d_b phi) at
-    (h_k, c_k), with the symmetric generalized gradient of phi at the
-    origin."""
-    c = model(h, grid)
-    da, db = fb_subgradient(h, c)
-    dpsi = fb_phi(h, c) if cfg.variant == "half_phi_squared" else 0.5
-    return _trapezoid_weights(grid) * dpsi * (da + model.a * db)
+    iterations: int = 0  # the closed form takes none; the perfbench tracer still reads the count
 
 
 def minimize_dynamic(
     cost_model: AffineCost,
     grid,
-    cfg: DynamicConfig | None = None,
+    *,
+    variant: str = "half_phi_squared",
     h0=None,
 ) -> MinimizeResult:
-    """Projected gradient descent of the complementarity merit over node flows.
+    """Closed-form minimizer of the squared complementarity merit over node flows.
 
-    The flows stay clamped at h >= 0.  The gradient is the closed form of
-    the ``AffineCost`` and costs no objective evaluation.  The objective
-    never increases across accepted steps; if the iteration budget runs out
-    the best iterate is returned with ``converged=False``.
+    Node k's merit term depends on h_k alone, so the minimizer solves
+    h_k >= 0, c_k = a h_k + b_k >= 0, h_k c_k = 0 node by node: h_k = -b_k/a
+    where b_k < 0 and h_k = 0 where b_k > 0, or where b_k = 0 and a != 0.
+    Where a = 0 = b_k every h_k >= 0 is a minimizer, and the start
+    max(h0_k, 0) (h0 defaults to ones) is kept.  A ``ValueError`` names why
+    no flow has zero merit: the half_phi merit is unbounded below, a <= 0
+    with some b_k < 0 leaves a positive infimum, and -b_k/a may overflow.
     """
     if not isinstance(cost_model, AffineCost):
         raise TypeError(f"cost_model must be an AffineCost, not {type(cost_model).__name__}")
-    cfg = cfg or DynamicConfig()
+    if variant == "half_phi":
+        raise ValueError("the half_phi merit is unbounded below; only half_phi_squared has a minimizer")
     grid = np.asarray(grid, dtype=float)
-    if h0 is None:
-        h = np.ones_like(grid)
-    else:
-        h = np.array(h0, dtype=float)
-        if h.shape != grid.shape:
-            raise ValueError("h0 must match the grid")
-    h = np.maximum(h, 0.0)
-    evaluations = 0
-
-    def objective(hv: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return complementarity_merit(Trajectory(grid=grid, h=hv, c=cost_model(hv, grid)), cfg)
-
-    val = objective(h)
-    history = [val]
-    step = INITIAL_STEP
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, cfg.max_iter + 1):
-        grad = _affine_gradient(cost_model, grid, h, cfg)
-        moved = False
-        while step >= 1e-18:
-            trial = np.maximum(h - step * grad, 0.0)
-            tval = objective(trial)
-            if tval <= val:
-                delta = float(np.max(np.abs(trial - h)))
-                h, val = trial, tval
-                history.append(val)
-                moved = True
-                step = min(step * STEP_GROWTH, MAX_STEP)
-                if delta <= cfg.tol:
-                    converged = True
-                break
-            step *= 0.5
-        if not moved or converged:
-            converged = converged or not moved  # stationary: no descent direction left
-            break
+    start = np.ones_like(grid) if h0 is None else np.array(h0, dtype=float)
+    if start.shape != grid.shape:
+        raise ValueError("h0 must match the grid")
+    a = float(cost_model.a)
+    b = np.broadcast_to(np.asarray(cost_model.b, dtype=float), grid.shape)
+    negative = b < 0
+    if a <= 0 and np.any(negative):
+        raise ValueError(
+            f"no flow of zero merit: with a={a!r} <= 0, nodes with b < 0 keep a negative cost for every h >= 0"
+        )
+    h = np.zeros_like(grid)
+    if a == 0:
+        idle = b == 0
+        h[idle] = np.maximum(start[idle], 0.0)
+    with np.errstate(over="ignore"):
+        h[negative] = -b[negative] / a
+    if not np.all(np.isfinite(h)):
+        raise ValueError(f"the zero-merit flow -b/a overflows for a={a!r}; flows must be finite")
+    # one ulp up where rounding leaves the cost a*h + b just below zero
+    h = np.where(cost_model(h, grid) < 0, np.nextafter(h, np.inf), h)
 
     final = Trajectory(grid=grid, h=h, c=cost_model(h, grid))
     return MinimizeResult(
         trajectory=final,
-        objective=val,
-        gap=dynamic_gap(final, cfg),
-        iterations=iterations,
-        converged=converged,
+        objective=complementarity_merit(final, variant=variant),
+        gap=dynamic_gap(final, variant=variant),
         monotone_flow=final.monotone(),
-        objective_evaluations=evaluations,
-        objective_history=tuple(history),
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from congeo import fileio
 from congeo.cli import EXIT_INPUT, EXIT_NONCONVERGED, EXIT_OK, main
-from congeo.dynamic import DynamicConfig, Trajectory, dynamic_gap, minimize_dynamic, parse_cost_model
+from congeo.dynamic import Trajectory, dynamic_gap, minimize_dynamic, parse_cost_model
 from congeo.finsler import (
     build_randers,
     congestion_uniform,
@@ -234,10 +234,10 @@ def test_criterion_8_dynamic_functional():
     with criterion(8, "dynamic functional closed forms and minimizer", 30.0):
         t = np.linspace(0.0, 1.0, 1000)
         traj = Trajectory(grid=t, h=t, c=t)
-        assert dynamic_gap(traj, DynamicConfig(variant="half_phi")) == pytest.approx(
+        assert dynamic_gap(traj, variant="half_phi") == pytest.approx(
             (SQ2 - 2.0) / 4.0, abs=1e-5
         )
-        assert dynamic_gap(traj, DynamicConfig(variant="half_phi_squared")) == pytest.approx(
+        assert dynamic_gap(traj, variant="half_phi_squared") == pytest.approx(
             (SQ2 - 2.0) ** 2 / 6.0, abs=1e-5
         )
 

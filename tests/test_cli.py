@@ -223,10 +223,6 @@ TOL_CASES = {
     "solve-ncp": (("solve-ncp", demo("ncp_affine.json")), "1e-10", ("converged", 4), ("converged", 5)),
     "solve-ncp-loose": (("solve-ncp", demo("ncp_affine.json")), "0.1", ("converged", 4), ("converged", 2)),
     "solve-ue": (("solve-ue", demo("network_two_routes.json")), "0.1", ("converged", 5), ("converged", 2)),
-    "dynamic": (
-        ("dynamic", demo("trajectory_constant.csv"), "--cost-model", "identity", "--minimize"), "0.5",
-        ("converged", 18), ("converged", 1),
-    ),
     "validate": (("validate", demo("scenario_uniform.json")), "0.6", ("valid", None), ("invalid", None)),
 }
 
@@ -342,9 +338,28 @@ class TestDynamicCommand:
         path = demo("trajectory_linear.csv")
         code = run_cli("dynamic", path, *model_args, "--minimize", "--out", str(tmp_path))
         assert code == EXIT_OK
+        _, h, c = fileio.read_trajectory_csv(str(tmp_path / "dynamic_minimized.csv"))
+        assert np.all(h >= 0.0) and np.all(c >= 0.0)
+        assert np.array_equal(h * c, np.zeros_like(h))
         results = fileio.load_json(str(tmp_path / "dynamic_summary.json"))["results"]
-        grid, _, _ = fileio.read_trajectory_csv(path)
-        assert 0 < results["minimizer_objective_evaluations"] < grid.shape[0]
+        assert results["minimized_objective"] == 0.0
+
+    @pytest.mark.parametrize(
+        "model_args, reason",
+        [
+            (("--cost-model", "identity", "--variant", "half_phi"), "half_phi merit is unbounded below"),
+            (("--cost-model", "affine(0,-1)"), "no flow of zero merit"),
+            (("--cost-model", "affine(-1,-1)"), "no flow of zero merit"),
+            (("--cost-model", "affine(1e-320,-1)"), "overflows for a=1e-320; flows must be finite"),
+        ],
+        ids=["half_phi", "a_zero", "a_negative", "overflow"],
+    )
+    def test_minimize_without_zero_merit_flow_exits_1(self, tmp_path, capsys, model_args, reason):
+        code = run_cli("dynamic", demo("trajectory_constant.csv"), *model_args, "--minimize", "--out", str(tmp_path))
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("congeo: input error: ") and reason in err
+        assert not (tmp_path / "dynamic_minimized.csv").exists()
 
     def test_missing_cost_model_exits_1(self, tmp_path):
         assert run_cli("dynamic", demo("trajectory_constant.csv"), "--out", str(tmp_path)) == EXIT_INPUT
