@@ -47,7 +47,6 @@ from .geodesic import (
 from .ncp import (
     NcpProblem,
     SolveReport,
-    SolverConfig,
     fb_phi,
     fb_subgradient,
     fb_system,

@@ -33,7 +33,7 @@ import numpy as np
 from . import dynamic as dyn
 from . import fileio
 from .finsler import EPS_CONG, DomainError, build_randers, euclidean_metric, validate_structure
-from .ncp import SolverConfig, solve_ncp
+from .ncp import TOL, solve_ncp
 from .routing import route
 from .traffic import solve_ue
 from .fileio import SchemaError
@@ -56,7 +56,7 @@ class RunConfig:
     command: str
     inputs: tuple
     out: str
-    seed: int
+    seed: int | None
     tol: float | None
     svg: bool
     jobs: int
@@ -67,7 +67,7 @@ class RunConfig:
     config_dir: str = "."
 
     def __post_init__(self):
-        if self.seed < 0:
+        if self.seed is not None and self.seed < 0:
             raise SchemaError("seed must be nonnegative")
         if self.tol is not None and not 0 < self.tol < float("inf"):
             raise SchemaError("tol must be positive and finite")
@@ -76,9 +76,6 @@ class RunConfig:
         for item in self.inputs:
             if isinstance(item, str) and not os.path.exists(item):
                 raise SchemaError(f"input file not found: {item}")
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(tol_residual=self.tol) if self.tol else SolverConfig()
 
 
 def _run_config(args, input_attr: str) -> RunConfig:
@@ -100,7 +97,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory (default: current directory)")
-    p.add_argument("--seed", type=int, default=0, help="random seed for restart perturbations")
+    p.add_argument("--seed", type=int, default=None, help="seed override for route restart perturbations")
     p.add_argument("--tol", type=float, default=None, help="tolerance override for the command's solver")
     p.add_argument("--svg", action="store_true", help="also emit SVG polylines for curves")
     p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; scenarios run one after another")
@@ -167,7 +164,7 @@ def _run(handler, cfg: RunConfig) -> int:
 
 def cmd_solve_ncp(cfg: RunConfig):
     problem = fileio.load_ncp_problem(cfg.inputs[0])
-    report = solve_ncp(problem, cfg.solver_config())
+    report = solve_ncp(problem, tol=cfg.tol or TOL)
     solution_path = os.path.join(cfg.out, "ncp_solution.json")
     fileio.dump_json(
         {
@@ -195,7 +192,7 @@ def _work_counts(report) -> dict:
 
 def cmd_solve_ue(cfg: RunConfig):
     network = fileio.load_network(cfg.inputs[0])
-    sol = solve_ue(network, cfg.solver_config(), demand_block=cfg.demand_block)
+    sol = solve_ue(network, demand_block=cfg.demand_block, tol=cfg.tol or TOL)
     flows_path = os.path.join(cfg.out, "ue_flows.csv")
     times_path = os.path.join(cfg.out, "ue_times.csv")
     resid_path = os.path.join(cfg.out, "ue_residuals.json")
@@ -222,7 +219,8 @@ def cmd_solve_ue(cfg: RunConfig):
 
 def _route_one(scenario, stem: str, cfg: RunConfig, artifacts: list[str]) -> dict:
     """Route one scenario, write its artifacts and return its results entry."""
-    overrides = {"tol": cfg.tol, "seed": cfg.seed} if cfg.tol else {"seed": cfg.seed}
+    # a given --tol or --seed overrides the scenario file's value
+    overrides = {key: value for key, value in (("tol", cfg.tol), ("seed", cfg.seed)) if value is not None}
     scenario = dataclasses.replace(scenario, bvp=dataclasses.replace(scenario.bvp, **overrides))
     try:
         result = route(scenario)

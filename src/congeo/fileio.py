@@ -163,6 +163,13 @@ def _string(obj: dict, key: str, where: str) -> str:
     return v
 
 
+def _list(obj: dict, key: str, where: str) -> list:
+    v = obj[key]
+    if not isinstance(v, list):
+        raise SchemaError(f"{where}.{key}: expected a list")
+    return v
+
+
 def _string_list(obj: dict, key: str, where: str) -> list[str]:
     v = obj[key]
     if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
@@ -216,7 +223,7 @@ def load_network(source) -> TrafficNetwork:
     nodes = _string_list(doc, "nodes", "network")
 
     links = []
-    for i, raw in enumerate(doc["links"]):
+    for i, raw in enumerate(_list(doc, "links", "network")):
         where = f"links[{i}]"
         _check_keys(raw, ["id", "from", "to", "t0", "capacity"], ["bpr_b", "bpr_p"], where)
         kwargs = {}
@@ -239,7 +246,7 @@ def load_network(source) -> TrafficNetwork:
             raise SchemaError(f"{where}: {exc}") from None
 
     routes = []
-    for i, raw in enumerate(doc["routes"]):
+    for i, raw in enumerate(_list(doc, "routes", "network")):
         where = f"routes[{i}]"
         _check_keys(raw, ["id", "od", "links"], [], where)
         try:
@@ -254,7 +261,7 @@ def load_network(source) -> TrafficNetwork:
             raise SchemaError(f"{where}: {exc}") from None
 
     od_pairs = []
-    for i, raw in enumerate(doc["od_pairs"]):
+    for i, raw in enumerate(_list(doc, "od_pairs", "network")):
         where = f"od_pairs[{i}]"
         _check_keys(raw, ["id", "origin", "destination", "demand"], [], where)
         dem_raw = raw["demand"]

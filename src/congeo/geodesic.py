@@ -568,30 +568,21 @@ def geodesic_bvp(F: RandersStructure, p, q, config: BvpConfig | None = None) -> 
             if not cfg.explore:
                 break
 
-    if solutions:
+    if solutions:  # the shortest converged geodesic
         y0, curve, length = min(solutions, key=lambda s: s[2])
-        return BvpResult(
-            curve=curve,
-            endpoint_error=float(np.linalg.norm(curve.points[-1] - q)),
-            converged=True,
-            iterations=total_iters,
-            restarts_used=len(records) - 1,
-            multiplicity=len(solutions),
-            length=length,
-            initial_velocity=tuple(y0),
-            starts=tuple(records),
-        )
-    if best is None:
+    elif best is None:
         raise DomainError("every shooting attempt left the structure's validity domain")
-    err, curve, y0 = best
+    else:  # the shot that came closest to q
+        _, curve, y0 = best
+        length = curve_length(F, curve)
     return BvpResult(
         curve=curve,
-        endpoint_error=err,
-        converged=False,
+        endpoint_error=float(np.linalg.norm(curve.points[-1] - q)),
+        converged=bool(solutions),
         iterations=total_iters,
         restarts_used=len(records) - 1,
-        multiplicity=0,
-        length=curve_length(F, curve),
+        multiplicity=len(solutions),
+        length=length,
         initial_velocity=tuple(y0),
         starts=tuple(records),
     )

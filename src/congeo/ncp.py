@@ -8,13 +8,16 @@ minimization.  The solver runs damped semismooth Newton steps on the system
 with Armijo backtracking on the merit, replacing steps that are not
 sufficient descent directions by the negative merit gradient.
 
-With (d_a, d_b) = fb_subgradient(x, F(x)) and J = F'(x), the system
-Jacobian is H = diag(d_a) + diag(d_b) J.  The Newton step solves the
+With (d_a, d_b) = fb_subgradient(x, F(x)) and J = F'(x), the closed-form
+Jacobian every ``NcpProblem`` carries, the system Jacobian is
+H = diag(d_a) + diag(d_b) J.  The Newton step solves the
 Tikhonov-regularized equation (H + eps diag(d_b)) d = -phi with
 eps = REGULARIZATION ||phi||_2 (Facchinei & Kanzow 1999), which keeps the
 step defined where H is singular (non-unique route flows) and vanishes with
 phi, so fast local convergence is kept.  The descent test and the merit
-gradient H^T phi use the unregularized H.
+gradient H^T phi use the unregularized H.  The solve stops when the max-norm
+of phi reaches its tolerance (``TOL`` unless the caller passes ``tol``) or
+after ``MAX_ITER`` iterations.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "MAX_ITER",
     "NcpProblem",
-    "SolverConfig",
     "SolveReport",
+    "TOL",
     "fb_phi",
     "fb_subgradient",
     "fb_system",
@@ -37,8 +41,9 @@ __all__ = [
 ]
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
-# Relative step of the forward-difference Jacobian of an F given without one.
-JACOBIAN_FD_STEP = 1e-7
+# Default tolerance on the max-norm system residual, and the iteration budget.
+TOL = 1e-8
+MAX_ITER = 200
 # Line search and descent test of De Luca, Facchinei & Kanzow (1996): accept
 # step t when G(x + t d) <= G(x) + ARMIJO_SIGMA t d.grad G, shrinking t by
 # the factor ARMIJO_BETA down to MIN_STEP; keep the Newton direction d only when
@@ -82,15 +87,15 @@ def fb_subgradient(a, b):
 
 @dataclass(frozen=True)
 class NcpProblem:
-    """Dimension n plus the mapping F (and optionally its Jacobian).
+    """Dimension n, the mapping F and its closed-form Jacobian F'.
 
-    Without an analytic Jacobian, forward differences with relative step
-    ``JACOBIAN_FD_STEP`` are used.
+    Every Newton step evaluates F' (an (n, n) array); the solver never
+    differences F.
     """
 
     n: int
     f: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
+    jacobian: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.n < 1:
@@ -106,33 +111,12 @@ class NcpProblem:
         return fx
 
     def jac_eval(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.jacobian is not None:
-            jac = np.asarray(self.jacobian(x), dtype=float)
-            if jac.shape != (self.n, self.n):
-                raise ValueError(f"Jacobian shape {jac.shape}, expected ({self.n},{self.n})")
-        else:
-            f0 = self.f_eval(x)
-            jac = np.empty((self.n, self.n))
-            for j in range(self.n):
-                h = JACOBIAN_FD_STEP * max(1.0, abs(x[j]))
-                e = np.zeros(self.n)
-                e[j] = h
-                jac[:, j] = (self.f_eval(x + e) - f0) / h
+        jac = np.asarray(self.jacobian(np.asarray(x, dtype=float)), dtype=float)
+        if jac.shape != (self.n, self.n):
+            raise ValueError(f"Jacobian shape {jac.shape}, expected ({self.n},{self.n})")
         if not np.all(np.isfinite(jac)):
             raise FloatingPointError(f"Jacobian non-finite at x={x}")
         return jac
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol_residual: float = 1e-8
-    max_iter: int = 200
-
-    def __post_init__(self):
-        for name in ("tol_residual", "max_iter"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -183,11 +167,7 @@ def merit_gradient(x, problem: NcpProblem) -> np.ndarray:
     return _system_jacobian(problem.jac_eval(x), *fb_subgradient(x, fx)).T @ phi
 
 
-def solve_ncp(
-    problem: NcpProblem,
-    config: SolverConfig | None = None,
-    x0=None,
-) -> SolveReport:
+def solve_ncp(problem: NcpProblem, x0=None, *, tol: float = TOL) -> SolveReport:
     """Damped semismooth Newton on the componentwise system.
 
     Each step solves the regularized Newton equation of the module docstring
@@ -195,11 +175,12 @@ def solve_ncp(
     directions failing the sufficient-descent test
     d . grad G <= -rho ||d||^p fall back to the negative merit gradient;
     steps are accepted under the Armijo condition on the merit.  Convergence
-    is the max-norm system residual reaching its tolerance, which bounds the
-    merit by n tol^2 / 2.  Line-search breakdown and iteration exhaustion are
-    reported as statuses, never raised.
+    is the max-norm system residual reaching ``tol``, which bounds the merit
+    by n tol^2 / 2.  Line-search breakdown and the exhaustion of ``MAX_ITER``
+    iterations are reported as statuses, never raised.
     """
-    cfg = config or SolverConfig()
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if x0 is None:
         x = np.ones(problem.n)
     else:
@@ -229,10 +210,11 @@ def solve_ncp(
             backtracks=backtracks,
         )
 
-    for it in range(cfg.max_iter):
-        residual = float(np.max(np.abs(phi)))
-        if residual <= cfg.tol_residual:
+    for it in range(MAX_ITER + 1):
+        if float(np.max(np.abs(phi))) <= tol:
             return finish("converged", it)
+        if it == MAX_ITER:
+            return finish("max_iter", it)
 
         da, db = fb_subgradient(x, fx)
         eps = REGULARIZATION * float(np.linalg.norm(phi))
@@ -256,7 +238,6 @@ def solve_ncp(
         slope = float(direction @ grad)
 
         step = 1.0
-        accepted = False
         while step >= MIN_STEP:
             x_new = x + step * direction
             try:
@@ -270,13 +251,8 @@ def solve_ncp(
             if g_new <= g_val + ARMIJO_SIGMA * step * slope:
                 x, fx, phi, g_val = x_new, fx_new, phi_new, g_new
                 history.append(g_val)
-                accepted = True
                 break
             step *= ARMIJO_BETA
             backtracks += 1
-        if not accepted:
+        else:  # no trial step down to MIN_STEP was accepted
             return finish("line_search_failure", it + 1)
-
-    if float(np.max(np.abs(phi))) <= cfg.tol_residual:
-        return finish("converged", cfg.max_iter)
-    return finish("max_iter", cfg.max_iter)

@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .ncp import NcpProblem, SolveReport, SolverConfig, merit, solve_ncp
+from .ncp import TOL, NcpProblem, SolveReport, merit, solve_ncp
 
 __all__ = [
     "Link",
@@ -396,16 +396,11 @@ def wardrop_residuals(network: TrafficNetwork, solution, demand_block: str = "pe
     )
 
 
-def solve_ue(
-    network: TrafficNetwork,
-    config: SolverConfig | None = None,
-    demand_block: str = "per_od",
-    x0=None,
-) -> UeSolution:
+def solve_ue(network: TrafficNetwork, demand_block: str = "per_od", x0=None, *, tol: float = TOL) -> UeSolution:
     """Solve for user equilibrium; solver statuses propagate in the report."""
     problem = assemble_ncp(network, demand_block)
     start = np.asarray(x0, dtype=float) if x0 is not None else _default_start(network, demand_block)
-    report = solve_ncp(problem, config, start)
+    report = solve_ncp(problem, start, tol=tol)
     R = network.n_routes
     h, pi = report.x_star[:R], report.x_star[R:]
     residuals = wardrop_residuals(network, (h, pi), demand_block)

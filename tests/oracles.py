@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own solution paths:
 the LCP oracle enumerates active sets, the Newton system matrix is formed
 from fresh arrays, the two-route equilibrium comes from equal-times
-algebra, the fundamental tensor comes from second differences of F^2, and
-curve perturbations are rebuilt from splined control points.
+algebra, NCP Jacobians come from differences of F, the fundamental tensor
+comes from second differences of F^2, and curve perturbations are rebuilt
+from splined control points.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ from scipy.interpolate import CubicSpline
 from congeo.finsler import DomainError, _raw_eval, _vec
 from congeo.ncp import NcpProblem
 
+# Relative step of the forward-difference Jacobian of ``fd_problem``.
+JACOBIAN_FD_STEP = 1e-7
 # Relative step for the finite-difference fundamental tensor (second
 # derivatives).  1e-4 keeps the round-off floor near 1e-7 relative; smaller
 # steps amplify cancellation past the 1e-6 agreement target.
@@ -23,6 +26,36 @@ def affine_problem(M, q):
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
     return NcpProblem(n=len(q), f=lambda x: M @ x + q, jacobian=lambda x: M)
+
+
+def fd_problem(n, f):
+    """NcpProblem for a test map written without its Jacobian: forward
+    differences of F, column j with step ``JACOBIAN_FD_STEP * max(1, |x_j|)``."""
+
+    def jacobian(x):
+        f0 = problem.f_eval(x)
+        jac = np.empty((n, n))
+        for j in range(n):
+            h = JACOBIAN_FD_STEP * max(1.0, abs(x[j]))
+            e = np.zeros(n)
+            e[j] = h
+            jac[:, j] = (problem.f_eval(x + e) - f0) / h
+        return jac
+
+    problem = NcpProblem(n=n, f=f, jacobian=jacobian)
+    return problem
+
+
+def central_jacobian(problem, x, h):
+    """Central differences of ``problem.f_eval`` at x with absolute step h:
+    the cross-check of a closed-form NCP Jacobian."""
+    x = np.asarray(x, dtype=float)
+    jac = np.empty((problem.n, problem.n))
+    for j in range(problem.n):
+        e = np.zeros(problem.n)
+        e[j] = h
+        jac[:, j] = (problem.f_eval(x + e) - problem.f_eval(x - e)) / (2 * h)
+    return jac
 
 
 def system_jacobian_reference(jac, da, db):

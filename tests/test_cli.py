@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shlex
@@ -10,6 +11,7 @@ import pytest
 
 from congeo import fileio
 from congeo.cli import EXIT_INPUT, EXIT_NONCONVERGED, EXIT_OK, main
+from congeo.routing import route
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demo")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -93,6 +95,21 @@ class TestExitCodes:
         report = fileio.load_json(str(tmp_path / "validate_report.json"))
         assert report["ok"] is False
         assert any("loopy" in f for f in report["failures"])
+
+    @pytest.mark.parametrize("section", ["links", "routes", "od_pairs"])
+    @pytest.mark.parametrize("value", [5, {"x": 1}], ids=["number", "object"])
+    def test_non_list_network_section_is_an_input_error(self, tmp_path, capsys, section, value):
+        doc = fileio.load_json(demo("network_two_routes.json"))
+        doc[section] = value
+        bad = tmp_path / "bad.json"
+        fileio.dump_json(doc, str(bad))
+        message = f"network.{section}: expected a list"
+        assert run_cli("validate", str(bad), "--out", str(tmp_path)) == EXIT_INPUT
+        report = fileio.load_json(str(tmp_path / "validate_report.json"))
+        assert report["failures"] == [message]
+        capsys.readouterr()
+        assert run_cli("solve-ue", str(bad), "--out", str(tmp_path / "ue")) == EXIT_INPUT
+        assert capsys.readouterr().err == f"congeo: input error: {message}\n"
 
     def test_validate_saturated_field_exits_1(self, tmp_path):
         xs = ys = np.linspace(-1, 1, 3)
@@ -289,6 +306,21 @@ class TestRouteCommand:
             assert code == EXIT_OK
         for name in ("scenario_none_route.csv", "scenario_grid_route.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_seed_flag_overrides_only_when_given(self, tmp_path):
+        doc = fileio.load_json(demo("scenario_vortex.json"))
+        doc.update(seed=5, nodes=40)
+        path = tmp_path / "seeded.json"
+        fileio.dump_json(doc, str(path))
+        scenario = fileio.load_scenario(str(path))
+        records = {}
+        for name, flags, seed in (("file", (), 5), ("flag", ("--seed", "0"), 0)):
+            run_cli("route", str(path), *flags, "--out", str(tmp_path / name))
+            starts = fileio.load_json(str(tmp_path / name / "seeded_summary.json"))["starts"]
+            expected = route(dataclasses.replace(scenario, bvp=dataclasses.replace(scenario.bvp, seed=seed)))
+            assert starts == [{"outcome": s.outcome, "iterations": s.iterations} for s in expected.diagnostics.starts]
+            records[name] = starts
+        assert records["file"] != records["flag"]  # the two seeds restart differently
 
     def test_deterministic_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -13,9 +13,11 @@ from congeo.fileio import SchemaError
 from congeo.geodesic import Curve
 from congeo.ncp import solve_ncp
 from congeo.traffic import ElasticDemand, FixedDemand, solve_ue
+from oracles import central_jacobian
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demo")
 MAKE_DEMO = os.path.join(os.path.dirname(__file__), "..", "scripts", "make_demo_inputs.py")
+QUADRATIC_DOC = {"n": 2, "f": {"type": "quadratic", "a": [1.0, 0.5], "M": [[1.0, 0.0], [0.0, 1.0]], "q": [-4.0, -2.0]}}
 
 
 class TestJsonFormatting:
@@ -119,16 +121,24 @@ class TestNcpProblemLoader:
         assert report.x_star[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_quadratic_family(self):
-        doc = {"n": 2, "f": {"type": "quadratic", "a": [1.0, 0.5], "M": [[1.0, 0.0], [0.0, 1.0]], "q": [-4.0, -2.0]}}
-        problem = fileio.load_ncp_problem(doc)
+        problem = fileio.load_ncp_problem(QUADRATIC_DOC)
         x = np.array([1.0, 2.0])
         assert np.allclose(problem.f_eval(x), [1 + 1 - 4, 0.5 * 4 + 2 - 2])
-        h = 1e-7
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            fd = (problem.f_eval(x + e) - problem.f_eval(x - e)) / (2 * h)
-            assert np.allclose(problem.jac_eval(x)[:, j], fd, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            os.path.join(DEMO, "ncp_affine.json"),
+            {"n": 2, "f": {"type": "affine", "M": [[2.0, 1.0], [-1.0, 3.0]], "q": [-1.0, 0.5]}},
+            QUADRATIC_DOC,
+        ],
+        ids=["affine_demo", "affine_nonsymmetric", "quadratic"],
+    )
+    def test_family_jacobian_matches_differences(self, source):
+        # the solver sees only these closed forms: no family is differenced
+        problem = fileio.load_ncp_problem(source)
+        x = np.linspace(1.0, 2.0, problem.n)
+        assert np.allclose(problem.jac_eval(x), central_jacobian(problem, x, 1e-7), atol=1e-6)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SchemaError, match="M must be"):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from congeo import ncp
 from congeo.ncp import (
     REGULARIZATION,
     NcpProblem,
-    SolverConfig,
     _system_jacobian,
     fb_phi,
     fb_subgradient,
@@ -14,7 +14,13 @@ from congeo.ncp import (
     merit_gradient,
     solve_ncp,
 )
-from oracles import affine_problem, lcp_enumeration_oracle, random_monotone_affine, system_jacobian_reference
+from oracles import (
+    affine_problem,
+    fd_problem,
+    lcp_enumeration_oracle,
+    random_monotone_affine,
+    system_jacobian_reference,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -84,34 +90,34 @@ class TestFbSubgradient:
 
 class TestSystemAndMerit:
     def test_scalar_interior_solution(self):
-        p = NcpProblem(n=1, f=lambda x: x - 2.0)
+        p = fd_problem(1, lambda x: x - 2.0)
         assert fb_system([2.0], p) == pytest.approx([0.0], abs=1e-15)
 
     def test_scalar_boundary_solution(self):
-        p = NcpProblem(n=1, f=lambda x: x + 1.0)
+        p = fd_problem(1, lambda x: x + 1.0)
         assert fb_system([0.0], p) == pytest.approx([0.0], abs=1e-15)
 
     def test_two_dim_solution(self):
-        p = NcpProblem(n=2, f=lambda x: np.array([x[0] - 1.0, x[1]]))
+        p = fd_problem(2, lambda x: np.array([x[0] - 1.0, x[1]]))
         assert np.allclose(fb_system([1.0, 0.0], p), 0.0)
 
     def test_merit_zero_at_solution(self):
-        p = NcpProblem(n=1, f=lambda x: x - 1.0)
+        p = fd_problem(1, lambda x: x - 1.0)
         assert merit([1.0], p) == 0.0
 
     def test_merit_hand_value(self):
         # phi(0, -1) = 1 - (-1) = 2, so G = 2
-        p = NcpProblem(n=1, f=lambda x: x - 1.0)
+        p = fd_problem(1, lambda x: x - 1.0)
         assert merit([0.0], p) == pytest.approx(2.0)
 
     @given(st.floats(-10, 10, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_merit_nonnegative(self, x):
-        p = NcpProblem(n=1, f=lambda v: v**2 - 3.0 * v + 1.0)
+        p = fd_problem(1, lambda v: v**2 - 3.0 * v + 1.0)
         assert merit([x], p) >= 0.0
 
     def test_nonfinite_f_raises(self):
-        p = NcpProblem(n=1, f=lambda x: np.full(1, np.inf))
+        p = fd_problem(1, lambda x: np.full(1, np.inf))
         with pytest.raises(FloatingPointError):
             fb_system([1.0], p)
 
@@ -146,22 +152,15 @@ class TestMeritGradient:
                 fd[j] = (merit(x + e, p) - merit(x - e, p)) / (2 * h)
             assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
 
-    def test_fd_jacobian_fallback(self, rng):
-        M, q = random_monotone_affine(rng, 3)
-        with_jac = affine_problem(M, q)
-        without = NcpProblem(n=3, f=lambda x: M @ x + q)
-        x = rng.uniform(0.5, 2.0, size=3)
-        assert np.allclose(merit_gradient(x, with_jac), merit_gradient(x, without), rtol=1e-5)
-
 
 class TestSolveNcp:
     def test_scalar_interior(self):
-        rep = solve_ncp(NcpProblem(n=1, f=lambda x: x - 2.0), x0=[5.0])
+        rep = solve_ncp(fd_problem(1, lambda x: x - 2.0), x0=[5.0])
         assert rep.converged
         assert rep.x_star[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_scalar_boundary(self):
-        rep = solve_ncp(NcpProblem(n=1, f=lambda x: x + 1.0), x0=[5.0])
+        rep = solve_ncp(fd_problem(1, lambda x: x + 1.0), x0=[5.0])
         assert rep.converged
         assert rep.x_star[0] == pytest.approx(0.0, abs=1e-8)
 
@@ -176,7 +175,7 @@ class TestSolveNcp:
         assert np.allclose(rep.x_star, oracle[0], atol=1e-6)
 
     def test_default_start_is_ones(self):
-        rep = solve_ncp(NcpProblem(n=2, f=lambda x: x))
+        rep = solve_ncp(fd_problem(2, lambda x: x))
         assert rep.converged
         assert np.allclose(rep.x_star, 0.0, atol=1e-6)
 
@@ -210,22 +209,40 @@ class TestSolveNcp:
         hist = np.array(rep.merit_history)
         assert np.all(np.diff(hist) <= 1e-15)
 
-    def test_max_iter_status(self):
+    def test_max_iter_status(self, monkeypatch):
+        monkeypatch.setattr(ncp, "MAX_ITER", 1)
         M, q = random_monotone_affine(np.random.default_rng(3), 4)
-        rep = solve_ncp(affine_problem(M, q), SolverConfig(max_iter=1, tol_residual=1e-300))
-        assert rep.status in ("max_iter", "line_search_failure")
+        rep = solve_ncp(affine_problem(M, q), tol=1e-300)
+        assert (rep.status, rep.iterations) == ("max_iter", 1)
 
     def test_infeasible_problem_reports_status(self):
         # F = -1 has no complementary point; merit is bounded below by 1/2
-        rep = solve_ncp(NcpProblem(n=1, f=lambda x: np.array([-1.0])), SolverConfig(max_iter=50))
+        rep = solve_ncp(fd_problem(1, lambda x: np.array([-1.0])))
         assert rep.status in ("max_iter", "line_search_failure")
         assert rep.merit > 0.1
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.inf, np.nan])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_ncp(affine_problem([[1.0]], [-2.0]), tol=tol)
+
+    def test_tol_sets_the_stopping_residual(self):
+        M, q = random_monotone_affine(np.random.default_rng(5), 4)
+        loose = solve_ncp(affine_problem(M, q), tol=1e-2)
+        tight = solve_ncp(affine_problem(M, q))
+        assert loose.converged and tight.converged
+        assert tight.residual <= ncp.TOL < loose.residual <= 1e-2
+        assert loose.iterations < tight.iterations
+
+    def test_jacobian_is_required(self):
+        with pytest.raises(TypeError):
+            NcpProblem(n=1, f=lambda x: x - 2.0)
+
     def test_bad_x0_rejected(self):
         with pytest.raises(ValueError):
-            solve_ncp(NcpProblem(n=2, f=lambda x: x), x0=[1.0])
+            solve_ncp(fd_problem(2, lambda x: x), x0=[1.0])
         with pytest.raises(ValueError):
-            solve_ncp(NcpProblem(n=1, f=lambda x: x), x0=[np.nan])
+            solve_ncp(fd_problem(1, lambda x: x), x0=[np.nan])
 
 
 class TestComplementarityEquivalence:
@@ -297,6 +314,6 @@ class TestRegularizedNewton:
 
     def test_step_counts_of_a_failed_solve(self):
         # F = -1 has no solution; the counts still add up to the iterations
-        rep = solve_ncp(NcpProblem(n=1, f=lambda x: np.array([-1.0])), SolverConfig(max_iter=20))
+        rep = solve_ncp(fd_problem(1, lambda x: np.array([-1.0])))
         assert not rep.converged
         assert rep.newton_steps + rep.gradient_steps == rep.iterations
