@@ -12,11 +12,8 @@ time-dependent functional over flow trajectories lives in ``dynamic``.
 from .finsler import (
     CongestionField,
     DomainError,
-    FundamentalTensor,
-    Point,
     RandersStructure,
     RiemannianField,
-    TangentVector,
     build_randers,
     congestion_none,
     congestion_uniform,
@@ -24,10 +21,8 @@ from .finsler import (
     constant_randers,
     euclidean_metric,
     euclidean_randers,
-    fd_jet,
     fundamental_tensor,
     grid_congestion,
-    norm_g,
     parse_congestion_spec,
     randers_eval,
     validate_structure,

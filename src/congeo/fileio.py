@@ -242,6 +242,8 @@ def load_network(source) -> TrafficNetwork:
                     **kwargs,
                 )
             )
+        except SchemaError:
+            raise
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from None
 
@@ -257,6 +259,8 @@ def load_network(source) -> TrafficNetwork:
                     links=tuple(_string_list(raw, "links", where)),
                 )
             )
+        except SchemaError:
+            raise
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from None
 

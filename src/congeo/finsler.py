@@ -22,8 +22,8 @@ x-derivative together, stacked along the same leading axis:
 ``(B, dim, dim, dim)``, ``CongestionField.jet`` gives ``(w, dw)`` of shapes
 ``(B, dim)`` and ``(B, dim, dim)``, and ``RandersStructure.bundle`` gives
 ``(a, b, da, db)``.  Results that broadcast to those shapes, such as
-constants, are accepted.  A field known only by its values gets its jet from
-``fd_jet`` (central differences).  Index point components as ``x[..., i]``:
+constants, are accepted.  Each field supplies its derivative in closed
+form, with its value.  Index point components as ``x[..., i]``:
 a callable written for one point (``x[0]``) reads the first *point* of a
 batch and gives a wrong answer at B = 2 without raising an error.  The
 public one-point methods (``field(x)``, ``F.coefficients(x)``, ...) still
@@ -42,16 +42,11 @@ from ._common import parse_call
 
 __all__ = [
     "DomainError",
-    "Point",
-    "TangentVector",
     "RiemannianField",
     "CongestionField",
     "RandersStructure",
-    "FundamentalTensor",
-    "fd_jet",
     "SampleCheck",
     "StructureValidation",
-    "norm_g",
     "covector_norm",
     "randers_eval",
     "build_randers",
@@ -67,8 +62,6 @@ __all__ = [
     "parse_congestion_spec",
 ]
 
-# Relative step for x-derivatives of coefficient fields (first derivatives).
-COEFF_FD_STEP = 1e-5
 # Default saturation margin: reject congestion with ||w||_g > 1 - EPS_CONG.
 EPS_CONG = 1e-3
 
@@ -90,13 +83,7 @@ def _vec(y, name="vector") -> np.ndarray:
 
 
 def _pt(x, dim=None) -> np.ndarray:
-    if isinstance(x, Point):
-        arr = x.as_array()
-    elif isinstance(x, TangentVector):
-        raise TypeError("expected a point, got a TangentVector")
-    else:
-        arr = np.asarray(x, dtype=float)
-    arr = _vec(arr, "point")
+    arr = _vec(x, "point")
     if dim is not None and arr.shape != (dim,):
         raise ValueError(f"point has dimension {arr.shape[0]}, expected {dim}")
     return arr
@@ -117,7 +104,7 @@ def _point_rows(points, dim: int) -> np.ndarray:
 
 def _points(x, dim: int) -> tuple[np.ndarray, bool]:
     """A point or a (B, dim) batch of them as a batch, plus whether it was one point."""
-    if isinstance(x, Point) or np.ndim(x) == 1:
+    if np.ndim(x) == 1:
         return _pt(x, dim)[None], True
     return _point_rows(x, dim), False
 
@@ -148,45 +135,6 @@ def _mv(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Batched inner product ``u_i v_i`` over leading axes, as in ``_mv``."""
     return _sum(u * v, axis=-1)
-
-
-@dataclass(frozen=True)
-class Point:
-    """A position in R^n (n = 2 in all shipped configurations)."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        coords = tuple(float(c) for c in self.coords)
-        if not all(math.isfinite(c) for c in coords):
-            raise DomainError(f"point coordinates must be finite: {coords}")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=float)
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A direction attached to a base point."""
-
-    base: Point
-    components: tuple[float, ...]
-
-    def __post_init__(self):
-        comps = tuple(float(c) for c in self.components)
-        if not all(math.isfinite(c) for c in comps):
-            raise DomainError(f"tangent components must be finite: {comps}")
-        if len(comps) != self.base.dim:
-            raise ValueError("tangent dimension does not match base point")
-        object.__setattr__(self, "components", comps)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.components, dtype=float)
 
 
 def _check_sym_matrix(g: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -260,32 +208,6 @@ class CongestionField:
         return d[0] if single else d
 
 
-def _fd_derivative(fn, x: np.ndarray, value_shape: tuple) -> np.ndarray:
-    """Central-difference x-derivative (relative step ``COEFF_FD_STEP``) of a
-    coefficient map at a point or a batch of points ``x[..., :]``; the
-    derivative axis follows the batch axes."""
-    x = np.asarray(x, dtype=float)
-    batch = x.shape[:-1]
-    columns = []
-    for m in range(x.shape[-1]):
-        h = COEFF_FD_STEP * np.maximum(1.0, np.abs(x[..., m]))
-        e = np.zeros_like(x)
-        e[..., m] = h
-        diff = np.asarray(fn(x + e), float) - np.asarray(fn(x - e), float)
-        columns.append(diff / (2 * h).reshape(batch + (1,) * len(value_shape)))
-    # stacked, not written into a preallocated array, so that a value of the
-    # wrong shape reaches the field's schema check and its error message
-    return np.stack(columns, axis=len(batch))
-
-
-def fd_jet(values: Callable[[np.ndarray], np.ndarray], value_shape: tuple) -> Callable[[np.ndarray], tuple]:
-    """Jet of a field known only by its values, e.g.
-    ``CongestionField(fd_jet(vector, (2,)))``: ``values`` maps a (B, dim)
-    batch to values of shape ``(B, *value_shape)`` (or a broadcasting
-    constant), and the derivative comes from central differences."""
-    return lambda x: (values(x), _fd_derivative(values, x, value_shape))
-
-
 @dataclass(frozen=True)
 class RandersStructure:
     """Coefficient fields (a_ij, b_i) of F(x,y) = sqrt(a_ij y^i y^j) + b_i y^i.
@@ -320,30 +242,9 @@ class RandersStructure:
         return _batch(da, (1, dim, dim, dim), "alpha derivative")[0], _batch(db, (1, dim, dim), "beta derivative")[0]
 
 
-@dataclass(frozen=True)
-class FundamentalTensor:
-    """Direction-dependent metric g_ij(x, y) = half the fiber Hessian of F^2."""
-
-    matrix: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-
 # ---------------------------------------------------------------------------
 # Core evaluations
 # ---------------------------------------------------------------------------
-
-def norm_g(g: RiemannianField, x, y) -> float:
-    """Riemannian norm sqrt(g_ij(x) y^i y^j); requires g(x) positive-definite."""
-    mat = g(x)
-    try:
-        np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        raise DomainError(f"metric not positive-definite at {x}") from None
-    y = _vec(y, "tangent components")
-    return float(np.sqrt(max(y @ mat @ y, 0.0)))
-
 
 def _covector_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Norm of the covector b with respect to the inverse of a, over leading axes."""
@@ -472,12 +373,12 @@ def _fiber(a: np.ndarray, b: np.ndarray, y: np.ndarray, what: str) -> tuple:
     return al, ell, Fv, lb, tensor
 
 
-def fundamental_tensor(F: RandersStructure, x, y) -> FundamentalTensor:
+def fundamental_tensor(F: RandersStructure, x, y) -> np.ndarray:
     """g_ij(x, y) = half the fiber Hessian of F^2 at (x, y), y != 0, in the
-    closed Randers form."""
+    closed Randers form: a (dim, dim) array."""
     a, b = F.coefficients(x)
     y = _vec(y, "tangent components")
-    return FundamentalTensor(_fiber(a, b, y, "fundamental tensor")[-1])
+    return _fiber(a, b, y, "fundamental tensor")[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ __all__ = [
     "BvpResult",
     "StartOutcome",
     "Lagrangian",
-    "finite_difference_velocities",
     "curve_length",
     "el_residual",
     "geodesic_ivp",
@@ -104,12 +103,7 @@ class Curve:
     def velocity_samples(self) -> np.ndarray:
         if self.velocities is not None:
             return self.velocities
-        return finite_difference_velocities(self.params, self.points)
-
-
-def finite_difference_velocities(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Second-order velocity estimates on a (possibly nonuniform) grid."""
-    return np.gradient(x, t, axis=0, edge_order=2)
+        return np.gradient(self.points, self.params, axis=0, edge_order=2)
 
 
 def _second_differences(t: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's own solution paths:
 the LCP oracle enumerates active sets, the Newton system matrix is formed
 from fresh arrays, the two-route equilibrium comes from equal-times
-algebra, NCP Jacobians come from differences of F, the fundamental tensor
-comes from second differences of F^2, and curve perturbations are rebuilt
-from splined control points.
+algebra, NCP Jacobians come from differences of F, coefficient-field
+x-derivatives come from central differences of the field's values, the
+fundamental tensor comes from second differences of F^2, and curve
+perturbations are rebuilt from splined control points.
 """
 
 import numpy as np
@@ -16,6 +17,8 @@ from congeo.ncp import NcpProblem
 
 # Relative step of the forward-difference Jacobian of ``fd_problem``.
 JACOBIAN_FD_STEP = 1e-7
+# Relative step for x-derivatives of coefficient fields (first derivatives).
+COEFF_FD_STEP = 1e-5
 # Relative step for the finite-difference fundamental tensor (second
 # derivatives).  1e-4 keeps the round-off floor near 1e-7 relative; smaller
 # steps amplify cancellation past the 1e-6 agreement target.
@@ -56,6 +59,33 @@ def central_jacobian(problem, x, h):
         e[j] = h
         jac[:, j] = (problem.f_eval(x + e) - problem.f_eval(x - e)) / (2 * h)
     return jac
+
+
+def fd_derivative(fn, x, value_shape):
+    """Central-difference x-derivative (relative step ``COEFF_FD_STEP``) of a
+    coefficient map at a point or a batch of points ``x[..., :]``; the
+    derivative axis follows the batch axes.  The cross-check of a field's
+    closed-form jet."""
+    x = np.asarray(x, dtype=float)
+    batch = x.shape[:-1]
+    columns = []
+    for m in range(x.shape[-1]):
+        h = COEFF_FD_STEP * np.maximum(1.0, np.abs(x[..., m]))
+        e = np.zeros_like(x)
+        e[..., m] = h
+        diff = np.asarray(fn(x + e), float) - np.asarray(fn(x - e), float)
+        columns.append(diff / (2 * h).reshape(batch + (1,) * len(value_shape)))
+    # stacked, not written into a preallocated array, so that a value of the
+    # wrong shape reaches the field's schema check and its error message
+    return np.stack(columns, axis=len(batch))
+
+
+def fd_jet(values, value_shape):
+    """Jet of a test field written by its values alone, e.g.
+    ``CongestionField(fd_jet(vector, (2,)))``: ``values`` maps a (B, dim)
+    batch to values of shape ``(B, *value_shape)`` (or a broadcasting
+    constant), and the derivative comes from ``fd_derivative``."""
+    return lambda x: (values(x), fd_derivative(values, x, value_shape))
 
 
 def system_jacobian_reference(jac, da, db):

@@ -146,7 +146,7 @@ def test_criterion_5_finsler_validity_suite():
             for lam in (0.5, 2.0, 10.0):
                 scaled = randers_eval(F, x, lam * y)
                 assert abs(scaled - lam * base) <= 1e-10 * abs(lam * base)
-            analytic = fundamental_tensor(F, x, y).matrix
+            analytic = fundamental_tensor(F, x, y)
             eigs = np.linalg.eigvalsh(analytic)
             assert np.all(eigs > 0.0)
             fd = fd_fundamental_tensor(F, x, y)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from congeo import fileio
 from congeo.cli import EXIT_INPUT, EXIT_NONCONVERGED, EXIT_OK, main
 from congeo.routing import route
+from oracles import fd_derivative
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demo")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -274,6 +276,20 @@ class TestReadmeCommands:
         if "--out" in argv:
             argv[argv.index("--out") + 1] = str(tmp_path)
         assert run_cli(*argv) == EXIT_OK
+
+
+class TestReadmePython:
+    def test_blocks_run_in_order(self, rng):
+        text = open(README, encoding="utf-8").read()
+        namespace = {}
+        for block in re.findall(r"```python\n(.*?)```", text, flags=re.S):
+            exec(compile(block, README, "exec"), namespace)
+        assert namespace["report"].status == "converged"
+        assert namespace["result"].converged
+        # the custom field's closed-form jet against differences of its values
+        swirl = namespace["swirl"]
+        x = rng.uniform(-1, 1, size=(5, 2))
+        assert np.allclose(swirl.derivative(x), fd_derivative(swirl, x, (2,)), rtol=1e-7, atol=1e-9)
 
 
 class TestRouteCommand:

@@ -112,6 +112,24 @@ class TestNetworkLoader:
         with pytest.raises(SchemaError, match="number"):
             fileio.load_network(doc)
 
+    @pytest.mark.parametrize(
+        "section, field, value, message",
+        [
+            ("links", "t0", "fast", "links[0].t0: expected a number, got 'fast'"),
+            ("routes", "links", 3, "routes[0].links: expected a list of strings"),
+            ("routes", "id", 5, "routes[0].id: expected a string, got 5"),
+            ("od_pairs", "id", 3, "od_pairs[0].id: expected a string, got 3"),
+            ("links", "t0", -1.0, "links[0]: link A: free-flow time must be positive"),
+        ],
+    )
+    def test_error_names_the_element_once(self, section, field, value, message):
+        # a field reader's error carries its own path; a constructor's gets the element's
+        doc = self._doc()
+        doc[section][0][field] = value
+        with pytest.raises(SchemaError) as exc:
+            fileio.load_network(doc)
+        assert str(exc.value) == message
+
 
 class TestNcpProblemLoader:
     def test_affine_demo(self):

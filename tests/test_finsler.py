@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 from congeo import finsler
 from congeo.finsler import (
     DomainError,
-    Point,
-    TangentVector,
     build_randers,
     congestion_none,
     congestion_uniform,
@@ -15,57 +13,14 @@ from congeo.finsler import (
     covector_norm,
     euclidean_metric,
     euclidean_randers,
-    fd_jet,
     fundamental_tensor,
     grid_congestion,
-    norm_g,
     parse_congestion_spec,
     randers_eval,
     validate_structure,
 )
 from conftest import invalid_drift_structure, random_direction, random_randers
-from oracles import fd_fundamental_tensor
-
-
-class TestPointsAndVectors:
-    def test_point_roundtrip(self):
-        p = Point((1.0, -2.5))
-        assert p.dim == 2
-        assert np.allclose(p.as_array(), [1.0, -2.5])
-
-    def test_point_rejects_nan(self):
-        with pytest.raises(DomainError):
-            Point((float("nan"), 0.0))
-
-    def test_tangent_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            TangentVector(Point((0.0, 0.0)), (1.0,))
-
-    def test_tangent_rejects_inf(self):
-        with pytest.raises(DomainError):
-            TangentVector(Point((0.0, 0.0)), (float("inf"), 1.0))
-
-
-class TestNormG:
-    def test_euclidean_345(self):
-        assert norm_g(euclidean_metric(), (0, 0), (3, 4)) == pytest.approx(5.0, abs=1e-14)
-
-    def test_zero_vector(self):
-        assert norm_g(euclidean_metric(), (0, 0), (0, 0)) == 0.0
-
-    def test_diagonal_metric(self):
-        g = finsler.constant_metric(np.diag([4.0, 1.0]))
-        # g_ij y^i y^j = 4 + 1 = 5 by hand
-        assert norm_g(g, (0, 0), (1, 1)) == pytest.approx(np.sqrt(5.0), abs=1e-14)
-
-    def test_rejects_indefinite_metric(self):
-        g = finsler.RiemannianField(fd_jet(lambda x: np.diag([1.0, -1.0]), (2, 2)))
-        with pytest.raises(DomainError):
-            norm_g(g, (0, 0), (1, 0))
-
-    def test_rejects_nonfinite_components(self):
-        with pytest.raises(DomainError):
-            norm_g(euclidean_metric(), (0, 0), (np.nan, 1.0))
+from oracles import fd_derivative, fd_fundamental_tensor, fd_jet
 
 
 class TestRandersEval:
@@ -89,10 +44,6 @@ class TestRandersEval:
         F = invalid_drift_structure()
         with pytest.raises(DomainError):
             randers_eval(F, (0, 0), (1, 0))
-
-    def test_accepts_point_objects(self):
-        F = euclidean_randers()
-        assert randers_eval(F, Point((0.0, 0.0)), (0, 1)) == pytest.approx(1.0)
 
 
 class TestBuildRanders:
@@ -172,15 +123,16 @@ class TestBuildRanders:
         for _ in range(50):
             x = rng.uniform(-2, 2, size=2)
             a, b = F.coefficients(x)
-            assert covector_norm(a, b) == pytest.approx(norm_g(g, x, field(x)), abs=1e-10)
+            w = field(x)
+            assert covector_norm(a, b) == pytest.approx(np.sqrt(w @ g(x) @ w), abs=1e-10)
 
     def test_chain_rule_derivatives_match_fd(self, rng):
         F = build_randers(euclidean_metric(), congestion_vortex(0.1, 0.3, 0.7))
         for _ in range(20):
             x = rng.uniform(-1.5, 1.5, size=2)
             da, db = F.coefficient_derivatives(x)
-            da_fd = finsler._fd_derivative(lambda p: F.coefficients(p)[0], x, (2, 2))
-            db_fd = finsler._fd_derivative(lambda p: F.coefficients(p)[1], x, (2,))
+            da_fd = fd_derivative(lambda p: F.coefficients(p)[0], x, (2, 2))
+            db_fd = fd_derivative(lambda p: F.coefficients(p)[1], x, (2,))
             assert np.allclose(da, da_fd, rtol=1e-6, atol=1e-8)
             assert np.allclose(db, db_fd, rtol=1e-6, atol=1e-8)
 
@@ -205,8 +157,8 @@ class TestBuildRanders:
         for _ in range(20):
             x = rng.uniform(-1.5, 1.5, size=2)
             da, db = F.coefficient_derivatives(x)
-            da_fd = finsler._fd_derivative(lambda p: F.coefficients(p)[0], x, (2, 2))
-            db_fd = finsler._fd_derivative(lambda p: F.coefficients(p)[1], x, (2,))
+            da_fd = fd_derivative(lambda p: F.coefficients(p)[0], x, (2, 2))
+            db_fd = fd_derivative(lambda p: F.coefficients(p)[1], x, (2,))
             assert np.allclose(da, da_fd, rtol=1e-6, atol=1e-8)
             assert np.allclose(db, db_fd, rtol=1e-6, atol=1e-8)
 
@@ -217,7 +169,7 @@ class TestFundamentalTensor:
         for _ in range(10):
             y = random_direction(rng)
             t = fundamental_tensor(F, (0, 0), y)
-            assert np.allclose(t.matrix, np.eye(2), atol=1e-12)
+            assert np.allclose(t, np.eye(2), atol=1e-12)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(DomainError):
@@ -231,7 +183,7 @@ class TestFundamentalTensor:
             F = random_randers(rng)
             x = rng.uniform(-1, 1, size=2)
             y = random_direction(rng)
-            ga = fundamental_tensor(F, x, y).matrix
+            ga = fundamental_tensor(F, x, y)
             gf = fd_fundamental_tensor(F, x, y)
             worst = max(worst, np.max(np.abs(ga - gf)) / np.max(np.abs(ga)))
         assert worst <= 1e-6
@@ -240,14 +192,14 @@ class TestFundamentalTensor:
         for _ in range(100):
             F = random_randers(rng)
             y = random_direction(rng)
-            eigs = fundamental_tensor(F, (0, 0), y).eigenvalues()
+            eigs = np.linalg.eigvalsh(fundamental_tensor(F, (0, 0), y))
             assert np.all(eigs > 0)
 
     def test_position_dependent_structure(self, rng):
         F = build_randers(euclidean_metric(), congestion_vortex(0.0, 0.0, 0.6))
         x = np.array([0.7, -0.4])
         y = np.array([1.0, 2.0])
-        ga = fundamental_tensor(F, x, y).matrix
+        ga = fundamental_tensor(F, x, y)
         gf = fd_fundamental_tensor(F, x, y)
         assert np.max(np.abs(ga - gf)) / np.max(np.abs(ga)) <= 1e-6
 
@@ -373,7 +325,7 @@ class TestGridCongestion:
             above = field.derivative((other, np.nextafter(edge, np.inf)))
             assert np.allclose(below, above, rtol=0.0, atol=1e-9)
         for p in ((0.05, 0.4), (-0.8, 1.5), (0.6, -0.7)):
-            d_fd = finsler._fd_derivative(field, np.array(p), (2,))
+            d_fd = fd_derivative(field, np.array(p), (2,))
             assert np.allclose(field.derivative(p), d_fd, rtol=1e-7, atol=1e-9)
 
     def test_two_samples_per_axis(self, rng):
@@ -474,7 +426,7 @@ class TestPresetParsing:
         for _ in range(20):
             x = rng.uniform(-2, 2, size=(1, 2))
             d_an = np.broadcast_to(field.jet(x)[1], (1, 2) + shape)
-            d_fd = finsler._fd_derivative(lambda p: field.jet(p)[0], x, shape)
+            d_fd = fd_derivative(lambda p: field.jet(p)[0], x, shape)
             assert np.allclose(d_an, d_fd, rtol=1e-7, atol=1e-9)
 
     @pytest.mark.parametrize(
