@@ -14,7 +14,8 @@ to the exit code:
        failure such as congestion saturation or a non-finite F
 
 A config file carrying a "command" discriminator can drive a whole run via
-``congeo --config run.json``.  No environment variables are consulted.
+``congeo --config run.json``; shared flags given with it override the file's
+values.  No environment variables are consulted.
 Result artifacts are deterministic for a fixed seed; the summary contains
 the wall time and is the one file excluded from byte-level reproducibility.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -35,7 +37,7 @@ from . import fileio
 from .finsler import EPS_CONG, DomainError, build_randers, euclidean_metric, validate_structure
 from .ncp import TOL, solve_ncp
 from .routing import route
-from .traffic import solve_ue
+from .traffic import per_route_network, solve_ue
 from .fileio import SchemaError
 
 __all__ = ["main", "RunConfig", "EXIT_OK", "EXIT_INPUT", "EXIT_NONCONVERGED"]
@@ -48,18 +50,23 @@ EXIT_NONCONVERGED = 2
 # solver's non-convergence (non_converged, max_iter, line_search_failure).
 _EXIT_CODES = {"converged": EXIT_OK, "valid": EXIT_OK, "invalid": EXIT_INPUT}
 
+# solve-ue's --demand-block -> the key column of ue_times.csv.  per_route
+# solves traffic.per_route_network, whose OD pairs are the routes.
+_TIMES_KEYS = {"per_od": "od", "per_route": "route"}
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration shared by all commands."""
+    """Validated run configuration shared by all commands; its defaults are
+    the flags' defaults."""
 
     command: str
     inputs: tuple
-    out: str
-    seed: int | None
-    tol: float | None
-    svg: bool
-    jobs: int
+    out: str = "."
+    seed: int | None = None
+    tol: float | None = None
+    svg: bool = False
+    jobs: int = 1
     demand_block: str = "per_od"
     cost_model: str | None = None
     variant: str = "half_phi_squared"
@@ -73,6 +80,8 @@ class RunConfig:
             raise SchemaError("tol must be positive and finite")
         if self.jobs < 1:
             raise SchemaError("jobs must be at least 1")
+        if self.demand_block not in _TIMES_KEYS:
+            raise SchemaError(f"demand_block must be one of {tuple(_TIMES_KEYS)}")
         for item in self.inputs:
             if isinstance(item, str) and not os.path.exists(item):
                 raise SchemaError(f"input file not found: {item}")
@@ -89,6 +98,12 @@ def _run_config(args, input_attr: str) -> RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    """A flag that is not given sets no attribute, so RunConfig holds the
+    defaults and a flag given with --config overrides the file's value."""
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
     def error(self, message):  # usage problems are input errors (exit 1)
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -96,25 +111,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=".", help="output directory (default: current directory)")
-    p.add_argument("--seed", type=int, default=None, help="seed override for route restart perturbations")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override for the command's solver")
+    p.add_argument("--out", help="output directory (default: current directory)")
+    p.add_argument("--seed", type=int, help="seed override for route restart perturbations")
+    p.add_argument("--tol", type=float, help="tolerance override for the command's solver")
     p.add_argument("--svg", action="store_true", help="also emit SVG polylines for curves")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; scenarios run one after another")
+    p.add_argument("--jobs", type=int, help="accepted for compatibility; scenarios run one after another")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process."""
     parser = _Parser(prog="congeo", description=__doc__.splitlines()[0])
     parser.add_argument("--config", default=None, help="JSON run config with a 'command' discriminator")
+    _common_flags(parser)  # overrides of a --config file's values
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("solve-ncp", parents=[], help="solve a complementarity problem file")
+    p = sub.add_parser("solve-ncp", help="solve a complementarity problem file")
     p.add_argument("problem", nargs="?", help="problem JSON path")
     _common_flags(p)
 
     p = sub.add_parser("solve-ue", help="solve a traffic network for user equilibrium")
     p.add_argument("network", nargs="?", help="network JSON path")
-    p.add_argument("--demand-block", choices=["per_od", "per_route"], default="per_od")
+    p.add_argument("--demand-block", choices=list(_TIMES_KEYS))
     _common_flags(p)
 
     p = sub.add_parser("route", help="route through a congested region")
@@ -123,8 +141,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dynamic", help="evaluate or minimize the time-dependent functional")
     p.add_argument("trajectory", nargs="?", help="trajectory CSV path (t,h or t,h,c)")
-    p.add_argument("--cost-model", default=None, help="zero | identity | affine(a,b)")
-    p.add_argument("--variant", choices=list(dyn.VARIANTS), default="half_phi_squared")
+    p.add_argument("--cost-model", help="zero | identity | affine(a,b)")
+    p.add_argument("--variant", choices=list(dyn.VARIANTS))
     p.add_argument("--minimize", action="store_true")
     _common_flags(p)
 
@@ -192,12 +210,14 @@ def _work_counts(report) -> dict:
 
 def cmd_solve_ue(cfg: RunConfig):
     network = fileio.load_network(cfg.inputs[0])
-    sol = solve_ue(network, demand_block=cfg.demand_block, tol=cfg.tol or TOL)
+    if cfg.demand_block == "per_route":
+        network = per_route_network(network)
+    sol = solve_ue(network, tol=cfg.tol or TOL)
     flows_path = os.path.join(cfg.out, "ue_flows.csv")
     times_path = os.path.join(cfg.out, "ue_times.csv")
     resid_path = os.path.join(cfg.out, "ue_residuals.json")
     fileio.write_flows_csv(flows_path, sol)
-    fileio.write_times_csv(times_path, sol)
+    fileio.write_times_csv(times_path, sol, _TIMES_KEYS[cfg.demand_block])
     fileio.dump_json(
         {
             "max_complementarity": sol.residuals.max_complementarity,
@@ -209,7 +229,7 @@ def cmd_solve_ue(cfg: RunConfig):
         resid_path,
     )
     results = {
-        "demand_block": sol.demand_block,
+        "demand_block": cfg.demand_block,
         "merit": sol.report.merit,
         "residual": sol.report.residual,
         **_work_counts(sol.report),
@@ -391,11 +411,12 @@ _CONFIG_OPTIONS = {
 }
 
 
-def _apply_config(args, parser: _Parser) -> None:
+def _apply_config(args) -> None:
     """Drive a run from one JSON document: the per-command input schema plus
-    a 'command' discriminator and optional flag overrides.  The CSV-backed
-    commands reference their files via 'trajectory_csv' / 'file' (paths
-    relative to the config file)."""
+    a 'command' discriminator and optional flag overrides, which flags given
+    on the command line override in turn.  The CSV-backed commands reference
+    their files via 'trajectory_csv' / 'file' (paths relative to the config
+    file)."""
     doc = fileio.load_json(args.config)
     if not isinstance(doc, dict) or "command" not in doc:
         raise SchemaError(f"{args.config}: config must be an object with a 'command' field")
@@ -406,15 +427,11 @@ def _apply_config(args, parser: _Parser) -> None:
     if args.command is not None:
         raise SchemaError(f"{args.config}: --config cannot be combined with an explicit command")
     config_dir = os.path.dirname(os.path.abspath(args.config))
-
-    defaults = parser.parse_args([command])
-    for key, value in vars(defaults).items():
-        setattr(args, key, value)
     args.command = command
     args.config_dir = config_dir
 
     for key in [k for k in doc if k in _CONFIG_OPTIONS]:
-        setattr(args, key, _CONFIG_OPTIONS[key](doc, key, "config"))
+        vars(args).setdefault(key, _CONFIG_OPTIONS[key](doc, key, "config"))  # a given flag wins
         del doc[key]
 
     input_attr = _COMMANDS[command][0]
@@ -435,7 +452,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
-            _apply_config(args, parser)
+            _apply_config(args)
         if args.command is None:
             parser.error("a command is required (or --config with a 'command' field)")
         input_attr, handler = _COMMANDS[args.command]

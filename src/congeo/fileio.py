@@ -528,9 +528,9 @@ def read_flows_csv(path: str) -> dict[str, float]:
     return dict(zip(keys, data[:, 0].tolist()))
 
 
-def write_times_csv(path: str, solution: UeSolution) -> None:
-    key = "od" if solution.demand_block == "per_od" else "route"
-    _write_table(path, [key, "time"], (solution.pi_ids, solution.pi))
+def write_times_csv(path: str, solution: UeSolution, key: str = "od") -> None:
+    """OD times under the header ``key,time`` (``route`` for a route-split network)."""
+    _write_table(path, [key, "time"], (solution.od_ids, solution.pi))
 
 
 def read_times_csv(path: str) -> dict[str, float]:

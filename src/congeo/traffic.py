@@ -5,20 +5,14 @@ enumerated loop-free routes, and origin-destination pairs with fixed or
 truncated-affine elastic demand.  The equilibrium conditions (used routes
 attain the minimal OD time; demand is served) are assembled into an
 NcpProblem over x = (route flows, OD times) and handed to the
-Fischer-Burmeister solver.
+Fischer-Burmeister solver.  Each route is priced against the time pi_k of
+its OD pair k, paired against flow conservation sum_{r in k} h_r - d_k(pi_k).
 
-Two demand-block layouts are supported, and they differ only in the time
-variable each route is priced against.  ``per_od`` (default) has one time
-pi_k per OD pair, paired against flow conservation sum_{r in k} h_r -
-d_k(pi_k).  ``per_route`` gives every route its own time pi_r, paired
-against h_r - d_od(r)(pi_r), which forces every route to carry the full
-demand; the layouts coincide on single-route networks and diverge
-otherwise.  ``per_route`` is kept for comparison only: the solver converges
-on the two demo networks but stops at ``max_iter`` on 4 of the 8 seed-1
-``small_net_*`` lattices of the cli-small benchmark workload.  ``_layout``
-turns the choice into a route -> time-variable map plus the demand arrays
-of d(pi) = max(0, d0 - k pi), and every function below has one body for
-both.
+``per_route_network`` splits a network into one OD pair per route, which
+forces every route to carry its OD pair's full demand.  It is kept for
+comparison only: the solver converges on the two demo networks but stops at
+``max_iter`` on 4 of the 8 seed-1 ``small_net_*`` lattices of the cli-small
+benchmark workload.
 """
 
 from __future__ import annotations
@@ -42,13 +36,11 @@ __all__ = [
     "link_time",
     "route_cost",
     "assemble_ncp",
+    "per_route_network",
     "solve_ue",
     "gap_value",
     "wardrop_residuals",
 ]
-
-DEMAND_BLOCKS = ("per_od", "per_route")
-
 
 @dataclass(frozen=True)
 class Link:
@@ -151,8 +143,6 @@ class TrafficNetwork:
                 seen.add(i)
 
         node_set = set(self.nodes)
-        link_by_id = {l.id: l for l in self.links}
-        od_by_id = {od.id: od for od in self.od_pairs}
         for l in self.links:
             if l.from_node not in node_set or l.to_node not in node_set:
                 raise ValueError(f"link {l.id}: endpoint not among nodes")
@@ -160,46 +150,46 @@ class TrafficNetwork:
             if od.origin not in node_set or od.destination not in node_set:
                 raise ValueError(f"od pair {od.id}: endpoint not among nodes")
 
-        routed_ods = set()
-        for r in self.routes:
-            if r.od not in od_by_id:
-                raise ValueError(f"route {r.id}: unknown od pair {r.od!r}")
-            od = od_by_id[r.od]
-            walk = [od.origin]
-            for lid in r.links:
-                link = link_by_id.get(lid)
-                if link is None:
-                    raise ValueError(f"route {r.id}: unknown link {lid!r}")
-                if link.from_node != walk[-1]:
-                    raise ValueError(f"route {r.id}: link {lid!r} does not continue the walk")
-                walk.append(link.to_node)
-            if walk[-1] != od.destination:
-                raise ValueError(f"route {r.id}: walk ends at {walk[-1]!r}, not the destination")
-            if len(set(walk)) != len(walk):
-                raise ValueError(f"route {r.id}: repeated node (route must be loop-free)")
-            routed_ods.add(r.od)
-        for od in self.od_pairs:
-            if od.id not in routed_ods:
-                raise ValueError(f"od pair {od.id}: no route serves it")
-
-        # route-link incidence (routes x links) and route -> od index
+        # one pass over the routes: check each walk and fill its row of the
+        # route-link incidence (routes x links) and its od index
         link_index = {l.id: i for i, l in enumerate(self.links)}
         od_index = {od.id: i for i, od in enumerate(self.od_pairs)}
         inc = np.zeros((len(self.routes), len(self.links)))
         r_od = np.zeros(len(self.routes), dtype=int)
         for ri, r in enumerate(self.routes):
+            if r.od not in od_index:
+                raise ValueError(f"route {r.id}: unknown od pair {r.od!r}")
             r_od[ri] = od_index[r.od]
+            od = self.od_pairs[r_od[ri]]
+            walk = [od.origin]
             for lid in r.links:
-                inc[ri, link_index[lid]] += 1.0
-        inc.setflags(write=False)
-        r_od.setflags(write=False)
-        object.__setattr__(self, "_incidence", inc)
-        object.__setattr__(self, "_route_od", r_od)
-        # per-link BPR parameters, read by every F and Jacobian evaluation
-        for attr in ("t0", "capacity", "bpr_b", "bpr_p"):
-            arr = np.array([getattr(l, attr) for l in self.links])
+                li = link_index.get(lid)
+                if li is None:
+                    raise ValueError(f"route {r.id}: unknown link {lid!r}")
+                if self.links[li].from_node != walk[-1]:
+                    raise ValueError(f"route {r.id}: link {lid!r} does not continue the walk")
+                walk.append(self.links[li].to_node)
+                inc[ri, li] += 1.0
+            if walk[-1] != od.destination:
+                raise ValueError(f"route {r.id}: walk ends at {walk[-1]!r}, not the destination")
+            if len(set(walk)) != len(walk):
+                raise ValueError(f"route {r.id}: repeated node (route must be loop-free)")
+        for od, served in zip(self.od_pairs, np.bincount(r_od, minlength=len(self.od_pairs))):
+            if not served:
+                raise ValueError(f"od pair {od.id}: no route serves it")
+        demands = [od.demand for od in self.od_pairs]
+        arrays = {
+            "incidence": inc,
+            "route_od": r_od,
+            # per-link BPR parameters, read by every F and Jacobian evaluation
+            **{a: np.array([getattr(l, a) for l in self.links]) for a in ("t0", "capacity", "bpr_b", "bpr_p")},
+            # each OD pair's demand d(pi) = max(0, d0 - k pi), k = 0 for fixed demand
+            "d0": np.array([d.value if isinstance(d, FixedDemand) else d.d0 for d in demands], dtype=float),
+            "k": np.array([0.0 if isinstance(d, FixedDemand) else d.k for d in demands], dtype=float),
+        }
+        for name, arr in arrays.items():
             arr.setflags(write=False)
-            object.__setattr__(self, f"_{attr}", arr)
+            object.__setattr__(self, f"_{name}", arr)
 
     @property
     def n_routes(self) -> int:
@@ -254,49 +244,41 @@ def route_cost(network: TrafficNetwork, h) -> np.ndarray:
     return _route_costs_clamped(network, h)
 
 
-def _layout(network: TrafficNetwork, demand_block: str) -> tuple[np.ndarray, tuple[str, ...], np.ndarray, np.ndarray]:
-    """The route -> time-variable map of a demand-block layout.
-
-    Returns ``group`` (group[r] is the time variable route r is priced
-    against), the ids of the time variables and each one's demand as the
-    arrays ``d0`` and ``k`` of d(pi) = max(0, d0 - k pi) (k = 0 for fixed
-    demand); ``_served`` evaluates it.
-    """
-    if demand_block not in DEMAND_BLOCKS:
-        raise ValueError(f"demand_block must be one of {DEMAND_BLOCKS}")
-    r_od = network.route_od_index()
-    demands = [od.demand for od in network.od_pairs]
-    d0 = np.array([d.value if isinstance(d, FixedDemand) else d.d0 for d in demands], dtype=float)
-    k = np.array([0.0 if isinstance(d, FixedDemand) else d.k for d in demands], dtype=float)
-    if demand_block == "per_od":
-        return r_od, tuple(od.id for od in network.od_pairs), d0, k
-    return np.arange(network.n_routes), tuple(r.id for r in network.routes), d0[r_od], k[r_od]
+def per_route_network(network: TrafficNetwork) -> TrafficNetwork:
+    """The network with one OD pair per route: the route's id, its OD pair's
+    endpoints and demand (the ``per_route`` layout of ``solve-ue``)."""
+    ods = [network.od_pairs[i] for i in network.route_od_index()]
+    return TrafficNetwork(
+        nodes=network.nodes,
+        links=network.links,
+        routes=tuple(Route(r.id, r.id, r.links) for r in network.routes),
+        od_pairs=tuple(OdPair(r.id, od.origin, od.destination, od.demand) for r, od in zip(network.routes, ods)),
+    )
 
 
-def _served(d0: np.ndarray, k: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Demand d(pi) = max(0, d0 - k pi) of each time variable."""
-    return np.maximum(0.0, d0 - k * pi)
+def _served(network: TrafficNetwork, pi: np.ndarray) -> np.ndarray:
+    """Demand d(pi) = max(0, d0 - k pi) of each OD pair."""
+    return np.maximum(0.0, network._d0 - network._k * pi)
 
 
-def assemble_ncp(network: TrafficNetwork, demand_block: str = "per_od") -> NcpProblem:
+def assemble_ncp(network: TrafficNetwork) -> NcpProblem:
     """Encode the equilibrium conditions as an NcpProblem.
 
-    Unknowns x = (h_1..h_R, pi_1..pi_K), where the K time variables are the
-    OD pairs (``per_od``) or the routes (``per_route``), in network order.
-    With the one-hot route -> time-variable map P (R x K),
+    Unknowns x = (h_1..h_R, pi_1..pi_K), routes and OD pairs in network
+    order.  With the one-hot route -> OD map P (R x K),
     F = (c(h) - P pi; P^T h - d(pi)), and the Jacobian
     [[dc/dh, -P], [P^T, -diag(d'(pi))]] is filled into one (R+K)^2 array.
     """
-    group, _, d0, k = _layout(network, demand_block)
-    R, K = network.n_routes, len(d0)
+    R, K = network.n_routes, network.n_od
     inc = network.incidence()
+    k = network._k
     P = np.zeros((R, K))
-    P[np.arange(R), group] = 1.0
+    P[np.arange(R), network.route_od_index()] = 1.0
 
     def f(x: np.ndarray) -> np.ndarray:
         h, pi = x[:R], x[R:]
         costs = _route_costs_clamped(network, h)
-        return np.concatenate([costs - P @ pi, P.T @ h - _served(d0, k, pi)])
+        return np.concatenate([costs - P @ pi, P.T @ h - _served(network, pi)])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         h, pi = x[:R], x[R:]
@@ -305,7 +287,7 @@ def assemble_ncp(network: TrafficNetwork, demand_block: str = "per_od") -> NcpPr
         np.negative(P, out=jac[:R, R:])
         jac[R:, :R] = P.T
         jac[R:, R:] = 0.0
-        np.fill_diagonal(jac[R:, R:], k * (_served(d0, k, pi) > 0.0))  # -d'(pi)
+        np.fill_diagonal(jac[R:, R:], k * (_served(network, pi) > 0.0))  # -d'(pi)
         return jac
 
     return NcpProblem(n=R + K, f=f, jacobian=jacobian)
@@ -318,7 +300,7 @@ class WardropResiduals:
     max_complementarity: float  # max_r |h_r (c_r - pi)|
     max_time_violation: float  # max_r max(0, pi - c_r)
     max_negative_flow: float  # max_r max(0, -h_r)
-    demand_gaps: dict[str, float]  # per OD (per route in per_route layout)
+    demand_gaps: dict[str, float]  # per OD pair
 
     @property
     def max_demand_gap(self) -> float:
@@ -339,9 +321,8 @@ class UeSolution:
     pi: np.ndarray
     residuals: WardropResiduals
     report: SolveReport
-    demand_block: str
     route_ids: tuple[str, ...]
-    pi_ids: tuple[str, ...]  # od ids (per_od) or route ids (per_route)
+    od_ids: tuple[str, ...]
 
     @property
     def converged(self) -> bool:
@@ -350,75 +331,72 @@ class UeSolution:
     def flows_by_route(self) -> dict[str, float]:
         return {rid: float(v) for rid, v in zip(self.route_ids, self.h)}
 
-    def times_by_key(self) -> dict[str, float]:
-        return {pid: float(v) for pid, v in zip(self.pi_ids, self.pi)}
+    def times_by_od(self) -> dict[str, float]:
+        return {oid: float(v) for oid, v in zip(self.od_ids, self.pi)}
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.h, self.pi])
 
 
-def _default_start(network: TrafficNetwork, demand_block: str) -> np.ndarray:
-    """Times at the cheapest free-flow route of each time variable; its
-    demand at that time split evenly over the routes priced against it."""
-    group, _, d0, k = _layout(network, demand_block)
-    K = len(d0)
+def _default_start(network: TrafficNetwork) -> np.ndarray:
+    """Times at the cheapest free-flow route of each OD pair; its demand at
+    that time split evenly over its routes."""
+    group, K = network.route_od_index(), network.n_od
     c0 = _route_costs_clamped(network, np.zeros(network.n_routes))
     pi0 = np.full(K, np.inf)
     np.minimum.at(pi0, group, c0)
-    h0 = _served(d0, k, pi0)[group] / np.bincount(group, minlength=K)[group]
+    h0 = _served(network, pi0)[group] / np.bincount(group, minlength=K)[group]
     return np.concatenate([h0, pi0])
 
 
-def wardrop_residuals(network: TrafficNetwork, solution, demand_block: str = "per_od") -> WardropResiduals:
+def wardrop_residuals(network: TrafficNetwork, solution) -> WardropResiduals:
     """Evaluate the equilibrium violation measures at a candidate solution.
 
     ``solution`` is an (h, pi) pair; costs are evaluated with flows clamped
     at zero so infeasible candidates still report finite numbers.
-    Demand gaps are keyed by the layout's time variables: OD ids for
-    ``per_od``, route ids for ``per_route``.
+    Demand gaps are keyed by OD id.
     """
     h, pi = solution
     h = np.asarray(h, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    group, ids, d0, k = _layout(network, demand_block)
+    group = network.route_od_index()
     R = network.n_routes
     costs = _route_costs_clamped(network, h)
     pi_per_route = pi[group]
     comp = float(np.max(np.abs(h * (costs - pi_per_route)))) if R else 0.0
     time_violation = float(np.max(np.maximum(pi_per_route - costs, 0.0))) if R else 0.0
     neg_flow = float(np.max(np.maximum(-h, 0.0))) if R else 0.0
-    gaps = np.abs(np.bincount(group, weights=h, minlength=len(ids)) - _served(d0, k, pi))
+    gaps = np.abs(np.bincount(group, weights=h, minlength=network.n_od) - _served(network, pi))
     return WardropResiduals(
         max_complementarity=comp,
         max_time_violation=time_violation,
         max_negative_flow=neg_flow,
-        demand_gaps=dict(zip(ids, gaps.tolist())),
+        demand_gaps=dict(zip((od.id for od in network.od_pairs), gaps.tolist())),
     )
 
 
-def solve_ue(network: TrafficNetwork, demand_block: str = "per_od", x0=None, *, tol: float = TOL) -> UeSolution:
+def solve_ue(network: TrafficNetwork, x0=None, *, tol: float = TOL) -> UeSolution:
     """Solve for user equilibrium; solver statuses propagate in the report."""
-    problem = assemble_ncp(network, demand_block)
-    start = np.asarray(x0, dtype=float) if x0 is not None else _default_start(network, demand_block)
+    problem = assemble_ncp(network)
+    start = np.asarray(x0, dtype=float) if x0 is not None else _default_start(network)
     report = solve_ncp(problem, start, tol=tol)
     R = network.n_routes
     h, pi = report.x_star[:R], report.x_star[R:]
-    residuals = wardrop_residuals(network, (h, pi), demand_block)
+    residuals = wardrop_residuals(network, (h, pi))
     return UeSolution(
         h=h,
         pi=pi,
         residuals=residuals,
         report=report,
-        demand_block=demand_block,
         route_ids=tuple(r.id for r in network.routes),
-        pi_ids=_layout(network, demand_block)[1],
+        od_ids=tuple(od.id for od in network.od_pairs),
     )
 
 
-def gap_value(network: TrafficNetwork, x, demand_block: str = "per_od") -> float:
+def gap_value(network: TrafficNetwork, x) -> float:
     """Sum of (1/2) phi(x_i, F_i)^2 over the assembled system; zero exactly
     at equilibria."""
-    problem = assemble_ncp(network, demand_block)
+    problem = assemble_ncp(network)
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"candidate shape {x.shape}, expected ({problem.n},)")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from congeo import fileio
-from congeo.cli import EXIT_INPUT, EXIT_NONCONVERGED, EXIT_OK, main
+from congeo.cli import EXIT_INPUT, EXIT_NONCONVERGED, EXIT_OK, build_parser, main
 from congeo.routing import route
 from oracles import fd_derivative
 
@@ -420,8 +420,25 @@ class TestConfigMode:
         flows = fileio.read_flows_csv(str(tmp_path / "demo_out" / "ue_flows.csv"))
         assert flows["r1"] == pytest.approx(1.5, abs=1e-6)
 
+    @pytest.mark.parametrize("order", ["config_first", "out_first"])
+    def test_out_flag_overrides_the_config_out(self, tmp_path, monkeypatch, order):
+        monkeypatch.chdir(tmp_path)
+        config, out = ("--config", demo("run_ue_config.json")), ("--out", str(tmp_path / "cfg"))
+        assert run_cli(*(config + out if order == "config_first" else out + config)) == EXIT_OK
+        flows = fileio.read_flows_csv(str(tmp_path / "cfg" / "ue_flows.csv"))
+        assert flows["r1"] == pytest.approx(1.5, abs=1e-6)
+        assert not (tmp_path / "demo_out").exists()  # the config's own "out"
+
     def test_config_with_explicit_command_rejected(self, tmp_path):
         assert run_cli("--config", demo("run_ue_config.json"), "solve-ue", "x.json") == EXIT_INPUT
+
+    def test_unknown_demand_block_rejected(self, tmp_path, capsys):
+        doc = dict(fileio.load_json(demo("run_ue_config.json")), demand_block="per_link", out=str(tmp_path / "out"))
+        cfg = tmp_path / "cfg.json"
+        fileio.dump_json(doc, str(cfg))
+        assert run_cli("--config", str(cfg)) == EXIT_INPUT
+        assert "demand_block must be one of ('per_od', 'per_route')" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ue_flows.csv").exists()
 
     def test_config_unknown_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -540,6 +557,35 @@ class TestSubprocessEntryPoints:
         assert proc.returncode == EXIT_INPUT
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("congeo: input error: ") and "finite" in proc.stderr
+
+
+def _artifacts(out, argv):
+    """A run's result artifacts (bytes) and its summary's status and results."""
+    summary = json.loads((out / f"{argv[0]}_summary.json").read_text())
+    files = {os.path.basename(p): open(p, "rb").read() for p in summary["artifacts"]}
+    return summary["status"], summary["results"], files
+
+
+class TestParserReuse:
+    def test_one_process_runs_like_fresh_processes(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        runs = [
+            ("solve-ue", demo("network_two_routes.json"), "--demand-block", "per_route", "--tol", "0.1"),
+            ("solve-ue", demo("network_two_routes.json")),  # the flags above must not carry over
+            ("solve-ncp", demo("ncp_affine.json")),
+        ]
+        assert run_cli(*runs[0], "--out", str(tmp_path / "in0")) == EXIT_OK
+        assert run_cli("solve-ue", demo("network_two_routes.json"), "--demand-block", "per_link") == EXIT_INPUT
+        for i, argv in enumerate(runs[1:], start=1):
+            assert run_cli(*argv, "--out", str(tmp_path / f"in{i}")) == EXIT_OK
+        capsys.readouterr()
+        for i, argv in enumerate(runs):
+            proc = subprocess.run(
+                [sys.executable, "-m", "congeo", *argv, "--out", str(tmp_path / f"fresh{i}")],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            assert _artifacts(tmp_path / f"in{i}", argv) == _artifacts(tmp_path / f"fresh{i}", argv)
 
 
 class TestSolverWorkCounts:

@@ -310,7 +310,7 @@ class TestTableFormats:
         fileio.write_flows_csv(fpath, sol)
         fileio.write_times_csv(tpath, sol)
         assert fileio.read_flows_csv(fpath) == sol.flows_by_route()
-        assert fileio.read_times_csv(tpath) == sol.times_by_key()
+        assert fileio.read_times_csv(tpath) == sol.times_by_od()
 
     def test_svg_contains_fitted_polyline(self, tmp_path):
         t = np.linspace(0, 1, 5)

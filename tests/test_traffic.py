@@ -15,6 +15,7 @@ from congeo.traffic import (
     assemble_ncp,
     gap_value,
     link_time,
+    per_route_network,
     _default_start,
     _link_time_slopes,
     _link_times_vec,
@@ -105,6 +106,10 @@ def lattice_network():
             routes.append(Route(f"r{len(routes)}", f"od{k}", tuple(path)))
     nodes = tuple(node(i, j) for i, j in itertools.product(range(side), repeat=2))
     return TrafficNetwork(nodes, tuple(links), tuple(routes), tuple(od_pairs))
+
+
+# The two demand-block layouts of solve-ue: per_route solves the route-split network.
+LAYOUTS = {"per_od": lambda net: net, "per_route": per_route_network}
 
 
 def two_route_closed_form(t01, m1, t02, m2, d):
@@ -217,6 +222,20 @@ class TestNetworkValidation:
                 od_pairs=(OdPair("od1", "o", "d", FixedDemand(1.0)),),
             )
 
+    @pytest.mark.parametrize("route, message", [
+        (Route("r1", "od9", ("A",)), "route r1: unknown od pair 'od9'"),
+        (Route("r1", "od1", ("Z",)), "route r1: unknown link 'Z'"),
+    ], ids=["od", "link"])
+    def test_route_naming_an_unknown_id_rejected(self, route, message):
+        with pytest.raises(ValueError) as exc:
+            TrafficNetwork(
+                nodes=("o", "d"),
+                links=(affine_link("A", "o", "d", 1, 1),),
+                routes=(route,),
+                od_pairs=(OdPair("od1", "o", "d", FixedDemand(1.0)),),
+            )
+        assert str(exc.value) == message
+
     def test_route_must_end_at_destination(self):
         with pytest.raises(ValueError, match="destination"):
             TrafficNetwork(
@@ -262,24 +281,31 @@ class TestAssembleNcp:
         assert np.max(np.abs(fb_system([1.5, 2.5], problem))) <= 1e-12
 
     def test_per_route_layout_dimensions(self):
-        problem = assemble_ncp(two_route_network(), demand_block="per_route")
+        problem = assemble_ncp(per_route_network(two_route_network()))
         assert problem.n == 4
         # every route carries the full demand: h=(3,3), pi=(c1(3), c2(3))=(4,5)
         assert np.max(np.abs(fb_system([3.0, 3.0, 4.0, 5.0], problem))) <= 1e-12
 
-    @pytest.mark.parametrize("demand_block", ["per_od", "per_route"])
+    def test_per_route_network_has_one_od_pair_per_route(self):
+        net = mixed_demand_network()
+        split = per_route_network(net)
+        ods = {od.id: od for od in net.od_pairs}
+        assert split.nodes == net.nodes and split.links == net.links
+        assert split.routes == tuple(Route(r.id, r.id, r.links) for r in net.routes)
+        assert split.od_pairs == tuple(
+            OdPair(r.id, ods[r.od].origin, ods[r.od].destination, ods[r.od].demand) for r in net.routes
+        )
+        assert np.array_equal(split.route_od_index(), np.arange(net.n_routes))
+
+    @pytest.mark.parametrize("demand_block", LAYOUTS)
     @pytest.mark.parametrize("make_network", [two_route_network, mixed_demand_network], ids=["two_route", "mixed"])
     def test_jacobian_matches_fd(self, make_network, demand_block):
-        net = make_network()
-        problem = assemble_ncp(net, demand_block)
+        net = LAYOUTS[demand_block](make_network())
+        problem = assemble_ncp(net)
         n, R = problem.n, net.n_routes
         # positive flows and times inside the elastic demand's linear piece
         x = np.concatenate([np.linspace(0.3, 1.5, R), np.linspace(2.0, 4.0, n - R)])
         assert np.allclose(problem.jac_eval(x), central_jacobian(problem, x, 1e-7), atol=1e-6)
-
-    def test_unknown_demand_block_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_ncp(two_route_network(), demand_block="per_link")
 
 
 class TestSolveUe:
@@ -297,8 +323,8 @@ class TestSolveUe:
         assert sol.pi[0] == pytest.approx(2.5, abs=1e-6)
 
     def test_per_route_divergence_documented(self):
-        per_od = solve_ue(two_route_network(), demand_block="per_od")
-        per_route = solve_ue(two_route_network(), demand_block="per_route")
+        per_od = solve_ue(two_route_network())
+        per_route = solve_ue(per_route_network(two_route_network()))
         assert per_route.converged
         assert np.allclose(per_route.h, [3.0, 3.0], atol=1e-6)
         assert np.allclose(per_route.pi, [4.0, 5.0], atol=1e-6)
@@ -306,8 +332,8 @@ class TestSolveUe:
 
     def test_layouts_coincide_on_single_route(self):
         net = single_route_network(ElasticDemand(4.0, 1.0))
-        a = solve_ue(net, demand_block="per_od")
-        b = solve_ue(net, demand_block="per_route")
+        a = solve_ue(net)
+        b = solve_ue(per_route_network(net))
         assert np.allclose(a.h, b.h, atol=1e-6)
         assert np.allclose(a.pi, b.pi, atol=1e-6)
 
@@ -393,6 +419,15 @@ class TestVectorizedHelpers:
         assert np.array_equal(_link_time_slopes(net, v), slopes)
         assert not net._t0.flags.writeable
 
+    def test_route_arrays_match_the_network_objects(self):
+        net = mixed_demand_network()
+        inc = [[float(l.id in r.links) for l in net.links] for r in net.routes]
+        assert np.array_equal(net.incidence(), inc)
+        assert [net.od_pairs[k].id for k in net.route_od_index()] == [r.od for r in net.routes]
+        # d(pi) = max(0, d0 - k pi): ElasticDemand(4.0, 0.5) and FixedDemand(1.0)
+        assert np.array_equal(net._d0, [4.0, 1.0]) and np.array_equal(net._k, [0.5, 0.0])
+        assert not any(a.flags.writeable for a in (net.incidence(), net.route_od_index(), net._d0, net._k))
+
     def test_default_start_matches_per_route_loop(self):
         net = mixed_demand_network()
         R, K = net.n_routes, net.n_od
@@ -401,10 +436,10 @@ class TestVectorizedHelpers:
         pi0 = np.array([min(c0[r] for r in range(R) if r_od[r] == k) for k in range(K)])
         counts = np.bincount(r_od, minlength=K)
         h0 = np.array([net.od_pairs[r_od[r]].demand(pi0[r_od[r]]) / counts[r_od[r]] for r in range(R)])
-        assert np.array_equal(_default_start(net, "per_od"), np.concatenate([h0, pi0]))
+        assert np.array_equal(_default_start(net), np.concatenate([h0, pi0]))
         # per_route: every route is its own time variable, started at its free-flow cost
         h0 = np.array([net.od_pairs[r_od[r]].demand(c0[r]) for r in range(R)])
-        assert np.array_equal(_default_start(net, "per_route"), np.concatenate([h0, c0]))
+        assert np.array_equal(_default_start(per_route_network(net)), np.concatenate([h0, c0]))
 
 
 class TestGapAndResiduals:
@@ -434,15 +469,15 @@ class TestGapAndResiduals:
         assert res.max_demand_gap == pytest.approx(3.0)
 
     def test_per_route_gaps_keyed_by_route(self):
-        net = two_route_network()
+        net = per_route_network(two_route_network())
         # per_route: each route must carry the full demand 3 at its own time
-        res = wardrop_residuals(net, ([3.0, 3.0], [4.0, 5.0]), demand_block="per_route")
+        res = wardrop_residuals(net, ([3.0, 3.0], [4.0, 5.0]))
         assert res.within(1e-12)
-        res = wardrop_residuals(net, ([3.0, 2.5], [4.0, 5.0]), demand_block="per_route")
+        res = wardrop_residuals(net, ([3.0, 2.5], [4.0, 5.0]))
         assert res.demand_gaps == {"r1": 0.0, "r2": 0.5}
-        sol = solve_ue(net, demand_block="per_route")
+        sol = solve_ue(net)
         assert set(sol.residuals.demand_gaps) == {"r1", "r2"}
-        assert set(sol.times_by_key()) == {"r1", "r2"}
+        assert set(sol.times_by_od()) == {"r1", "r2"}
 
     def test_gap_iff_residuals(self, rng):
         net = two_route_network()
@@ -466,7 +501,7 @@ class TestGapAndResiduals:
         flows = sol.flows_by_route()
         assert set(flows) == {"r1", "r2"}
         assert flows["r1"] == pytest.approx(2.0, abs=1e-6)
-        assert set(sol.times_by_key()) == {"od1"}
+        assert set(sol.times_by_od()) == {"od1"}
 
 
 class TestRegularizedNewtonOnNetworks:
@@ -478,11 +513,11 @@ class TestRegularizedNewtonOnNetworks:
         assert sol.report.newton_steps + sol.report.gradient_steps == sol.report.iterations
         assert wardrop_residuals(net, (sol.h, sol.pi)).within(1e-8)
 
-    @pytest.mark.parametrize("demand_block", ["per_od", "per_route"])
+    @pytest.mark.parametrize("demand_block", LAYOUTS)
     def test_system_matrix_matches_reference_on_lattice(self, rng, demand_block):
-        net = lattice_network()
-        problem = assemble_ncp(net, demand_block)
-        start = _default_start(net, demand_block)
+        net = LAYOUTS[demand_block](lattice_network())
+        problem = assemble_ncp(net)
+        start = _default_start(net)
         buffer = np.empty((problem.n, problem.n))
         for x in (start, start + rng.normal(scale=0.5, size=problem.n)):
             jac = problem.jac_eval(x)
@@ -490,10 +525,10 @@ class TestRegularizedNewtonOnNetworks:
             _system_jacobian(jac, da, db, out=buffer)
             assert np.array_equal(buffer, system_jacobian_reference(jac, da, db))
 
-    @pytest.mark.parametrize("demand_block", ["per_od", "per_route"])
+    @pytest.mark.parametrize("demand_block", LAYOUTS)
     def test_demand_block_matches_the_demand_objects(self, rng, demand_block):
         net = mixed_demand_network()
-        problem = assemble_ncp(net, demand_block)
+        problem = assemble_ncp(LAYOUTS[demand_block](net))
         R = net.n_routes
         r_od = net.route_od_index()
         demands = [od.demand for od in net.od_pairs]
