@@ -25,7 +25,6 @@ from .finsler import (
     grid_congestion,
     parse_congestion_spec,
     randers_eval,
-    validate_structure,
 )
 from .geodesic import (
     BvpConfig,
@@ -74,6 +73,6 @@ from .dynamic import (
     minimize_dynamic,
     parse_cost_model,
 )
-from .routing import RouteResult, RoutingScenario, chord_curve, route, validity_box
+from .routing import RouteResult, RoutingScenario, certified_structure, chord_curve, route, validity_box
 
 __version__ = "0.1.0"

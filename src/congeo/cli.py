@@ -30,13 +30,11 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import dynamic as dyn
 from . import fileio
-from .finsler import EPS_CONG, DomainError, build_randers, euclidean_metric, validate_structure
+from .finsler import EPS_CONG, DomainError, build_randers, euclidean_metric
 from .ncp import TOL, solve_ncp
-from .routing import route
+from .routing import certified_structure, route
 from .traffic import per_route_network, solve_ue
 from .fileio import SchemaError
 
@@ -146,7 +144,7 @@ def build_parser() -> _Parser:
     p.add_argument("--minimize", action="store_true")
     _common_flags(p)
 
-    p = sub.add_parser("validate", help="run invariant checks on a metric/field/network file")
+    p = sub.add_parser("validate", help="check a network, NCP problem, scenario or congestion grid file")
     p.add_argument("file", nargs="?", help="file to validate")
     _common_flags(p)
 
@@ -327,39 +325,20 @@ def cmd_dynamic(cfg: RunConfig):
     return "converged", results, [opt_path]
 
 
-def _validate_field(field, eps_cong: float, failures: list[str]) -> None:
-    g = euclidean_metric()
-    try:
-        structure = build_randers(g, field, eps_cong=eps_cong)
-    except DomainError as exc:
-        failures.append(str(exc))
-        return
-    probes = field.probes or ((0.0, 0.0),)
-    rng = np.random.default_rng(0)
-    samples = []
-    for p in list(probes)[:50]:
-        y = rng.normal(size=2)
-        y /= np.linalg.norm(y)
-        samples.append((np.asarray(p, dtype=float), y))
-    report = validate_structure(structure, samples)
-    for check in report.failures():
-        failures.append(
-            f"structure check failed at x={check.x}, y={check.y}: "
-            f"positive={check.positive}, homogeneous={check.homogeneous}, "
-            f"drift_valid={check.drift_valid}, positive_definite={check.positive_definite}"
-        )
-
-
 def cmd_validate(cfg: RunConfig):
+    """Load the file as its kind's loader does; a congestion field is also
+    certified as ``route`` certifies it: a scenario by
+    ``certified_structure`` (probes plus the validity box, under its
+    ``eps_cong``), a grid CSV at every node.  A given --tol replaces the
+    saturation margin ``eps_cong``."""
     path = cfg.inputs[0]
-    eps = cfg.tol if cfg.tol else EPS_CONG
     failures: list[str] = []
     kind = "unknown"
     try:
         if path.endswith(".csv"):
             kind = "congestion_grid"
-            field = fileio.load_congestion_grid(path)
-            _validate_field(field, eps, failures)
+            grid = fileio.load_congestion_grid(path)
+            build_randers(euclidean_metric(), grid, eps_cong=cfg.tol or EPS_CONG)
         else:
             doc = fileio.load_json(path)
             if not isinstance(doc, dict):
@@ -370,7 +349,9 @@ def cmd_validate(cfg: RunConfig):
             elif {"origin", "destination", "field"} <= set(doc):
                 kind = "scenario"
                 scenario = fileio.load_scenario(doc, base_dir=os.path.dirname(os.path.abspath(path)))
-                _validate_field(scenario.congestion, eps, failures)
+                if cfg.tol is not None:
+                    scenario = dataclasses.replace(scenario, eps_cong=cfg.tol)
+                certified_structure(scenario)
             elif {"n", "f"} <= set(doc):
                 kind = "ncp_problem"
                 fileio.load_ncp_problem(doc)

@@ -461,16 +461,18 @@ def _read_table(path: str, headers: list[list[str]], keyed: bool = False):
     Returns ``(keys, data)``: the first field of each row as a string when
     ``keyed`` (else an empty list), and the other fields as a float array
     with one row per table row.  Blank rows are skipped; a wrong header,
-    field count or number is a SchemaError naming ``path:line``.
+    field count or number, or a non-finite value, is a SchemaError naming
+    ``path:line``.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
         if header not in headers:
             raise SchemaError(f"{path}:1: header must be {' or '.join(','.join(h) for h in headers)}")
-        keys, values = [], []  # flat: a list per row would raise the peak memory of a read
+        keys, values, blank = [], [], []  # flat: a list per row would raise the peak memory of a read
         for ln, row in enumerate(reader, start=2):
             if not row:
+                blank.append(ln)
                 continue
             if len(row) != len(header):
                 raise SchemaError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
@@ -481,7 +483,14 @@ def _read_table(path: str, headers: list[list[str]], keyed: bool = False):
             except ValueError:
                 raise SchemaError(f"{path}:{ln}: non-numeric value") from None
     width = len(header) - keyed
-    return keys, np.array(values, dtype=float).reshape(len(values) // width, width)
+    data = np.array(values, dtype=float).reshape(len(values) // width, width)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        ln = int(finite.argmin()) + 2
+        for skipped in blank:  # ascending, so each shift moves past earlier ones
+            ln += skipped <= ln
+        raise SchemaError(f"{path}:{ln}: non-finite value")
+    return keys, data
 
 
 def _write_table(path: str, header: Sequence[str], columns) -> None:

@@ -8,8 +8,10 @@ with ``||w||_g < 1`` over a Riemannian base ``g`` induces such a structure via
     lam = 1 - ||w||_g^2,    a_ij = g_ij / lam^2,    b_j = g_ij w^i / lam,
 
 so travel against the congestion costs more than travel with it.  This module
-builds those structures, evaluates F and its fundamental tensor, and checks
-the validity conditions (positivity, homogeneity, positive-definiteness).
+builds those structures and evaluates F and its fundamental tensor.  The
+constructors enforce the conditions under which F is positive, 1-homogeneous
+and strongly convex: a positive-definite ``a`` (or ``g``) and a drift with
+``||b||_a < 1`` (``||w||_g <= 1 - eps_cong`` for a built structure).
 
 Derivative-array convention: the derivative axis comes first (right after
 the batch axis of a batched evaluation), i.e. ``dg[m, i, j] = d g_ij / d x^m``
@@ -45,13 +47,10 @@ __all__ = [
     "RiemannianField",
     "CongestionField",
     "RandersStructure",
-    "SampleCheck",
-    "StructureValidation",
     "covector_norm",
     "randers_eval",
     "build_randers",
     "fundamental_tensor",
-    "validate_structure",
     "constant_randers",
     "euclidean_metric",
     "euclidean_randers",
@@ -69,8 +68,9 @@ _SYM_TOL = 1e-12
 
 
 class DomainError(ValueError):
-    """Geometric validity violation: saturated congestion, drift with
-    ||b||_a >= 1, zero fiber vector, or evaluation outside a field's domain."""
+    """Geometric validity violation: a metric that is not positive-definite,
+    saturated congestion, drift with ||b||_a >= 1, zero fiber vector, or
+    evaluation outside a field's domain."""
 
 
 def _vec(y, name="vector") -> np.ndarray:
@@ -151,6 +151,12 @@ def _check_sym_matrix(g: np.ndarray, dim: int, what: str) -> np.ndarray:
     return 0.5 * (g + gt)
 
 
+def _indefinite(g: np.ndarray) -> np.ndarray:
+    """Whether each of a (..., dim, dim) stack of symmetric matrices fails to
+    be positive-definite (its smallest eigenvalue is not positive)."""
+    return ~(np.linalg.eigvalsh(g)[..., 0] > 0.0)
+
+
 @dataclass(frozen=True)
 class RiemannianField:
     """Symmetric positive-definite coefficient field x -> g_ij(x).
@@ -158,8 +164,9 @@ class RiemannianField:
     ``jet`` maps a (B, dim) batch of points to ``(g, dg)``: the metrics, shape
     (B, dim, dim), and their derivatives ``dg[b, m, i, j] = d g_ij / d x^m``
     at point b (see the module's field contract).  Calling the field gives
-    the schema-checked metric and ``derivative`` the derivative, each at a
-    point or a batch.
+    the checked metric (shape, finiteness, symmetry, positive-definiteness;
+    a failure names the first offending point) and ``derivative`` the
+    derivative, each at a point or a batch.
     """
 
     jet: Callable[[np.ndarray], tuple]
@@ -169,6 +176,9 @@ class RiemannianField:
         pts, single = _points(x, self.dim)
         mat = _batch(self.jet(pts)[0], (len(pts), self.dim, self.dim), "metric matrix")
         mat = _check_sym_matrix(mat, self.dim, "metric matrix")
+        bad = _indefinite(mat)
+        if bad.any():
+            raise DomainError(f"metric matrix not positive-definite at {pts[bad.argmax()]}")
         return mat[0] if single else mat
 
     def derivative(self, x) -> np.ndarray:
@@ -218,9 +228,9 @@ class RandersStructure:
     those shapes, such as constants).  It is the only way the structure is
     evaluated; ``coefficients`` (which re-validates the schema) and
     ``coefficient_derivatives`` are one-point views over it.  The raw
-    dataclass represents arbitrary coefficient pairs so that
-    ``validate_structure`` can report on invalid ones; the bundles attached by
-    ``constant_randers`` and ``build_randers`` enforce validity.
+    dataclass checks nothing; build structures with ``constant_randers`` or
+    ``build_randers``, which enforce validity up front (and ``build_randers``
+    again at every evaluation).  Evaluations of F re-check the drift bound.
     """
 
     bundle: Callable[[np.ndarray], tuple]
@@ -297,10 +307,11 @@ def build_randers(
     Coefficients: lam = 1 - ||w||_g^2, a = g/lam^2, b = g w/lam, which gives
     ``||b||_a = ||w||_g``; their x-derivatives come from the chain rule over
     one ``jet`` call per field.
-    The saturation bound ``||w||_g <= 1 - eps_cong`` is verified up front at
-    the field's probe points plus ``check_points`` (one batched evaluation),
-    and again lazily at every later coefficient evaluation; violations raise
-    ``DomainError`` naming the first offending point (nothing is clamped).
+    The saturation bound ``||w||_g <= 1 - eps_cong`` and a positive-definite
+    ``g`` are verified up front at the field's probe points plus
+    ``check_points`` (one batched evaluation), and the bound again lazily at
+    every later coefficient evaluation; violations raise ``DomainError``
+    naming the first offending point (nothing is clamped).
     """
     if g.dim != omega.dim:
         raise ValueError("metric and congestion field dimensions differ")
@@ -323,8 +334,8 @@ def build_randers(
         return gw, nw
 
     def check(x: np.ndarray) -> None:
-        """Schema (metric shape, symmetry, finiteness; congestion shape,
-        finiteness) and saturation at a batch of points."""
+        """Schema (metric shape, symmetry, finiteness, positive-definiteness;
+        congestion shape, finiteness) and saturation at a batch of points."""
         saturation(x, g(x), omega(x))
 
     points = np.concatenate([_point_rows(omega.probes, dim), _point_rows(check_points, dim)])
@@ -382,97 +393,6 @@ def fundamental_tensor(F: RandersStructure, x, y) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Validation report
-# ---------------------------------------------------------------------------
-
-HOMOGENEITY_SCALES = (0.5, 2.0, 10.0)
-HOMOGENEITY_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SampleCheck:
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-    value: float
-    positive: bool
-    homogeneity_error: float
-    homogeneous: bool
-    drift_norm: float
-    drift_valid: bool
-    tensor_det: float
-    det_nonzero: bool
-    positive_definite: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.positive
-            and self.homogeneous
-            and self.drift_valid
-            and self.det_nonzero
-            and self.positive_definite
-        )
-
-
-@dataclass(frozen=True)
-class StructureValidation:
-    checks: tuple[SampleCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[SampleCheck]:
-        return [c for c in self.checks if not c.ok]
-
-
-def validate_structure(F: RandersStructure, samples: Sequence) -> StructureValidation:
-    """Per-sample report: positivity, degree-one homogeneity, drift validity,
-    nonzero tensor determinant, positive-definiteness.  Report-only: invalid
-    structures produce failing checks rather than exceptions."""
-    if len(samples) == 0:
-        raise ValueError("sample list must be nonempty")
-    checks = []
-    for x, y in samples:
-        a, b = F.coefficients(x)
-        y = _vec(y, "tangent components")
-        if np.linalg.norm(y) == 0.0:
-            raise ValueError("samples must use nonzero tangent vectors")
-        val = float(_raw_eval(a, b, y))
-        hom_err = 0.0
-        for lam in HOMOGENEITY_SCALES:
-            scaled = float(_raw_eval(a, b, lam * y))
-            hom_err = max(hom_err, abs(scaled - lam * val) / max(abs(lam * val), 1e-300))
-        try:
-            drift = covector_norm(a, b)
-        except np.linalg.LinAlgError:
-            drift = float("inf")
-        try:
-            tensor = _fiber(a, b, y, "fundamental tensor")[-1]
-            det = float(np.linalg.det(tensor))
-            eigs = np.linalg.eigvalsh(tensor)
-            pd = bool(np.all(eigs > 0.0))
-        except (DomainError, np.linalg.LinAlgError):
-            det, pd = 0.0, False
-        checks.append(
-            SampleCheck(
-                x=tuple(_pt(x, F.dim)),
-                y=tuple(y),
-                value=val,
-                positive=val > 0.0,
-                homogeneity_error=hom_err,
-                homogeneous=hom_err <= HOMOGENEITY_RTOL,
-                drift_norm=drift,
-                drift_valid=drift < 1.0,
-                tensor_det=det,
-                det_nonzero=abs(det) > 1e-300,
-                positive_definite=pd,
-            )
-        )
-    return StructureValidation(checks=tuple(checks))
-
-
-# ---------------------------------------------------------------------------
 # Constructors and presets
 # ---------------------------------------------------------------------------
 
@@ -483,18 +403,19 @@ def euclidean_metric(dim: int = 2) -> RiemannianField:
 
 def constant_metric(matrix) -> RiemannianField:
     mat = _check_sym_matrix(np.asarray(matrix, dtype=float), len(matrix), "metric matrix")
-    try:
-        np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        raise DomainError("constant metric must be positive-definite") from None
+    if _indefinite(mat):
+        raise DomainError("constant metric must be positive-definite")
     dim = mat.shape[0]
     packed = (mat, np.zeros((dim, dim, dim)))
     return RiemannianField(jet=lambda x: packed, dim=dim)
 
 
 def constant_randers(a, b) -> RandersStructure:
-    """Position-independent structure; rejects drift with ||b||_a >= 1."""
+    """Position-independent structure; rejects an alpha matrix that is not
+    positive-definite and drift with ||b||_a >= 1."""
     a = _check_sym_matrix(np.asarray(a, dtype=float), len(a), "alpha matrix")
+    if _indefinite(a):
+        raise DomainError("alpha matrix must be positive-definite")
     b = _vec(np.asarray(b, dtype=float), "beta")
     if b.shape[0] != a.shape[0]:
         raise ValueError("alpha/beta dimension mismatch")

@@ -2,10 +2,13 @@
 origin-destination geodesic -> route polyline with travel-time length.
 
 The congestion field is exogenous: routed traffic does not feed back into
-the field.  Validity (saturation below 1 - eps_cong) is certified on a
-sample grid over the OD bounding box expanded by a configurable margin
-before any integration starts; geodesics may bow outside the raw OD box,
-hence the margin.
+the field.  ``certified_structure`` is the one place a scenario's structure
+is built: validity (a positive-definite metric, saturation below
+1 - eps_cong) is certified at the field's probes and on a sample grid over
+the OD bounding box expanded by a configurable margin before any
+integration starts; geodesics may bow outside the raw OD box, hence the
+margin.  ``route`` and the CLI's ``validate`` both call it, so ``validate``
+rejects every scenario that ``route`` rejects before integrating.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from .finsler import (
     EPS_CONG,
     CongestionField,
+    RandersStructure,
     RiemannianField,
     congestion_none,
     euclidean_metric,
@@ -29,6 +33,7 @@ __all__ = [
     "RoutingScenario",
     "RouteResult",
     "RoutingDiagnostics",
+    "certified_structure",
     "route",
     "chord_curve",
     "validity_box",
@@ -53,6 +58,8 @@ class RoutingScenario:
         q = _pt(self.destination, len(p))
         if np.array_equal(p, q):
             raise ValueError("origin and destination must differ")
+        if not 0 < self.eps_cong < 1:
+            raise ValueError("eps_cong must lie in (0, 1)")
         if self.box_margin < 0:
             raise ValueError("box_margin must be nonnegative")
         object.__setattr__(self, "origin", tuple(p))
@@ -96,26 +103,36 @@ def chord_curve(p, q, nodes: int = 200) -> Curve:
     return Curve(params=t, points=pts)
 
 
-def route(scenario: RoutingScenario) -> RouteResult:
-    """Build the congestion-induced structure and solve the OD geodesic.
+def certified_structure(scenario: RoutingScenario) -> RandersStructure:
+    """The scenario's Randers structure, certified before any integration.
 
-    Saturated congestion raises DomainError (detected on the expanded-box
-    sample grid or lazily during integration); BVP non-convergence is
-    reported through the result, never raised.
+    ``build_randers`` checks the metric and the saturation bound under the
+    scenario's ``eps_cong`` at the field's probes plus a BOX_SAMPLES x
+    BOX_SAMPLES grid over the validity box; a violation raises DomainError
+    naming the first offending point.
     """
-    p = np.array(scenario.origin)
-    q = np.array(scenario.destination)
-    lo, hi = validity_box(p, q, scenario.box_margin)
+    lo, hi = validity_box(scenario.origin, scenario.destination, scenario.box_margin)
     axes = [np.linspace(lo[i], hi[i], BOX_SAMPLES) for i in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
     check_points = np.stack([m.ravel() for m in mesh], axis=1)
-
-    structure = build_randers(
+    return build_randers(
         scenario.metric,
         scenario.congestion,
         eps_cong=scenario.eps_cong,
         check_points=check_points,
     )
+
+
+def route(scenario: RoutingScenario) -> RouteResult:
+    """Build the certified structure and solve the OD geodesic.
+
+    Saturated congestion raises DomainError (detected by
+    ``certified_structure`` or lazily during integration); BVP
+    non-convergence is reported through the result, never raised.
+    """
+    structure = certified_structure(scenario)
+    p = np.array(scenario.origin)
+    q = np.array(scenario.destination)
     result = geodesic_bvp(structure, p, q, scenario.bvp)
     chord_time = curve_length(structure, chord_curve(p, q, scenario.bvp.nodes))
     return RouteResult(

@@ -147,6 +147,46 @@ class TestExitCodes:
         assert report["kind"] == "ncp_problem"
 
 
+# Scenarios route rejects before integrating; validate must reject them with
+# the same message.  A "grid_csv" path is absolute, so it resolves anywhere.
+REJECTED_SCENARIOS = {
+    "uniform-margin": {"origin": [0.0, 0.0], "destination": [1.0, 0.0], "field": "uniform(0.5,0)", "eps_cong": 0.6},
+    "vortex-margin": {"origin": [-3.0, 0.0], "destination": [3.0, 0.0], "field": "vortex(0,0,0.9)", "eps_cong": 0.2},
+    "grid-box": {
+        "origin": [-2.9, 0.0],
+        "destination": [2.9, 0.0],
+        "field": {"grid_csv": os.path.abspath(demo("field_grid.csv"))},
+    },
+    "eps_cong-range": {"origin": [0.0, 0.0], "destination": [1.0, 0.0], "field": "none", "eps_cong": 2},
+}
+
+
+class TestValidateAgreesWithRoute:
+    @pytest.mark.parametrize("doc", REJECTED_SCENARIOS.values(), ids=REJECTED_SCENARIOS.keys())
+    def test_validate_rejects_what_route_rejects(self, tmp_path, capsys, doc):
+        path = tmp_path / "scenario.json"
+        fileio.dump_json(doc, str(path))
+        code = run_cli("route", str(path), "--out", str(tmp_path / "route"))
+        err = capsys.readouterr().err
+        if code == EXIT_INPUT:  # rejected when loaded
+            assert err.startswith("congeo: input error: ")
+            message = err[len("congeo: input error: "):].rstrip("\n")
+        else:  # rejected when the structure is certified
+            assert code == EXIT_NONCONVERGED
+            message = fileio.load_json(str(tmp_path / "route" / "route_summary.json"))["results"]["scenario"]["error"]
+        assert run_cli("validate", str(path), "--out", str(tmp_path / "validate")) == EXIT_INPUT
+        report = fileio.load_json(str(tmp_path / "validate" / "validate_report.json"))
+        assert (report["kind"], report["failures"]) == ("scenario", [message])
+
+    def test_route_checks_eps_cong_before_routing_any_scenario(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        fileio.dump_json(REJECTED_SCENARIOS["eps_cong-range"], str(bad))
+        out = tmp_path / "out"
+        assert run_cli("route", demo("scenario_uniform.json"), str(bad), "--out", str(out)) == EXIT_INPUT
+        assert "eps_cong must lie in (0, 1)" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+
 class TestSolveUeCommand:
     def test_two_route_flows_and_times(self, tmp_path):
         assert run_cli("solve-ue", demo("network_two_routes.json"), "--out", str(tmp_path)) == EXIT_OK

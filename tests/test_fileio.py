@@ -333,7 +333,13 @@ TABLES = {
 
 
 # defect -> (line it is on, message)
-DEFECTS = {"bad_header": (1, "header must be"), "field_count": (4, "expected"), "non_numeric": (3, "non-numeric")}
+DEFECTS = {
+    "bad_header": (1, "header must be"),
+    "field_count": (4, "expected"),
+    "non_numeric": (3, "non-numeric"),
+    "nan": (3, "non-finite"),
+    "inf": (4, "non-finite"),
+}
 
 
 class TestTableErrors:
@@ -346,6 +352,8 @@ class TestTableErrors:
             "bad_header": ["a,b", row],
             "field_count": [header, row, "", row + ",0"],  # the blank line is skipped but counted
             "non_numeric": [header, row, bad_row],
+            "nan": [header, row, row.rsplit(",", 1)[0] + ",nan"],
+            "inf": [header, "", row, row.rsplit(",", 1)[0] + ",-inf"],
         }[defect]
         path = tmp_path / f"{fmt}.csv"
         path.write_text("\n".join(lines) + "\n")

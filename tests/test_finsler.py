@@ -17,7 +17,6 @@ from congeo.finsler import (
     grid_congestion,
     parse_congestion_spec,
     randers_eval,
-    validate_structure,
 )
 from conftest import invalid_drift_structure, random_direction, random_randers
 from oracles import fd_derivative, fd_fundamental_tensor, fd_jet
@@ -39,6 +38,15 @@ class TestRandersEval:
         # ||(-1,-1)|| = sqrt(2) >= 1 would allow F <= 0 along (1,0)
         with pytest.raises(DomainError):
             constant_randers(np.eye(2), [-1.0, -1.0])
+
+    def test_constructor_rejects_indefinite_alpha(self):
+        # an indefinite alpha gives F(x, (0, 1)) = 0 for a nonzero direction
+        with pytest.raises(DomainError, match="alpha matrix must be positive-definite"):
+            constant_randers(np.diag([1.0, -1.0]), [0.1, 0.0])
+
+    def test_constant_metric_rejects_indefinite(self):
+        with pytest.raises(DomainError, match="constant metric must be positive-definite"):
+            finsler.constant_metric(np.diag([1.0, -1.0]))
 
     def test_eval_rejects_invalid_drift_structure(self):
         F = invalid_drift_structure()
@@ -95,6 +103,22 @@ class TestBuildRanders:
         wrong_shape = finsler.RiemannianField(fd_jet(lambda x: np.eye(3), (2, 2)))
         with pytest.raises(ValueError, match="shape"):
             build_randers(wrong_shape, congestion_none())
+
+    def test_indefinite_metric_rejected_naming_first_point(self):
+        # g = diag(1, 1 - x_0) is positive-definite only for x_0 < 1
+        def jet(x):
+            g = np.zeros((len(x), 2, 2))
+            g[:, 0, 0] = 1.0
+            g[:, 1, 1] = 1.0 - x[:, 0]
+            dg = np.zeros((len(x), 2, 2, 2))
+            dg[:, 0, 1, 1] = -1.0
+            return g, dg
+
+        with pytest.raises(DomainError, match=r"not positive-definite at \[2\. 0\.\]"):
+            build_randers(finsler.RiemannianField(jet), congestion_none(), check_points=[(0.5, 0.0), (2.0, 0.0), (3.0, 0.0)])
+        constant = np.diag([1.0, -1.0])
+        with pytest.raises(DomainError, match=r"not positive-definite at \[0\. 0\.\]"):
+            build_randers(finsler.RiemannianField(lambda x: (constant, np.zeros((2, 2, 2)))), congestion_none())
 
     @pytest.mark.parametrize("name", ["vortex", "grid"])
     def test_bundle_calls_each_jet_once(self, rng, name):
@@ -234,35 +258,6 @@ class TestHomogeneityAndAsymmetry:
         F = euclidean_randers()
         y = random_direction(rng)
         assert randers_eval(F, (0, 0), y) == pytest.approx(randers_eval(F, (0, 0), -y))
-
-
-class TestValidateStructure:
-    def _samples(self, rng, k=10):
-        return [(rng.uniform(-1, 1, 2), random_direction(rng)) for _ in range(k)]
-
-    def test_euclidean_passes(self, rng):
-        report = validate_structure(euclidean_randers(), self._samples(rng))
-        assert report.ok
-        assert not report.failures()
-
-    def test_built_structure_passes(self, rng):
-        F = build_randers(euclidean_metric(), congestion_uniform(0.5, 0.0))
-        report = validate_structure(F, self._samples(rng))
-        assert report.ok
-
-    def test_invalid_drift_fails_validity(self, rng):
-        F = invalid_drift_structure()
-        report = validate_structure(F, self._samples(rng))
-        assert not report.ok
-        assert any(not c.drift_valid for c in report.checks)
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ValueError):
-            validate_structure(euclidean_randers(), [])
-
-    def test_zero_tangent_rejected(self):
-        with pytest.raises(ValueError):
-            validate_structure(euclidean_randers(), [((0, 0), (0, 0))])
 
 
 class TestGridCongestion:
