@@ -74,6 +74,8 @@ class RunConfig:
     def __post_init__(self):
         if self.seed is not None and self.seed < 0:
             raise SchemaError("seed must be nonnegative")
+        if self.command == "validate" and self.tol is not None and not 0 < self.tol < 1:
+            raise SchemaError("validate --tol is the saturation margin eps_cong and must lie in (0, 1)")
         if self.tol is not None and not 0 < self.tol < float("inf"):
             raise SchemaError("tol must be positive and finite")
         if self.jobs < 1:

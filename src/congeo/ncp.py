@@ -4,20 +4,25 @@ NCP(F): find x with x >= 0, F(x) >= 0, x^T F(x) = 0.  The scalar function
 phi(a, b) = sqrt(a^2 + b^2) - (a + b) vanishes exactly on complementary
 nonnegative pairs, so the componentwise system phi(x_i, F_i(x)) = 0 encodes
 the NCP and the merit G(x) = ||phi(x)||^2 / 2 turns it into unconstrained
-minimization.  The solver runs damped semismooth Newton steps on the system
-with Armijo backtracking on the merit, replacing steps that are not
-sufficient descent directions by the negative merit gradient.
+minimization.  The solver runs damped semismooth Newton steps with Armijo
+backtracking, replacing steps that are not sufficient descent directions by
+the negative merit gradient.
 
-With (d_a, d_b) = fb_subgradient(x, F(x)) and J = F'(x), the closed-form
-Jacobian every ``NcpProblem`` carries, the system Jacobian is
+Steps and line search run on the penalized function of Chen, Chen & Kanzow
+(2000), phi_pen = PENALTY phi - (1 - PENALTY) max(a, 0) max(b, 0), which has
+the zeros of phi; phi <= 0 where a, b > 0, so the penalty is subtracted.
+With (d_a, d_b) = penalized_subgradient(x, F(x)) and J = F'(x), the
+closed-form Jacobian every ``NcpProblem`` carries, the system Jacobian is
 H = diag(d_a) + diag(d_b) J.  The Newton step solves the
-Tikhonov-regularized equation (H + eps diag(d_b)) d = -phi with
-eps = REGULARIZATION ||phi||_2 (Facchinei & Kanzow 1999), which keeps the
+Tikhonov-regularized equation (H + eps diag(d_b)) d = -phi_pen with
+eps = REGULARIZATION ||phi_pen||_2 (Facchinei & Kanzow 1999), which keeps the
 step defined where H is singular (non-unique route flows) and vanishes with
-phi, so fast local convergence is kept.  The descent test and the merit
-gradient H^T phi use the unregularized H.  The solve stops when the max-norm
-of phi reaches its tolerance (``TOL`` unless the caller passes ``tol``) or
-after ``MAX_ITER`` iterations.
+phi_pen, so fast local convergence is kept.  The descent test and the
+gradient H^T phi_pen of the penalized merit ||phi_pen||^2 / 2, which
+``SolveReport.merit_history`` records, use the unregularized H.  The stopping
+rule and the reported ``merit`` and ``residual`` stay on the plain phi: the
+solve stops when the max-norm of phi reaches its tolerance (``TOL`` unless
+the caller passes ``tol``) or after ``MAX_ITER`` iterations.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ __all__ = [
     "fb_system",
     "merit",
     "merit_gradient",
+    "penalized_phi",
+    "penalized_subgradient",
     "solve_ncp",
 ]
 
@@ -44,17 +51,19 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 # Default tolerance on the max-norm system residual, and the iteration budget.
 TOL = 1e-8
 MAX_ITER = 200
-# Line search and descent test of De Luca, Facchinei & Kanzow (1996): accept
-# step t when G(x + t d) <= G(x) + ARMIJO_SIGMA t d.grad G, shrinking t by
-# the factor ARMIJO_BETA down to MIN_STEP; keep the Newton direction d only when
-# d.grad G <= -DESCENT_RHO ||d||^DESCENT_P.
+# Line search and descent test of De Luca, Facchinei & Kanzow (1996) on the
+# penalized merit G: accept step t when G(x + t d) <= G(x) + ARMIJO_SIGMA t d.grad G,
+# shrinking t by the factor ARMIJO_BETA down to MIN_STEP; keep the Newton
+# direction d only when d.grad G <= -DESCENT_RHO ||d||^DESCENT_P.
 ARMIJO_SIGMA = 1e-4
 ARMIJO_BETA = 0.5
 DESCENT_RHO = 1e-10
 DESCENT_P = 2.1
 MIN_STEP = 1e-16
-# Tikhonov weight of the Newton equation: eps = REGULARIZATION * ||phi||_2.
+# Tikhonov weight of the Newton equation: eps = REGULARIZATION * ||phi_pen||_2.
 REGULARIZATION = 1e-4
+# Weight of the penalized function the steps run on; 1.0 is plain Fischer-Burmeister.
+PENALTY = 0.8
 
 
 def fb_phi(a, b):
@@ -77,12 +86,27 @@ def fb_subgradient(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     r = np.hypot(a, b)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        da = np.where(r > 0.0, a / np.where(r > 0.0, r, 1.0), _SQRT_HALF) - 1.0
-        db = np.where(r > 0.0, b / np.where(r > 0.0, r, 1.0), _SQRT_HALF) - 1.0
+    origin = r == 0.0
+    r = np.where(origin, 1.0, r)
+    da = np.where(origin, _SQRT_HALF, a / r) - 1.0
+    db = np.where(origin, _SQRT_HALF, b / r) - 1.0
     if da.ndim == 0:
         return float(da), float(db)
     return da, db
+
+
+def penalized_phi(a, b):
+    """PENALTY fb_phi(a, b) - (1 - PENALTY) max(a, 0) max(b, 0), zero
+    exactly where fb_phi is (Chen, Chen & Kanzow 2000)."""
+    return PENALTY * fb_phi(a, b) - (1.0 - PENALTY) * np.maximum(a, 0.0) * np.maximum(b, 0.0)
+
+
+def penalized_subgradient(a, b):
+    """PENALTY fb_subgradient(a, b) - (1 - PENALTY) (b, a) where a, b > 0,
+    and PENALTY fb_subgradient(a, b) elsewhere."""
+    da, db = fb_subgradient(a, b)
+    penalty = (1.0 - PENALTY) * (np.minimum(a, b) > 0.0)
+    return PENALTY * da - penalty * b, PENALTY * db - penalty * a
 
 
 @dataclass(frozen=True)
@@ -168,16 +192,17 @@ def merit_gradient(x, problem: NcpProblem) -> np.ndarray:
 
 
 def solve_ncp(problem: NcpProblem, x0=None, *, tol: float = TOL) -> SolveReport:
-    """Damped semismooth Newton on the componentwise system.
+    """Damped semismooth Newton on the componentwise penalized system.
 
     Each step solves the regularized Newton equation of the module docstring
     in one (n, n) array the solver reuses across iterations.  Newton
     directions failing the sufficient-descent test
-    d . grad G <= -rho ||d||^p fall back to the negative merit gradient;
-    steps are accepted under the Armijo condition on the merit.  Convergence
-    is the max-norm system residual reaching ``tol``, which bounds the merit
-    by n tol^2 / 2.  Line-search breakdown and the exhaustion of ``MAX_ITER``
-    iterations are reported as statuses, never raised.
+    d . grad G <= -rho ||d||^p fall back to the negative gradient of the
+    penalized merit G; steps are accepted under the Armijo condition on G.
+    Convergence is the max-norm of the plain phi reaching ``tol``, which
+    bounds the reported merit by n tol^2 / 2.  Line-search breakdown and the
+    exhaustion of ``MAX_ITER`` iterations are reported as statuses, never
+    raised.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
@@ -192,7 +217,8 @@ def solve_ncp(problem: NcpProblem, x0=None, *, tol: float = TOL) -> SolveReport:
 
     fx = problem.f_eval(x)
     phi = fb_phi(x, fx)
-    g_val = 0.5 * float(phi @ phi)
+    phi_pen = penalized_phi(x, fx)
+    g_val = 0.5 * float(phi_pen @ phi_pen)
     history = [g_val]
     system = np.empty((problem.n, problem.n))
     newton_steps = gradient_steps = backtracks = 0
@@ -200,7 +226,7 @@ def solve_ncp(problem: NcpProblem, x0=None, *, tol: float = TOL) -> SolveReport:
     def finish(status: str, iterations: int) -> SolveReport:
         return SolveReport(
             x_star=x.copy(),
-            merit=g_val,
+            merit=0.5 * float(phi @ phi),
             residual=float(np.max(np.abs(phi))),
             iterations=iterations,
             status=status,
@@ -216,14 +242,14 @@ def solve_ncp(problem: NcpProblem, x0=None, *, tol: float = TOL) -> SolveReport:
         if it == MAX_ITER:
             return finish("max_iter", it)
 
-        da, db = fb_subgradient(x, fx)
-        eps = REGULARIZATION * float(np.linalg.norm(phi))
+        da, db = penalized_subgradient(x, fx)
+        eps = REGULARIZATION * float(np.linalg.norm(phi_pen))
         _system_jacobian(problem.jac_eval(x), da, db, eps, out=system)
-        grad = system.T @ phi - eps * db * phi  # H^T phi, without the regularization
+        grad = system.T @ phi_pen - eps * db * phi_pen  # H^T phi_pen, without the regularization
 
         direction = None
         try:
-            cand = np.linalg.solve(system, -phi)
+            cand = np.linalg.solve(system, -phi_pen)
             if np.all(np.isfinite(cand)):
                 slope = float(cand @ grad)
                 if slope <= -DESCENT_RHO * np.linalg.norm(cand) ** DESCENT_P:
@@ -246,10 +272,11 @@ def solve_ncp(problem: NcpProblem, x0=None, *, tol: float = TOL) -> SolveReport:
                 step *= ARMIJO_BETA
                 backtracks += 1
                 continue
-            phi_new = fb_phi(x_new, fx_new)
-            g_new = 0.5 * float(phi_new @ phi_new)
+            pen_new = penalized_phi(x_new, fx_new)
+            g_new = 0.5 * float(pen_new @ pen_new)
             if g_new <= g_val + ARMIJO_SIGMA * step * slope:
-                x, fx, phi, g_val = x_new, fx_new, phi_new, g_new
+                x, fx, phi_pen, g_val = x_new, fx_new, pen_new, g_new
+                phi = fb_phi(x, fx)
                 history.append(g_val)
                 break
             step *= ARMIJO_BETA

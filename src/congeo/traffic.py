@@ -10,9 +10,9 @@ its OD pair k, paired against flow conservation sum_{r in k} h_r - d_k(pi_k).
 
 ``per_route_network`` splits a network into one OD pair per route, which
 forces every route to carry its OD pair's full demand.  It is kept for
-comparison only: the solver converges on the two demo networks but stops at
-``max_iter`` on 4 of the 8 seed-1 ``small_net_*`` lattices of the cli-small
-benchmark workload.
+comparison only: the solver converges on the two demo networks and on the 8
+seed-1 ``small_net_*`` lattices of the cli-small benchmark workload, but in
+15-189 iterations where the OD layout takes 8-14.
 """
 
 from __future__ import annotations

@@ -281,7 +281,7 @@ class TestRunContract:
 TOL_CASES = {
     "solve-ncp": (("solve-ncp", demo("ncp_affine.json")), "1e-10", ("converged", 4), ("converged", 5)),
     "solve-ncp-loose": (("solve-ncp", demo("ncp_affine.json")), "0.1", ("converged", 4), ("converged", 2)),
-    "solve-ue": (("solve-ue", demo("network_two_routes.json")), "0.1", ("converged", 5), ("converged", 2)),
+    "solve-ue": (("solve-ue", demo("network_two_routes.json")), "0.1", ("converged", 5), ("converged", 3)),
     "validate": (("validate", demo("scenario_uniform.json")), "0.6", ("valid", None), ("invalid", None)),
 }
 
@@ -295,6 +295,18 @@ class TestTolFlag:
             summary = fileio.load_json(str(tmp_path / name / f"{argv[0]}_summary.json"))
             outcomes.append((summary["status"], summary["results"].get("iterations")))
         assert outcomes == [default, overridden]
+
+    @pytest.mark.parametrize("tol", ["1", "2", "0", "nan"])
+    @pytest.mark.parametrize(
+        "name", ["network_two_routes.json", "ncp_affine.json", "scenario_uniform.json", "field_grid.csv"]
+    )
+    def test_validate_rejects_a_margin_outside_the_unit_interval(self, tmp_path, capsys, name, tol):
+        out = tmp_path / "out"
+        assert run_cli("validate", demo(name), "--tol", tol, "--out", str(out)) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "congeo: input error: validate --tol is the saturation margin eps_cong and must lie in (0, 1)\n"
+        )
+        assert not out.exists()
 
 
 def _readme_commands():

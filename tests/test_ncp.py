@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congeo import ncp
+from congeo import fileio, ncp, traffic
 from congeo.ncp import (
     REGULARIZATION,
     NcpProblem,
@@ -12,6 +14,8 @@ from congeo.ncp import (
     fb_system,
     merit,
     merit_gradient,
+    penalized_phi,
+    penalized_subgradient,
     solve_ncp,
 )
 from oracles import (
@@ -23,6 +27,7 @@ from oracles import (
 )
 
 SQ2 = np.sqrt(2.0)
+DEMO_NCP = os.path.join(os.path.dirname(__file__), "..", "demo", "ncp_affine.json")
 
 
 class TestFbPhi:
@@ -317,3 +322,88 @@ class TestRegularizedNewton:
         rep = solve_ncp(fd_problem(1, lambda x: np.array([-1.0])))
         assert not rep.converged
         assert rep.newton_steps + rep.gradient_steps == rep.iterations
+
+
+class TestPenalizedFb:
+    """The penalized function the Newton step and line search run on: its
+    gradient element, the sign of its penalty, and the plain-FB reference."""
+
+    @pytest.mark.parametrize("both_positive", [True, False], ids=["a,b>0", "otherwise"])
+    def test_subgradient_matches_central_differences(self, rng, both_positive):
+        h = 1e-7
+        checked = 0
+        while checked < 200:
+            a, b = rng.uniform(-5, 5, size=2)
+            if ((a > 0) and (b > 0)) != both_positive or min(abs(a), abs(b)) < 1e-3:
+                continue  # wrong regime, or too near a kink (a = 0, b = 0 or both)
+            da, db = penalized_subgradient(a, b)
+            assert da == pytest.approx((penalized_phi(a + h, b) - penalized_phi(a - h, b)) / (2 * h), abs=1e-6)
+            assert db == pytest.approx((penalized_phi(a, b + h) - penalized_phi(a, b - h)) / (2 * h), abs=1e-6)
+            checked += 1
+
+    def test_zero_exactly_where_fb_is_zero(self, rng):
+        a = rng.uniform(-3, 3, size=10_000)
+        b = np.where(rng.random(10_000) < 0.3, 0.0, rng.uniform(-3, 3, size=10_000))
+        assert np.array_equal(penalized_phi(a, b) == 0.0, np.abs(fb_phi(a, b)) <= 1e-15)
+        assert np.all(penalized_phi(a, b) <= ncp.PENALTY * fb_phi(a, b))  # the penalty is subtracted
+
+    def test_solutions_are_complementary(self, rng):
+        problems = [fileio.load_ncp_problem(DEMO_NCP)]
+        for _ in range(20):
+            problems.append(affine_problem(*random_monotone_affine(rng, int(rng.integers(1, 8)))))
+        for p in problems:
+            rep = solve_ncp(p)
+            assert rep.converged
+            x, fx = rep.x_star, p.f_eval(rep.x_star)
+            assert np.all(x >= -ncp.TOL) and np.all(fx >= -ncp.TOL)
+            assert abs(x @ fx) <= 1e-6
+
+    def test_matches_the_plain_fb_reference_on_a_lattice(self, monkeypatch):
+        network = lattice_network(np.random.default_rng(7), side=10, n_od=25, per_od=12)
+        assert network.n_routes == 300
+        penalized = traffic.solve_ue(network)
+        monkeypatch.setattr(ncp, "PENALTY", 1.0)
+        reference = traffic.solve_ue(network)
+        assert penalized.converged and reference.converged
+        # every OD pair serves demand, so its time is unique (an elastic pair
+        # priced out of the network may take any time up to its cheapest route)
+        assert np.all(np.bincount(network.route_od_index(), weights=reference.h) > 0.1)
+        inc = network.incidence()
+        assert np.allclose(inc.T @ penalized.h, inc.T @ reference.h, rtol=0.0, atol=1e-7)
+        assert np.allclose(penalized.pi, reference.pi, rtol=0.0, atol=1e-7)
+        assert penalized.report.iterations < reference.report.iterations
+
+
+def lattice_network(rng, side, n_od, per_od):
+    """Directed side x side lattice (links east and south, BPR p = 4) whose OD
+    pairs run from the north-west quarter to the south-east one along up to
+    ``per_od`` distinct monotone walks; OD pairs alternate fixed and elastic
+    demand, 12 units in all, which loads the links to about capacity."""
+    def node(i, j):
+        return f"n{i}_{j}"
+
+    links = [
+        {"id": f"{m}{i}_{j}", "from": node(i, j), "to": node(i + di, j + dj),
+         "t0": rng.uniform(1.0, 2.0), "capacity": rng.uniform(1.0, 3.0)}
+        for i in range(side) for j in range(side) for m, (di, dj) in (("e", (0, 1)), ("s", (1, 0)))
+        if i + di < side and j + dj < side
+    ]
+    half, scale = side // 2, 12.0 / n_od
+    od_pairs, routes = [], []
+    for k in range(n_od):
+        i0, j0 = rng.integers(0, half - 1, 2)
+        i1, j1 = rng.integers(half + 1, side, 2)
+        if k % 2:
+            demand = {"type": "elastic", "d0": rng.uniform(2.0, 4.0) * scale, "k": rng.uniform(0.02, 0.06) * scale}
+        else:
+            demand = {"type": "fixed", "d0": rng.uniform(1.0, 3.0) * scale}
+        od_pairs.append({"id": f"od{k}", "origin": node(i0, j0), "destination": node(i1, j1), "demand": demand})
+        walks = {tuple(rng.permutation(["s"] * (i1 - i0) + ["e"] * (j1 - j0))) for _ in range(10 * per_od)}
+        for w, walk in enumerate(sorted(walks)[:per_od]):
+            i, j, ids = i0, j0, []
+            for m in walk:
+                ids.append(f"{m}{i}_{j}")
+                i, j = (i + 1, j) if m == "s" else (i, j + 1)
+            routes.append({"id": f"r{k}_{w}", "od": f"od{k}", "links": ids})
+    nodes = [node(i, j) for i in range(side) for j in range(side)]
+    return fileio.load_network({"nodes": nodes, "links": links, "routes": routes, "od_pairs": od_pairs})
