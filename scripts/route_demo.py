@@ -29,14 +29,15 @@ def main():
             bvp=BvpConfig(explore=True, restarts=3),
         )
         result = route(scenario)
-        saving = 100.0 * (1.0 - result.travel_time / result.diagnostics.chord_time)
+        bvp = result.bvp
+        saving = 100.0 * (1.0 - bvp.length / result.chord_time)
         print(
-            f"{strength:9.2f} {result.travel_time:12.6f} {result.diagnostics.chord_time:11.6f} "
-            f"{saving:9.3f} {result.diagnostics.restarts:9d}"
+            f"{strength:9.2f} {bvp.length:12.6f} {result.chord_time:11.6f} "
+            f"{saving:9.3f} {bvp.restarts_used:9d}"
         )
         stem = os.path.join(OUT, f"vortex_{strength:.1f}".replace(".", "p"))
-        fileio.write_curve_csv(stem + ".csv", result.curve)
-        fileio.write_curve_svg(stem + ".svg", result.curve)
+        fileio.write_curve_csv(stem + ".csv", bvp.curve)
+        fileio.write_curve_svg(stem + ".svg", bvp.curve)
     print(f"\ncurves written to {os.path.abspath(OUT)}")
 
 

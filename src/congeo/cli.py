@@ -246,29 +246,29 @@ def _route_one(scenario, stem: str, cfg: RunConfig, artifacts: list[str]) -> dic
         result = route(scenario)
     except DomainError as exc:
         return {"error": str(exc)}
+    bvp = result.bvp
     curve_path = os.path.join(cfg.out, f"{stem}_route.csv")
-    fileio.write_curve_csv(curve_path, result.curve)
+    fileio.write_curve_csv(curve_path, bvp.curve)
     artifacts.append(curve_path)
     if cfg.svg:
         svg_path = os.path.join(cfg.out, f"{stem}_route.svg")
-        fileio.write_curve_svg(svg_path, result.curve)
+        fileio.write_curve_svg(svg_path, bvp.curve)
         artifacts.append(svg_path)
-    diag = result.diagnostics
     summary_path = os.path.join(cfg.out, f"{stem}_summary.json")
     fileio.dump_json(
         {
-            "travel_time": result.travel_time,
-            "converged": result.converged,
-            "endpoint_error": diag.endpoint_error,
-            "restarts": diag.restarts,
-            "multiplicity": diag.multiplicity,
-            "chord_time": diag.chord_time,
-            "starts": [{"outcome": s.outcome, "iterations": s.iterations} for s in diag.starts],
+            "travel_time": bvp.length,
+            "converged": bvp.converged,
+            "endpoint_error": bvp.endpoint_error,
+            "restarts": bvp.restarts_used,
+            "multiplicity": bvp.multiplicity,
+            "chord_time": result.chord_time,
+            "starts": [{"outcome": s.outcome, "iterations": s.iterations} for s in bvp.starts],
         },
         summary_path,
     )
     artifacts.append(summary_path)
-    return {"travel_time": result.travel_time, "converged": result.converged, "chord_time": diag.chord_time}
+    return {"travel_time": bvp.length, "converged": bvp.converged, "chord_time": result.chord_time}
 
 
 def cmd_route(cfg: RunConfig):
@@ -280,9 +280,14 @@ def cmd_route(cfg: RunConfig):
         "scenario" if isinstance(s, dict) else os.path.splitext(os.path.basename(s))[0]
         for s in cfg.inputs
     ]
+    taken = set(stems)
     for i, stem in enumerate(stems):  # same basename from different dirs
         if stems.index(stem) != i:
-            stems[i] = f"{stem}_{i}"
+            k = i
+            while f"{stem}_{k}" in taken:  # e.g. a_2.json is among the inputs
+                k += 1
+            stems[i] = f"{stem}_{k}"
+            taken.add(stems[i])
     artifacts: list[str] = []
     results = {stem: _route_one(scenario, stem, cfg, artifacts) for scenario, stem in zip(scenarios, stems)}
     converged = all(entry.get("converged") for entry in results.values())

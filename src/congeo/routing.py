@@ -9,6 +9,9 @@ the OD bounding box expanded by a configurable margin before any
 integration starts; geodesics may bow outside the raw OD box, hence the
 margin.  ``route`` and the CLI's ``validate`` both call it, so ``validate``
 rejects every scenario that ``route`` rejects before integrating.
+
+``route`` returns the solver's ``BvpResult`` as it is, beside the chord's
+travel time.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ from .finsler import (
     build_randers,
     _pt,
 )
-from .geodesic import BvpConfig, Curve, StartOutcome, curve_length, geodesic_bvp
+from .geodesic import BvpConfig, BvpResult, Curve, curve_length, geodesic_bvp
 
 __all__ = [
     "RoutingScenario",
     "RouteResult",
-    "RoutingDiagnostics",
     "certified_structure",
     "route",
     "chord_curve",
@@ -67,21 +69,13 @@ class RoutingScenario:
 
 
 @dataclass(frozen=True)
-class RoutingDiagnostics:
-    endpoint_error: float
-    restarts: int
-    multiplicity: int
-    iterations: int
-    chord_time: float
-    starts: tuple[StartOutcome, ...]
-
-
-@dataclass(frozen=True)
 class RouteResult:
-    curve: Curve
-    travel_time: float
-    converged: bool
-    diagnostics: RoutingDiagnostics
+    """The OD geodesic's ``BvpResult`` (its ``length`` is the travel time) and
+    the travel time along the straight chord, which an admissible route does
+    not exceed."""
+
+    bvp: BvpResult
+    chord_time: float
 
 
 def validity_box(p, q, margin: float) -> tuple[np.ndarray, np.ndarray]:
@@ -133,18 +127,5 @@ def route(scenario: RoutingScenario) -> RouteResult:
     structure = certified_structure(scenario)
     p = np.array(scenario.origin)
     q = np.array(scenario.destination)
-    result = geodesic_bvp(structure, p, q, scenario.bvp)
-    chord_time = curve_length(structure, chord_curve(p, q, scenario.bvp.nodes))
-    return RouteResult(
-        curve=result.curve,
-        travel_time=result.length,
-        converged=result.converged,
-        diagnostics=RoutingDiagnostics(
-            endpoint_error=result.endpoint_error,
-            restarts=result.restarts_used,
-            multiplicity=result.multiplicity,
-            iterations=result.iterations,
-            chord_time=chord_time,
-            starts=result.starts,
-        ),
-    )
+    bvp = geodesic_bvp(structure, p, q, scenario.bvp)
+    return RouteResult(bvp, curve_length(structure, chord_curve(p, q, scenario.bvp.nodes)))

@@ -7,6 +7,9 @@ attain the minimal OD time; demand is served) are assembled into an
 NcpProblem over x = (route flows, OD times) and handed to the
 Fischer-Burmeister solver.  Each route is priced against the time pi_k of
 its OD pair k, paired against flow conservation sum_{r in k} h_r - d_k(pi_k).
+An elastic OD pair that the equilibrium prices out (served demand 0, so no
+flow on its routes) has no unique time: every pi_k in [d0/k, cheapest route
+cost] meets the conditions, and the solver reports whichever one it reaches.
 
 ``per_route_network`` splits a network into one OD pair per route, which
 forces every route to carry its OD pair's full demand.  It is kept for

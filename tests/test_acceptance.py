@@ -203,9 +203,9 @@ def test_criterion_7_congestion_routing():
     with criterion(7, "congestion routing pipeline", 60.0):
         # zero-field reduction
         res = route(RoutingScenario(origin=(0, 0), destination=(1, 0)))
-        assert res.converged
-        chord = chord_curve((0, 0), (1, 0), res.curve.n_nodes)
-        assert np.max(np.abs(res.curve.points - chord.points)) <= 1e-6
+        assert res.bvp.converged
+        chord = chord_curve((0, 0), (1, 0), res.bvp.curve.n_nodes)
+        assert np.max(np.abs(res.bvp.curve.points - chord.points)) <= 1e-6
 
         # uniform-field chord asymmetry against direct evaluation of the
         # induced structure on the two chords
@@ -213,10 +213,10 @@ def test_criterion_7_congestion_routing():
         structure = build_randers(euclidean_metric(), field)
         fwd = route(RoutingScenario(origin=(0, 0), destination=(1, 0), congestion=field))
         bwd = route(RoutingScenario(origin=(0, 0), destination=(-1, 0), congestion=field))
-        assert fwd.converged and bwd.converged
-        assert abs(fwd.travel_time - randers_eval(structure, (0, 0), (1, 0))) <= 1e-8
-        assert abs(bwd.travel_time - randers_eval(structure, (0, 0), (-1, 0))) <= 1e-8
-        assert fwd.travel_time != bwd.travel_time
+        assert fwd.bvp.converged and bwd.bvp.converged
+        assert abs(fwd.bvp.length - randers_eval(structure, (0, 0), (1, 0))) <= 1e-8
+        assert abs(bwd.bvp.length - randers_eval(structure, (0, 0), (-1, 0))) <= 1e-8
+        assert fwd.bvp.length != bwd.bvp.length
 
         # vortex: never worse than the straight chord
         vortex_sc = RoutingScenario(
@@ -226,8 +226,8 @@ def test_criterion_7_congestion_routing():
             bvp=BvpConfig(explore=True, restarts=3),
         )
         res = route(vortex_sc)
-        assert res.converged
-        assert res.travel_time <= res.diagnostics.chord_time + 1e-8
+        assert res.bvp.converged
+        assert res.bvp.length <= res.chord_time + 1e-8
 
 
 def test_criterion_8_dynamic_functional():

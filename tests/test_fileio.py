@@ -198,6 +198,8 @@ NON_FINITE = {
     "scenario-tol": ("scenario_none.json", "load_scenario", ("tol",), float("nan"), r"scenario\.tol"),
     "scenario-origin": ("scenario_none.json", "load_scenario", ("origin",), [float("inf"), 0.0],
                         r"scenario\.origin"),
+    "scenario-box_margin": ("scenario_none.json", "load_scenario", ("box_margin",), float("inf"),
+                            r"scenario\.box_margin"),
 }
 
 

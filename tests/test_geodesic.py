@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from congeo.finsler import (
     euclidean_metric,
     euclidean_randers,
     grid_congestion,
+    randers_eval,
 )
 from congeo import geodesic
 from congeo.geodesic import (
@@ -17,6 +20,7 @@ from congeo.geodesic import (
     Curve,
     GeodesicIvp,
     Lagrangian,
+    StartOutcome,
     curve_length,
     el_residual,
     geodesic_bvp,
@@ -102,57 +106,81 @@ class TestCurveLength:
             curve_length(euclidean_randers(), c)
 
 
+def terms_at(F, x, y) -> list:
+    """``Lagrangian._terms`` at one state: (F, ell + b, tensor, dF, mixed) without the batch axis."""
+    return [t[0] for t in Lagrangian(F)._terms(np.array([x], dtype=float), np.array([y], dtype=float))]
+
+
+def half_f_squared(F):
+    """L(x, y) = F(x, y)^2 / 2 through ``randers_eval``, the reference the terms are checked against."""
+    return lambda x, y: 0.5 * randers_eval(F, x, y) ** 2
+
+
+def second_differences(fun, h: float, dim: int = 2) -> np.ndarray:
+    """Four-point central differences d^2 fun / (ds_m dt_i) at s = t = 0 of fun(s, t)."""
+    e = h * np.eye(dim)
+    return np.array([
+        [(fun(e[m], e[i]) - fun(e[m], -e[i]) - fun(-e[m], e[i]) + fun(-e[m], -e[i])) / (4 * h * h) for i in range(dim)]
+        for m in range(dim)
+    ])
+
+
 class TestLagrangian:
+    """The terms of ``Lagrangian._terms`` against L = F^2 / 2 and its central differences."""
+
     def test_value_is_half_f_squared(self):
         F = constant_randers(np.eye(2), [0.5, 0.0])
-        lag = Lagrangian(F)
-        assert lag.value((0, 0), (1, 0)) == pytest.approx(0.5 * 1.5**2)
+        Fv = terms_at(F, (0, 0), (1, 0))[0]
+        assert Fv == pytest.approx(randers_eval(F, (0, 0), (1, 0)), rel=1e-15)
+        assert 0.5 * Fv**2 == pytest.approx(0.5 * 1.5**2)
 
     def test_degree_two_homogeneity(self, rng):
-        lag = Lagrangian(constant_randers([[1.2, 0.1], [0.1, 0.9]], [0.2, -0.3]))
+        F = constant_randers([[1.2, 0.1], [0.1, 0.9]], [0.2, -0.3])
         for _ in range(20):
             y = rng.normal(size=2)
             lam = rng.uniform(0.1, 10)
-            assert lag.value((0, 0), lam * y) == pytest.approx(lam**2 * lag.value((0, 0), y), rel=1e-12)
+            L, L_scaled = (0.5 * terms_at(F, (0, 0), v)[0] ** 2 for v in (y, lam * y))
+            assert L_scaled == pytest.approx(lam**2 * L, rel=1e-12)
 
-    def test_fiber_grad_matches_fd(self, rng):
+    def test_fiber_grad_matches_fd(self):
         F = vortex_structure(0.6)
-        lag = Lagrangian(F)
         x = np.array([0.4, -0.2])
         y = np.array([1.0, 0.7])
-        g = lag.fiber_grad(x, y)
+        Fv, lb, *_ = terms_at(F, x, y)  # L_i = F (ell + b)
+        L = half_f_squared(F)
         h = 1e-6
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            fd = (lag.value(x, y + e) - lag.value(x, y - e)) / (2 * h)
-            assert g[i] == pytest.approx(fd, rel=1e-6)
+        for i, e in enumerate(h * np.eye(2)):
+            fd = (L(x, y + e) - L(x, y - e)) / (2 * h)
+            assert Fv * lb[i] == pytest.approx(fd, rel=1e-6)
+
+    def test_fiber_hessian_matches_fd(self):
+        F = vortex_structure(0.6)
+        x = np.array([0.4, -0.2])
+        y = np.array([1.0, 0.7])
+        tensor = terms_at(F, x, y)[2]
+        L = half_f_squared(F)
+        fd = second_differences(lambda s, t: L(x, y + s + t), 1e-4)
+        assert np.allclose(tensor, fd, rtol=1e-5, atol=1e-8)
 
     def test_position_grad_matches_fd(self):
         F = vortex_structure(0.6)
-        lag = Lagrangian(F)
         x = np.array([0.4, -0.2])
         y = np.array([1.0, 0.7])
-        g = lag.position_grad(x, y)
+        Fv, _, _, dF, _ = terms_at(F, x, y)  # dL/dx = F dF
+        L = half_f_squared(F)
         h = 1e-6
-        for m in range(2):
-            e = np.zeros(2)
-            e[m] = h
-            fd = (lag.value(x + e, y) - lag.value(x - e, y)) / (2 * h)
-            assert g[m] == pytest.approx(fd, rel=1e-5)
+        for m, e in enumerate(h * np.eye(2)):
+            fd = (L(x + e, y) - L(x - e, y)) / (2 * h)
+            assert Fv * dF[m] == pytest.approx(fd, rel=1e-5)
 
     def test_mixed_matches_fd(self):
         F = vortex_structure(0.6)
-        lag = Lagrangian(F)
         x = np.array([0.4, -0.2])
         y = np.array([1.0, 0.7])
-        mx = lag.mixed(x, y)
-        h = 1e-6
-        for m in range(2):
-            e = np.zeros(2)
-            e[m] = h
-            fd = (lag.fiber_grad(x + e, y) - lag.fiber_grad(x - e, y)) / (2 * h)
-            assert np.allclose(mx[m], fd, rtol=1e-5, atol=1e-8)
+        mixed = terms_at(F, x, y)[4]  # mixed[m, i] = dL_i/dx^m
+        L = half_f_squared(F)
+        fd = second_differences(lambda s, t: L(x + s, y + t), 1e-4)
+        assert np.allclose(mixed, fd, rtol=1e-5, atol=1e-8)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_singular_message_prints_plain_floats(self, dim):
@@ -161,7 +189,7 @@ class TestLagrangian:
         packed = (e, -e[0], np.zeros((dim, dim, dim)), np.zeros((dim, dim)))
         lag = Lagrangian(RandersStructure(bundle=lambda x: packed, dim=dim))
         with pytest.raises(DomainError) as exc:
-            lag.acceleration(5.0 * e[0], e[0])
+            lag.acceleration(5.0 * e[:1], e[:1])
         assert str(exc.value) == f"singular fiber Hessian at x={(5.0,) + (0.0,) * (dim - 1)}"
 
 
@@ -175,16 +203,16 @@ class TestBatching:
         v = rng.normal(size=(27, 2))
         batch = lag.acceleration(x, v)
         for k in range(27):
-            assert np.array_equal(batch[k], lag.acceleration(x[k], v[k]))
+            assert np.array_equal(batch[k], lag.acceleration(x[k:k + 1], v[k:k + 1])[0])
 
     def test_other_terms_rows_equal_single_states(self, rng):
         lag = Lagrangian(vortex_structure(0.6))
         x = rng.uniform(-1.2, 1.2, size=(9, 2))
         y = rng.normal(size=(9, 2))
-        for term in (lag.value, lag.fiber_grad, lag.fiber_hessian, lag.position_grad, lag.mixed):
-            batch = term(x, y)
-            for k in range(9):
-                assert np.array_equal(batch[k], term(x[k], y[k]))
+        batch = lag._terms(x, y)
+        for k in range(9):
+            for term, alone in zip(batch, lag._terms(x[k:k + 1], y[k:k + 1])):
+                assert np.array_equal(term[k], alone[0])
 
     @pytest.mark.parametrize("make", [vortex_structure, small_grid_structure])
     def test_batched_shot_rows_equal_solo_shots(self, make):
@@ -435,6 +463,61 @@ class TestBvpDecisions:
         F = vortex_structure(0.8)
         res = geodesic_bvp(F, (-2, 0), (2, 0), BvpConfig(max_newton=0, restarts=0))
         assert [(s.outcome, s.iterations) for s in res.starts] == [("stalled", 0)]
+
+    def test_fd_failed_outcome(self):
+        # a wall x_0 = c between the reach of the chord's shot and that of its
+        # first finite-difference companion: the shot stays inside, the
+        # companion leaves, and the start has no Jacobian
+        base = build_randers(euclidean_metric(), congestion_vortex(0.0, 0.0, 0.3))
+        p, q = np.array([-2.0, 1.0]), np.array([2.0, 1.0])
+        cfg = BvpConfig(nodes=24, restarts=0)
+        steps = cfg.nodes - 1
+
+        def reach(y0):  # the largest x_0 at which a shot of y0 evaluates the field
+            seen = []
+
+            def bundle(x):
+                seen.append(np.max(x[..., 0]))
+                return base.bundle(x)
+
+            lag = Lagrangian(dataclasses.replace(base, bundle=bundle))
+            geodesic._integrate(lag, p[None], y0[None], steps, 1.0 / steps)
+            return max(seen)
+
+        y0 = q - p
+        inside, outside = reach(y0), reach(y0 + [geodesic.SHOT_FD_STEP * max(1.0, abs(y0[0])), 0.0])
+        assert inside < outside
+        wall = 0.5 * (inside + outside)
+
+        def walled(x):
+            if np.any(x[..., 0] > wall):
+                raise DomainError("beyond the wall")
+            return base.bundle(x)
+
+        res = geodesic_bvp(dataclasses.replace(base, bundle=walled), p, q, cfg)
+        assert res.starts == (StartOutcome("fd_failed", 1),)
+        assert not res.converged
+        assert geodesic_bvp(base, p, q, cfg).converged  # without the wall
+
+    def test_singular_outcome(self):
+        # near x_0 = 1e10 a coordinate resolves only about 2e-6, coarser than
+        # the finite-difference change of the endpoint, so the shooting
+        # Jacobian's columns are zero
+        F = constant_randers(np.eye(2), [0.2, -0.1])
+        p = np.array([1e10, 0.0])
+        res = geodesic_bvp(F, p, p + [1.0, 0.5], BvpConfig(nodes=24, restarts=0))
+        assert res.starts == (StartOutcome("singular", 1),)
+        assert not res.converged
+
+    def test_overflowing_step_is_singular(self):
+        # a Jacobian of subnormal entries solves to an infinite step
+        end = np.zeros(2)
+        shot = geodesic._Shot(np.array([end, end]), np.ones((2, 2)), end + 1e-318 * np.eye(2), np.ones(2))
+        run = geodesic._newton(np.ones(2), np.ones(2), BvpConfig())
+        next(run)
+        with pytest.raises(StopIteration) as stop:
+            run.send([shot])
+        assert stop.value.value[0] == StartOutcome("singular", 1)
 
     @pytest.mark.parametrize(
         "bad",

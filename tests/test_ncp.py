@@ -223,8 +223,30 @@ class TestSolveNcp:
     def test_infeasible_problem_reports_status(self):
         # F = -1 has no complementary point; merit is bounded below by 1/2
         rep = solve_ncp(fd_problem(1, lambda x: np.array([-1.0])))
-        assert rep.status in ("max_iter", "line_search_failure")
+        assert rep.status == "max_iter"
         assert rep.merit > 0.1
+
+    def test_line_search_failure_status(self):
+        # the Jacobian says F' = -1/2 where F' = 1: along the direction it
+        # gives, no step down to MIN_STEP lowers the merit
+        rep = solve_ncp(NcpProblem(n=1, f=lambda x: x - 2.0, jacobian=lambda x: -0.5 * np.eye(1)), x0=[1.0])
+        assert (rep.status, rep.iterations, rep.backtracks) == ("line_search_failure", 1, 54)
+        assert rep.x_star[0] == 1.0
+
+    def test_non_finite_trial_point_backtracks(self):
+        # F = sqrt(3 - x) - 1 is nan past x = 3; the first full step from
+        # x = 1 lands there, and the solve halves it and goes on
+        trials = []
+
+        def f(x):
+            trials.append(float(x[0]))
+            return np.sqrt(3.0 - x) - 1.0
+
+        rep = solve_ncp(NcpProblem(n=1, f=f, jacobian=lambda x: -0.5 / np.sqrt(3.0 - x)[None]), x0=[1.0])
+        assert rep.converged
+        assert rep.x_star[0] == pytest.approx(2.0, abs=1e-8)
+        assert sum(t > 3.0 for t in trials) == 1
+        assert rep.backtracks == 2
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, np.inf, np.nan])
     def test_bad_tol_rejected(self, tol):

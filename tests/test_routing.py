@@ -32,21 +32,21 @@ class TestRoute:
     def test_zero_field_reduces_to_straight_line(self):
         sc = RoutingScenario(origin=(0, 0), destination=(1, 0))
         res = route(sc)
-        assert res.converged
-        assert res.travel_time == pytest.approx(1.0, abs=1e-6)
-        chord = chord_curve((0, 0), (1, 0), res.curve.n_nodes)
-        assert np.max(np.abs(res.curve.points - chord.points)) <= 1e-6
+        assert res.bvp.converged
+        assert res.bvp.length == pytest.approx(1.0, abs=1e-6)
+        chord = chord_curve((0, 0), (1, 0), res.bvp.curve.n_nodes)
+        assert np.max(np.abs(res.bvp.curve.points - chord.points)) <= 1e-6
 
     def test_uniform_field_asymmetry_matches_chord_evaluation(self):
         field = congestion_uniform(0.5, 0.0)
         fwd = route(RoutingScenario(origin=(0, 0), destination=(1, 0), congestion=field))
         bwd = route(RoutingScenario(origin=(0, 0), destination=(-1, 0), congestion=field))
-        assert fwd.converged and bwd.converged
+        assert fwd.bvp.converged and bwd.bvp.converged
         # constant coefficients: geodesics are straight; travel time is the
         # chord F-value: lam=0.75, alpha=1/lam, b=2/3 -> 2.0 with, 2/3 against
-        assert fwd.travel_time == pytest.approx(2.0, abs=1e-8)
-        assert bwd.travel_time == pytest.approx(2.0 / 3.0, abs=1e-8)
-        assert fwd.travel_time - bwd.travel_time == pytest.approx(2 * (2.0 / 3.0), abs=1e-8)
+        assert fwd.bvp.length == pytest.approx(2.0, abs=1e-8)
+        assert bwd.bvp.length == pytest.approx(2.0 / 3.0, abs=1e-8)
+        assert fwd.bvp.length - bwd.bvp.length == pytest.approx(2 * (2.0 / 3.0), abs=1e-8)
 
     def test_vortex_route_beats_chord_and_bows(self):
         sc = RoutingScenario(
@@ -56,10 +56,10 @@ class TestRoute:
             bvp=BvpConfig(explore=True, restarts=3),
         )
         res = route(sc)
-        assert res.converged
-        assert res.travel_time <= res.diagnostics.chord_time + 1e-8
-        chord = chord_curve((-2, 0), (2, 0), res.curve.n_nodes)
-        assert np.max(np.abs(res.curve.points - chord.points)) > 0.05
+        assert res.bvp.converged
+        assert res.bvp.length <= res.chord_time + 1e-8
+        chord = chord_curve((-2, 0), (2, 0), res.bvp.curve.n_nodes)
+        assert np.max(np.abs(res.bvp.curve.points - chord.points)) > 0.05
 
     def test_saturated_field_rejected(self):
         sc = RoutingScenario(
@@ -81,9 +81,9 @@ class TestRoute:
         w[:, :, 0] = 0.3
         field = grid_congestion(xs, ys, w)
         res = route(RoutingScenario(origin=(-1, 0), destination=(1, 0), congestion=field))
-        assert res.converged
+        assert res.bvp.converged
         # uniform 0.3 drift over a chord of length 2: lam = 0.91
-        assert res.travel_time == pytest.approx(2 * 1.3 / 0.91, abs=1e-6)
+        assert res.bvp.length == pytest.approx(2 * 1.3 / 0.91, abs=1e-6)
 
     def test_grid_sampled_vortex_matches_analytic(self):
         # sampling the analytic field on a fine grid must reproduce the route
@@ -98,9 +98,9 @@ class TestRoute:
         cfg = BvpConfig(explore=False)
         res_a = route(RoutingScenario(origin=(-2, 0), destination=(2, 0), congestion=analytic, bvp=cfg))
         res_g = route(RoutingScenario(origin=(-2, 0), destination=(2, 0), congestion=sampled, bvp=cfg))
-        assert res_a.converged and res_g.converged
-        assert res_g.travel_time == pytest.approx(res_a.travel_time, rel=2e-3)
-        assert np.max(np.abs(res_g.curve.points - res_a.curve.points)) < 0.05
+        assert res_a.bvp.converged and res_g.bvp.converged
+        assert res_g.bvp.length == pytest.approx(res_a.bvp.length, rel=2e-3)
+        assert np.max(np.abs(res_g.bvp.curve.points - res_a.bvp.curve.points)) < 0.05
 
     def test_identical_scenarios_identical_output(self):
         sc = RoutingScenario(
@@ -110,8 +110,8 @@ class TestRoute:
             bvp=BvpConfig(seed=3, explore=True, restarts=2, nodes=120),
         )
         r1, r2 = route(sc), route(sc)
-        assert np.array_equal(r1.curve.points, r2.curve.points)
-        assert r1.travel_time == r2.travel_time
+        assert np.array_equal(r1.bvp.curve.points, r2.bvp.curve.points)
+        assert r1.bvp.length == r2.bvp.length
 
     def test_coincident_endpoints_rejected(self):
         with pytest.raises(ValueError):
@@ -120,8 +120,8 @@ class TestRoute:
     def test_distinct_endpoints_at_large_coordinates_accepted(self):
         # metre-scale grid coordinates: 5 apart at 1e6
         res = route(RoutingScenario(origin=(1e6, 0), destination=(1e6 + 5, 0), bvp=BvpConfig(restarts=0)))
-        assert res.converged
-        assert res.travel_time == pytest.approx(5.0, abs=1e-6)
+        assert res.bvp.converged
+        assert res.bvp.length == pytest.approx(5.0, abs=1e-6)
 
     def test_nonconvergence_reported(self):
         sc = RoutingScenario(
@@ -132,5 +132,5 @@ class TestRoute:
         )
         res = route(sc)
         assert isinstance(res, RouteResult)
-        assert not res.converged
-        assert res.diagnostics.endpoint_error > 1e-6
+        assert not res.bvp.converged
+        assert res.bvp.endpoint_error > 1e-6

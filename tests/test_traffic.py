@@ -402,6 +402,34 @@ class TestMultiOdNetwork:
         x[0] += 0.5  # extra flow on route 1 raises the stem cost for both
         assert gap_value(net, x) > 1e-4
 
+    def test_priced_out_elastic_pair_time_lies_in_its_interval(self):
+        # od2's demand max(0, 1 - pi) is zero at any time its routes offer
+        # (2.5 through the stem that od1 loads, 4 on its own link), so every
+        # pi in [d0/k, cheapest route cost] = [1, 2.5] meets the conditions
+        net = TrafficNetwork(
+            nodes=("o", "m", "d1", "d2"),
+            links=(
+                affine_link("s", "o", "m", 1.0, 0.5),
+                affine_link("a", "m", "d1", 0.5, 1.0),
+                affine_link("b", "m", "d2", 0.5, 2.0),
+                affine_link("c", "o", "d2", 4.0, 1.0),
+            ),
+            routes=(Route("r1", "od1", ("s", "a")), Route("r2", "od2", ("s", "b")), Route("r3", "od2", ("c",))),
+            od_pairs=(
+                OdPair("od1", "o", "d1", FixedDemand(2.0)),
+                OdPair("od2", "o", "d2", ElasticDemand(1.0, 1.0)),
+            ),
+        )
+        sol = solve_ue(net)
+        assert sol.converged
+        assert sol.residuals.within(1e-6)
+        assert np.allclose(sol.h, [2.0, 0.0, 0.0], atol=1e-8)
+        served = net.od_pairs[1].demand(sol.pi[1])
+        assert served == 0.0
+        cheapest = route_cost(net, np.maximum(sol.h, 0.0))[1:].min()
+        assert cheapest == pytest.approx(2.5, abs=1e-8)
+        assert 1.0 - 1e-8 <= sol.pi[1] <= cheapest + 1e-8
+
 
 class TestVectorizedHelpers:
     """The cached link arrays and the vectorized start against per-link and
