@@ -205,6 +205,7 @@ def _work_counts(report) -> dict:
         "newton_steps": report.newton_steps,
         "gradient_steps": report.gradient_steps,
         "backtracks": report.backtracks,
+        "newton_rows": report.newton_rows,
     }
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .dynamic import Trajectory
 from .finsler import CongestionField, euclidean_metric, grid_congestion, parse_congestion_spec
 from .geodesic import BvpConfig, Curve
-from .ncp import NcpProblem
+from .ncp import NcpProblem, free_block
 from .routing import RoutingScenario
 from .traffic import (
     ElasticDemand,
@@ -329,7 +329,7 @@ def load_ncp_problem(source) -> NcpProblem:
         q = _vector(spec, "q", "problem.f")
         if M.shape != (n, n) or q.shape != (n,):
             raise SchemaError(f"problem.f: M must be {n}x{n} and q length {n}")
-        return NcpProblem(n=n, f=lambda x: M @ x + q, jacobian=lambda x: M)
+        return NcpProblem(n=n, f=lambda x: M @ x + q, jacobian=lambda x, free: free_block(M, free))
     if ftype == "quadratic":
         _check_keys(spec, ["type", "a", "M", "q"], [], "problem.f")
         a = _vector(spec, "a", "problem.f")
@@ -340,7 +340,7 @@ def load_ncp_problem(source) -> NcpProblem:
         return NcpProblem(
             n=n,
             f=lambda x: a * x * x + M @ x + q,
-            jacobian=lambda x: np.diag(2.0 * a * x) + M,
+            jacobian=lambda x, free: np.diag((2.0 * a * x)[free]) + free_block(M, free),
         )
     raise SchemaError(f"problem.f.type: unknown family {ftype!r}")
 

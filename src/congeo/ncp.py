@@ -23,6 +23,18 @@ gradient H^T phi_pen of the penalized merit ||phi_pen||^2 / 2, which
 rule and the reported ``merit`` and ``residual`` stay on the plain phi: the
 solve stops when the max-norm of phi reaches its tolerance (``TOL`` unless
 the caller passes ``tol``) or after ``MAX_ITER`` iterations.
+
+The Newton equation is solved on the free set.  A component held at
+x_i = 0 < F_i(x) (both exact) has phi_pen_i = d_b,i = 0, so its row of
+H + eps diag(d_b) is d_a,i e_i with right-hand side 0 and its step is 0:
+the strictly inactive set of Facchinei, Fischer & Kanzow (1998).  The step
+solves the m x m system of the other m components, and ``NcpProblem``'s
+Jacobian is asked for that block alone, ``jacobian(x, free)`` =
+F'(x)[free][:, free]; ``free`` is an index array, or ``slice(None)`` when
+nothing is held, and ``free_block`` cuts a stored matrix to it.  The
+descent test takes the gradient H^T phi_pen on the free set, to which the
+held rows (phi_pen_i = 0) add nothing; the gradient fallback and
+``merit_gradient`` take the whole Jacobian.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ __all__ = [
     "fb_phi",
     "fb_subgradient",
     "fb_system",
+    "free_block",
     "merit",
     "merit_gradient",
     "penalized_phi",
@@ -113,13 +126,14 @@ def penalized_subgradient(a, b):
 class NcpProblem:
     """Dimension n, the mapping F and its closed-form Jacobian F'.
 
-    Every Newton step evaluates F' (an (n, n) array); the solver never
+    ``jacobian(x, free)`` returns the block F'(x)[free][:, free] (the whole
+    (n, n) array when ``free`` is ``slice(None)``); the solver never
     differences F.
     """
 
     n: int
     f: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray, np.ndarray | slice], np.ndarray]
 
     def __post_init__(self):
         if self.n < 1:
@@ -134,13 +148,20 @@ class NcpProblem:
             raise FloatingPointError(f"F non-finite at x={x}")
         return fx
 
-    def jac_eval(self, x: np.ndarray) -> np.ndarray:
-        jac = np.asarray(self.jacobian(np.asarray(x, dtype=float)), dtype=float)
-        if jac.shape != (self.n, self.n):
-            raise ValueError(f"Jacobian shape {jac.shape}, expected ({self.n},{self.n})")
+    def jac_eval(self, x: np.ndarray, free: np.ndarray | slice = slice(None)) -> np.ndarray:
+        jac = np.asarray(self.jacobian(np.asarray(x, dtype=float), free), dtype=float)
+        m = self.n if isinstance(free, slice) else len(free)
+        if jac.shape != (m, m):
+            raise ValueError(f"Jacobian shape {jac.shape}, expected ({m},{m})")
         if not np.all(np.isfinite(jac)):
             raise FloatingPointError(f"Jacobian non-finite at x={x}")
         return jac
+
+
+def free_block(a: np.ndarray, free: np.ndarray | slice) -> np.ndarray:
+    """a[free][:, free] of a square array: ``a`` itself when ``free`` is
+    ``slice(None)``, else a copy of the free rows and columns."""
+    return a if isinstance(free, slice) else a[np.ix_(free, free)]
 
 
 @dataclass(frozen=True)
@@ -154,6 +175,7 @@ class SolveReport:
     newton_steps: int = 0  # iterations that took the Newton direction
     gradient_steps: int = 0  # iterations that fell back to the negative merit gradient
     backtracks: int = 0  # rejected line-search trial points
+    newton_rows: int = 0  # summed dimension of the systems behind the Newton steps
 
     @property
     def converged(self) -> bool:
@@ -172,12 +194,10 @@ def merit(x, problem: NcpProblem) -> float:
     return 0.5 * float(phi @ phi)
 
 
-def _system_jacobian(jac: np.ndarray, da: np.ndarray, db: np.ndarray, eps: float = 0.0,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """H + eps diag(d_b) with H = diag(d_a) + diag(d_b) J, written into ``out``
-    (a new array when None).  ``jac`` is only read: a problem may return the
-    same array on every call."""
-    out = np.multiply(db[:, None], jac, out=out)
+def _system_jacobian(jac: np.ndarray, da: np.ndarray, db: np.ndarray, eps: float = 0.0) -> np.ndarray:
+    """H + eps diag(d_b) with H = diag(d_a) + diag(d_b) J, in a new array.
+    ``jac`` is only read: a problem may return the same array on every call."""
+    out = db[:, None] * jac
     diag = np.arange(len(db))
     out[diag, diag] += da + eps * db
     return out
@@ -191,11 +211,46 @@ def merit_gradient(x, problem: NcpProblem) -> np.ndarray:
     return _system_jacobian(problem.jac_eval(x), *fb_subgradient(x, fx)).T @ phi
 
 
+def _newton_system(problem: NcpProblem, x, da, db, eps, phi_pen, free):
+    """H + eps diag(d_b) on the free set, and the free part of the gradient
+    H^T phi_pen of the penalized merit (phi_pen is 0 on held rows, so they
+    add nothing)."""
+    system = _system_jacobian(problem.jac_eval(x, free), da[free], db[free], eps)
+    pen = phi_pen[free]
+    return system, system.T @ pen - eps * db[free] * pen  # without the regularization
+
+
+def _search_direction(problem: NcpProblem, x, fx, phi_pen):
+    """(direction, slope d . grad G, rows) of one iteration: the regularized
+    Newton step on the free set, 0 on held components, with rows its
+    dimension; or, when that step is no sufficient descent direction, the
+    negative penalized-merit gradient with rows = 0."""
+    da, db = penalized_subgradient(x, fx)
+    eps = REGULARIZATION * float(np.linalg.norm(phi_pen))
+    held = (x == 0.0) & (fx > 0.0)
+    free = np.flatnonzero(~held) if held.any() else slice(None)
+    system, grad = _newton_system(problem, x, da, db, eps, phi_pen, free)
+    try:
+        step = np.linalg.solve(system, -phi_pen[free])
+        if np.all(np.isfinite(step)):
+            slope = float(step @ grad)
+            if slope <= -DESCENT_RHO * np.linalg.norm(step) ** DESCENT_P:
+                direction = np.zeros(len(x))
+                direction[free] = step
+                return direction, slope, len(step)
+    except np.linalg.LinAlgError:
+        pass
+    if held.any():  # the gradient is nonzero on held components too
+        _, grad = _newton_system(problem, x, da, db, eps, phi_pen, slice(None))
+    direction = -grad
+    return direction, float(direction @ grad), 0
+
+
 def solve_ncp(problem: NcpProblem, x0=None, *, tol: float = TOL) -> SolveReport:
     """Damped semismooth Newton on the componentwise penalized system.
 
     Each step solves the regularized Newton equation of the module docstring
-    in one (n, n) array the solver reuses across iterations.  Newton
+    on the free set, in an array of the free set's size.  Newton
     directions failing the sufficient-descent test
     d . grad G <= -rho ||d||^p fall back to the negative gradient of the
     penalized merit G; steps are accepted under the Armijo condition on G.
@@ -220,8 +275,7 @@ def solve_ncp(problem: NcpProblem, x0=None, *, tol: float = TOL) -> SolveReport:
     phi_pen = penalized_phi(x, fx)
     g_val = 0.5 * float(phi_pen @ phi_pen)
     history = [g_val]
-    system = np.empty((problem.n, problem.n))
-    newton_steps = gradient_steps = backtracks = 0
+    newton_steps = gradient_steps = backtracks = newton_rows = 0
 
     def finish(status: str, iterations: int) -> SolveReport:
         return SolveReport(
@@ -234,6 +288,7 @@ def solve_ncp(problem: NcpProblem, x0=None, *, tol: float = TOL) -> SolveReport:
             newton_steps=newton_steps,
             gradient_steps=gradient_steps,
             backtracks=backtracks,
+            newton_rows=newton_rows,
         )
 
     for it in range(MAX_ITER + 1):
@@ -242,26 +297,12 @@ def solve_ncp(problem: NcpProblem, x0=None, *, tol: float = TOL) -> SolveReport:
         if it == MAX_ITER:
             return finish("max_iter", it)
 
-        da, db = penalized_subgradient(x, fx)
-        eps = REGULARIZATION * float(np.linalg.norm(phi_pen))
-        _system_jacobian(problem.jac_eval(x), da, db, eps, out=system)
-        grad = system.T @ phi_pen - eps * db * phi_pen  # H^T phi_pen, without the regularization
-
-        direction = None
-        try:
-            cand = np.linalg.solve(system, -phi_pen)
-            if np.all(np.isfinite(cand)):
-                slope = float(cand @ grad)
-                if slope <= -DESCENT_RHO * np.linalg.norm(cand) ** DESCENT_P:
-                    direction = cand
-        except np.linalg.LinAlgError:
-            pass
-        if direction is None:
-            direction = -grad
-            gradient_steps += 1
-        else:
+        direction, slope, rows = _search_direction(problem, x, fx, phi_pen)
+        if rows:
             newton_steps += 1
-        slope = float(direction @ grad)
+            newton_rows += rows
+        else:
+            gradient_steps += 1
 
         step = 1.0
         while step >= MIN_STEP:

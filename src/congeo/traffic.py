@@ -11,11 +11,18 @@ An elastic OD pair that the equilibrium prices out (served demand 0, so no
 flow on its routes) has no unique time: every pi_k in [d0/k, cheapest route
 cost] meets the conditions, and the solver reports whichever one it reaches.
 
+The solve starts from all-or-nothing loading (Sheffi 1985, ch. 5): each OD
+pair's demand at its free-flow time goes on its cheapest free-flow route
+(the first in network order among ties) and nothing on the others.  An
+unloaded route costlier than its OD time is held at zero by the solver's
+free-set step and leaves the dense solve; the Jacobian is only formed over
+the free routes' rows of the incidence.
+
 ``per_route_network`` splits a network into one OD pair per route, which
 forces every route to carry its OD pair's full demand.  It is kept for
 comparison only: the solver converges on the two demo networks and on the 8
 seed-1 ``small_net_*`` lattices of the cli-small benchmark workload, but in
-15-189 iterations where the OD layout takes 8-14.
+15-189 iterations where the OD layout takes 11-18.
 """
 
 from __future__ import annotations
@@ -270,7 +277,9 @@ def assemble_ncp(network: TrafficNetwork) -> NcpProblem:
     Unknowns x = (h_1..h_R, pi_1..pi_K), routes and OD pairs in network
     order.  With the one-hot route -> OD map P (R x K),
     F = (c(h) - P pi; P^T h - d(pi)), and the Jacobian
-    [[dc/dh, -P], [P^T, -diag(d'(pi))]] is filled into one (R+K)^2 array.
+    [[dc/dh, -P], [P^T, -diag(d'(pi))]] is filled into one array over the
+    free routes and OD pairs; dc/dh = A diag(t'(v)) A^T takes the free rows
+    of the route-link incidence A alone.
     """
     R, K = network.n_routes, network.n_od
     inc = network.incidence()
@@ -283,14 +292,17 @@ def assemble_ncp(network: TrafficNetwork) -> NcpProblem:
         costs = _route_costs_clamped(network, h)
         return np.concatenate([costs - P @ pi, P.T @ h - _served(network, pi)])
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
+    def jacobian(x: np.ndarray, free: np.ndarray | slice) -> np.ndarray:
         h, pi = x[:R], x[R:]
-        jac = np.empty((R + K, R + K))
-        np.matmul(inc * _link_time_slopes(network, inc.T @ h), inc.T, out=jac[:R, :R])
-        np.negative(P, out=jac[:R, R:])
-        jac[R:, :R] = P.T
-        jac[R:, R:] = 0.0
-        np.fill_diagonal(jac[R:, R:], k * (_served(network, pi) > 0.0))  # -d'(pi)
+        routes, ods = (free, free) if isinstance(free, slice) else (free[free < R], free[free >= R] - R)
+        a, p = inc[routes], P[routes][:, ods]
+        r, m = len(a), len(a) + p.shape[1]
+        jac = np.empty((m, m))
+        np.matmul(a * _link_time_slopes(network, inc.T @ h), a.T, out=jac[:r, :r])
+        np.negative(p, out=jac[:r, r:])
+        jac[r:, :r] = p.T
+        jac[r:, r:] = 0.0
+        np.fill_diagonal(jac[r:, r:], (k * (_served(network, pi) > 0.0))[ods])  # -d'(pi)
         return jac
 
     return NcpProblem(n=R + K, f=f, jacobian=jacobian)
@@ -342,13 +354,17 @@ class UeSolution:
 
 
 def _default_start(network: TrafficNetwork) -> np.ndarray:
-    """Times at the cheapest free-flow route of each OD pair; its demand at
-    that time split evenly over its routes."""
-    group, K = network.route_od_index(), network.n_od
-    c0 = _route_costs_clamped(network, np.zeros(network.n_routes))
-    pi0 = np.full(K, np.inf)
+    """All-or-nothing loading: times at the cheapest free-flow route of each
+    OD pair, and its demand at that time on that route (the first in network
+    order among ties), 0 on the others."""
+    group, R = network.route_od_index(), network.n_routes
+    c0 = _route_costs_clamped(network, np.zeros(R))
+    pi0 = np.full(network.n_od, np.inf)
     np.minimum.at(pi0, group, c0)
-    h0 = _served(network, pi0)[group] / np.bincount(group, minlength=K)[group]
+    cheapest = np.flatnonzero(c0 == pi0[group])
+    _, first = np.unique(group[cheapest], return_index=True)  # every OD pair, in order
+    h0 = np.zeros(R)
+    h0[cheapest[first]] = _served(network, pi0)
     return np.concatenate([h0, pi0])
 
 

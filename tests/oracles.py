@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the library's own solution paths:
 the LCP oracle enumerates active sets, the Newton system matrix is formed
-from fresh arrays, the two-route equilibrium comes from equal-times
-algebra, NCP Jacobians come from differences of F, coefficient-field
-x-derivatives come from central differences of the field's values, the
+from fresh arrays, the reference Newton loop solves the system on all
+unknowns, the two-route equilibrium comes from equal-times algebra, NCP
+Jacobians come from differences of F, coefficient-field x-derivatives come from central differences of the field's values, the
 fundamental tensor comes from second differences of F^2, and curve
 perturbations are rebuilt from splined control points.
 """
@@ -13,7 +13,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from congeo.finsler import DomainError, _raw_eval, _vec
-from congeo.ncp import NcpProblem
+from congeo.ncp import NcpProblem, free_block
 
 # Relative step of the forward-difference Jacobian of ``fd_problem``.
 JACOBIAN_FD_STEP = 1e-7
@@ -28,14 +28,15 @@ HESSIAN_FD_STEP = 1e-4
 def affine_problem(M, q):
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
-    return NcpProblem(n=len(q), f=lambda x: M @ x + q, jacobian=lambda x: M)
+    return NcpProblem(n=len(q), f=lambda x: M @ x + q, jacobian=lambda x, free: free_block(M, free))
 
 
 def fd_problem(n, f):
     """NcpProblem for a test map written without its Jacobian: forward
-    differences of F, column j with step ``JACOBIAN_FD_STEP * max(1, |x_j|)``."""
+    differences of F, column j with step ``JACOBIAN_FD_STEP * max(1, |x_j|)``,
+    cut to the free block the solver asks for."""
 
-    def jacobian(x):
+    def jacobian(x, free):
         f0 = problem.f_eval(x)
         jac = np.empty((n, n))
         for j in range(n):
@@ -43,7 +44,7 @@ def fd_problem(n, f):
             e = np.zeros(n)
             e[j] = h
             jac[:, j] = (problem.f_eval(x + e) - f0) / h
-        return jac
+        return free_block(jac, free)
 
     problem = NcpProblem(n=n, f=f, jacobian=jacobian)
     return problem
@@ -90,8 +91,43 @@ def fd_jet(values, value_shape):
 
 def system_jacobian_reference(jac, da, db):
     """H = diag(d_a) + diag(d_b) J from fresh arrays: the reference for the
-    in-place system matrix ``ncp._system_jacobian`` builds."""
+    system matrix ``ncp._system_jacobian`` builds."""
     return np.diag(da) + db[:, None] * jac
+
+
+def full_system_reference(problem, x0, tol):
+    """The solver loop with every Newton system on all n unknowns, in the
+    solver's own arithmetic: the path the free-set step replaces.  Returns
+    the accepted iterates (x0 first) and the penalized merit history."""
+    from congeo import ncp
+
+    x = np.asarray(x0, dtype=float).copy()
+    fx = problem.f_eval(x)
+    pen = ncp.penalized_phi(x, fx)
+    iterates, history = [x], [0.5 * float(pen @ pen)]
+    for _ in range(ncp.MAX_ITER):
+        if np.max(np.abs(ncp.fb_phi(x, fx))) <= tol:
+            break
+        da, db = ncp.penalized_subgradient(x, fx)
+        eps = ncp.REGULARIZATION * float(np.linalg.norm(pen))
+        system = ncp._system_jacobian(problem.jac_eval(x), da, db, eps)
+        grad = system.T @ pen - eps * db * pen
+        direction = np.linalg.solve(system, -pen)
+        slope = float(direction @ grad)
+        assert slope <= -ncp.DESCENT_RHO * np.linalg.norm(direction) ** ncp.DESCENT_P  # no fallback here
+        step = 1.0
+        while True:
+            x_new = x + step * direction
+            fx_new = problem.f_eval(x_new)
+            pen_new = ncp.penalized_phi(x_new, fx_new)
+            g_new = 0.5 * float(pen_new @ pen_new)
+            if g_new <= history[-1] + ncp.ARMIJO_SIGMA * step * slope:
+                break
+            step *= ncp.ARMIJO_BETA
+        x, fx, pen = x_new, fx_new, pen_new
+        iterates.append(x)
+        history.append(g_new)
+    return iterates, history
 
 
 def random_monotone_affine(rng, n):

@@ -281,7 +281,7 @@ class TestRunContract:
 TOL_CASES = {
     "solve-ncp": (("solve-ncp", demo("ncp_affine.json")), "1e-10", ("converged", 4), ("converged", 5)),
     "solve-ncp-loose": (("solve-ncp", demo("ncp_affine.json")), "0.1", ("converged", 4), ("converged", 2)),
-    "solve-ue": (("solve-ue", demo("network_two_routes.json")), "0.1", ("converged", 5), ("converged", 3)),
+    "solve-ue": (("solve-ue", demo("network_two_routes.json")), "0.1", ("converged", 6), ("converged", 3)),
     "validate": (("validate", demo("scenario_uniform.json")), "0.6", ("valid", None), ("invalid", None)),
 }
 
@@ -668,8 +668,10 @@ class TestSolverWorkCounts:
         results = fileio.load_json(str(tmp_path / f"{argv[0]}_summary.json"))["results"]
         assert results["newton_steps"] + results["gradient_steps"] == results["iterations"]
         assert results["backtracks"] >= 0
+        # each Newton system has between 1 and n rows, and n <= 3 for these inputs
+        assert results["newton_steps"] <= results["newton_rows"] <= 3 * results["newton_steps"]
         # the counts stay out of the hashed result artifacts
         for name in os.listdir(tmp_path):
             if not name.endswith("_summary.json"):
                 text = (tmp_path / name).read_text()
-                assert "newton_steps" not in text and "backtracks" not in text
+                assert "newton_steps" not in text and "backtracks" not in text and "newton_rows" not in text

@@ -156,7 +156,11 @@ class TestNcpProblemLoader:
         # the solver sees only these closed forms: no family is differenced
         problem = fileio.load_ncp_problem(source)
         x = np.linspace(1.0, 2.0, problem.n)
-        assert np.allclose(problem.jac_eval(x), central_jacobian(problem, x, 1e-7), atol=1e-6)
+        full = problem.jac_eval(x)
+        assert np.allclose(full, central_jacobian(problem, x, 1e-7), atol=1e-6)
+        # on a free set, the block of the whole Jacobian
+        for free in (np.arange(problem.n), np.array([problem.n - 1]), np.arange(0, problem.n, 2)):
+            assert np.array_equal(problem.jac_eval(x, free), full[np.ix_(free, free)])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SchemaError, match="M must be"):

@@ -12,6 +12,7 @@ from congeo.ncp import (
     fb_phi,
     fb_subgradient,
     fb_system,
+    free_block,
     merit,
     merit_gradient,
     penalized_phi,
@@ -21,6 +22,7 @@ from congeo.ncp import (
 from oracles import (
     affine_problem,
     fd_problem,
+    full_system_reference,
     lcp_enumeration_oracle,
     random_monotone_affine,
     system_jacobian_reference,
@@ -135,7 +137,7 @@ class TestMeritGradient:
 
     def test_hand_chain_rule(self):
         # n=1, F(x)=x at x=1: grad = phi(1,1) * (da + db) = 2(sqrt2-2)(1/sqrt2-1)
-        p = NcpProblem(n=1, f=lambda x: x.copy(), jacobian=lambda x: np.eye(1))
+        p = NcpProblem(n=1, f=lambda x: x.copy(), jacobian=lambda x, free: np.eye(1))
         expected = (SQ2 - 2.0) * 2.0 * (1 / SQ2 - 1.0)
         assert merit_gradient([1.0], p)[0] == pytest.approx(expected, rel=1e-12)
 
@@ -229,7 +231,7 @@ class TestSolveNcp:
     def test_line_search_failure_status(self):
         # the Jacobian says F' = -1/2 where F' = 1: along the direction it
         # gives, no step down to MIN_STEP lowers the merit
-        rep = solve_ncp(NcpProblem(n=1, f=lambda x: x - 2.0, jacobian=lambda x: -0.5 * np.eye(1)), x0=[1.0])
+        rep = solve_ncp(NcpProblem(n=1, f=lambda x: x - 2.0, jacobian=lambda x, free: -0.5 * np.eye(1)), x0=[1.0])
         assert (rep.status, rep.iterations, rep.backtracks) == ("line_search_failure", 1, 54)
         assert rep.x_star[0] == 1.0
 
@@ -242,7 +244,7 @@ class TestSolveNcp:
             trials.append(float(x[0]))
             return np.sqrt(3.0 - x) - 1.0
 
-        rep = solve_ncp(NcpProblem(n=1, f=f, jacobian=lambda x: -0.5 / np.sqrt(3.0 - x)[None]), x0=[1.0])
+        rep = solve_ncp(NcpProblem(n=1, f=f, jacobian=lambda x, free: -0.5 / np.sqrt(3.0 - x)[None]), x0=[1.0])
         assert rep.converged
         assert rep.x_star[0] == pytest.approx(2.0, abs=1e-8)
         assert sum(t > 3.0 for t in trials) == 1
@@ -288,7 +290,7 @@ class TestComplementarityEquivalence:
 
 
 class TestRegularizedNewton:
-    """The in-place system matrix against its fresh-array reference, the
+    """The system matrix against its fresh-array reference, the
     caller's Jacobian left untouched, and the step counts of the report."""
 
     def test_system_matrix_matches_reference(self, rng):
@@ -300,9 +302,6 @@ class TestRegularizedNewton:
             da, db = fb_subgradient(x, p.f_eval(x))
             expected = system_jacobian_reference(M, da, db)
             assert np.array_equal(_system_jacobian(M, da, db), expected)
-            stale = rng.normal(size=(n, n))  # a reused buffer holds the last iterate's matrix
-            assert np.array_equal(_system_jacobian(M, da, db, out=stale), expected)
-            assert np.array_equal(_system_jacobian(M, da, db, eps=0.0, out=stale), expected)
 
     def test_regularization_adds_scaled_db_on_the_diagonal(self, rng):
         M, q = random_monotone_affine(rng, 5)
@@ -333,7 +332,7 @@ class TestRegularizedNewton:
                 calls.append(1)
                 return M @ x + q
 
-            rep = solve_ncp(NcpProblem(n=n, f=f, jacobian=lambda x, M=M: M))
+            rep = solve_ncp(NcpProblem(n=n, f=f, jacobian=lambda x, free, M=M: free_block(M, free)))
             assert rep.converged
             assert rep.newton_steps + rep.gradient_steps == rep.iterations
             # one F at the start, then one per trial point: accepted or backtracked
@@ -394,6 +393,108 @@ class TestPenalizedFb:
         assert np.allclose(inc.T @ penalized.h, inc.T @ reference.h, rtol=0.0, atol=1e-7)
         assert np.allclose(penalized.pi, reference.pi, rtol=0.0, atol=1e-7)
         assert penalized.report.iterations < reference.report.iterations
+
+
+class TestFreeSetStep:
+    """The Newton step on the free set against the full (n, n) system it
+    replaces: components held at x_i = 0 < F_i(x) get a zero step."""
+
+    @staticmethod
+    def recorded_solve(network):
+        """solve_ue's problem solved from all-or-nothing loading, with each
+        iterate recorded (the solver asks for one Jacobian per iteration)."""
+        problem = traffic.assemble_ncp(network)
+        iterates = []
+
+        def jacobian(x, free):
+            iterates.append(x.copy())
+            return problem.jacobian(x, free)
+
+        rep = solve_ncp(NcpProblem(problem.n, problem.f, jacobian), traffic._default_start(network))
+        assert rep.converged and rep.gradient_steps == 0
+        return problem, rep, iterates
+
+    @staticmethod
+    def assert_steps_match_the_full_system(problem, iterates):
+        """The first iterates' free-set steps against the full system; returns
+        how many components each one holds."""
+        n, held_counts = problem.n, []
+        for x in iterates[:5]:
+            fx = problem.f_eval(x)
+            pen = penalized_phi(x, fx)
+            held = (x == 0.0) & (fx > 0.0)
+            direction, _, rows = ncp._search_direction(problem, x, fx, pen)
+            assert rows == n - np.count_nonzero(held)
+            da, db = penalized_subgradient(x, fx)
+            eps = REGULARIZATION * np.linalg.norm(pen)
+            system = system_jacobian_reference(problem.jac_eval(x), da, db) + np.diag(eps * db)
+            full = np.linalg.solve(system, -pen)
+            assert np.linalg.norm(direction - full) <= 1e-10 * np.linalg.norm(full)
+            assert np.all(direction[held] == 0.0)
+            held_counts.append(np.count_nonzero(held))
+        return held_counts
+
+    def test_step_matches_the_full_system(self):
+        network = lattice_network(np.random.default_rng(7), side=10, n_od=25, per_od=12)
+        problem, rep, iterates = self.recorded_solve(network)
+        held_counts = self.assert_steps_match_the_full_system(problem, iterates)
+        assert held_counts[0] > network.n_routes // 2  # most routes start unloaded and costlier
+        assert rep.newton_rows < problem.n * rep.newton_steps
+
+    def test_a_tied_route_at_zero_is_free(self):
+        # two parallel links of equal free-flow time: all-or-nothing loads r1,
+        # and r2 starts at h = 0 with F = c - pi = 0 exactly, so it is not held
+        links = [{"id": i, "from": "o", "to": "d", "t0": 1.0, "capacity": 1.0} for i in "ab"]
+        network = fileio.load_network({
+            "nodes": ["o", "d"], "links": links,
+            "routes": [{"id": "r1", "od": "od", "links": ["a"]}, {"id": "r2", "od": "od", "links": ["b"]}],
+            "od_pairs": [{"id": "od", "origin": "o", "destination": "d", "demand": {"type": "fixed", "d0": 3.0}}],
+        })
+        problem, rep, iterates = self.recorded_solve(network)
+        assert np.array_equal(iterates[0], [3.0, 0.0, 1.0]) and problem.f_eval(iterates[0])[1] == 0.0
+        assert self.assert_steps_match_the_full_system(problem, iterates)[0] == 0
+        assert np.allclose(rep.x_star[:2], 1.5, rtol=0.0, atol=1e-8)
+
+    def test_held_components_stay_zero_across_accepted_steps(self):
+        network = lattice_network(np.random.default_rng(9), side=10, n_od=25, per_od=12)
+        problem, rep, iterates = self.recorded_solve(network)
+        held_total = 0
+        for x, x_next in zip(iterates, iterates[1:] + [rep.x_star]):
+            held = (x == 0.0) & (problem.f_eval(x) > 0.0)
+            assert np.all(x_next[held] == 0.0)
+            held_total += np.count_nonzero(held)
+        assert held_total > 0
+
+    def test_gradient_fallback_takes_the_whole_jacobian(self):
+        # F = (x_0 - 2, x_1 + 1) at x = (1, 0) holds x_1.  The free block makes
+        # the system nearly singular, so the Newton step is huge and fails the
+        # descent test; the fallback gradient H^T phi_pen also has a held
+        # component, through the held column J[0, 1].
+        x, fx = np.array([1.0, 0.0]), np.array([-1.0, 1.0])
+        pen = penalized_phi(x, fx)
+        da, db = penalized_subgradient(x, fx)
+        eps = REGULARIZATION * np.linalg.norm(pen)
+        jac = np.array([[(1e-9 - da[0] - eps * db[0]) / db[0], 3.0], [0.0, 1.0]])
+        problem = NcpProblem(2, lambda v: v + np.array([-2.0, 1.0]), lambda v, free: free_block(jac, free))
+        direction, slope, rows = ncp._search_direction(problem, x, fx, pen)
+        assert rows == 0
+        expected = -(system_jacobian_reference(jac, da, db).T @ pen)
+        assert np.allclose(direction, expected, rtol=1e-12, atol=0.0) and direction[1] != 0.0
+        assert slope == float(direction @ -direction)
+
+    def test_nothing_held_keeps_the_full_system_bit_for_bit(self, rng):
+        cases = [(affine_problem(*random_monotone_affine(rng, n)), np.ones(n)) for n in (2, 4, 6)]
+        network = lattice_network(np.random.default_rng(7), side=8, n_od=10, per_od=8)
+        start = traffic._default_start(network)
+        start[:network.n_routes] += 0.05  # every route loaded, so no flow sits at 0
+        cases.append((traffic.assemble_ncp(network), start))
+        for problem, x0 in cases:
+            iterates, history = full_system_reference(problem, x0, ncp.TOL)
+            assert not any(np.any((x == 0.0) & (problem.f_eval(x) > 0.0)) for x in iterates)
+            rep = solve_ncp(problem, x0)
+            assert rep.converged and rep.newton_rows == problem.n * rep.newton_steps
+            assert rep.merit_history == tuple(history)
+            assert np.array_equal(rep.x_star, iterates[-1])
 
 
 def lattice_network(rng, side, n_od, per_od):

@@ -307,6 +307,18 @@ class TestAssembleNcp:
         x = np.concatenate([np.linspace(0.3, 1.5, R), np.linspace(2.0, 4.0, n - R)])
         assert np.allclose(problem.jac_eval(x), central_jacobian(problem, x, 1e-7), atol=1e-6)
 
+    @pytest.mark.parametrize("demand_block", LAYOUTS)
+    def test_jacobian_on_a_free_set_is_its_block(self, rng, demand_block):
+        # the free routes' rows of the incidence give the block of the whole Jacobian
+        net = LAYOUTS[demand_block](lattice_network())
+        problem = assemble_ncp(net)
+        n = problem.n
+        for _ in range(10):
+            x = rng.uniform(0.0, 30.0, size=n)  # the elastic demand hits zero at pi = 25
+            full = problem.jac_eval(x)
+            free = np.flatnonzero(rng.random(n) < 0.5)
+            assert np.allclose(problem.jac_eval(x, free), full[np.ix_(free, free)], rtol=1e-14, atol=0.0)
+
 
 class TestSolveUe:
     def test_two_route_closed_form(self):
@@ -456,17 +468,25 @@ class TestVectorizedHelpers:
         assert np.array_equal(net._d0, [4.0, 1.0]) and np.array_equal(net._k, [0.5, 0.0])
         assert not any(a.flags.writeable for a in (net.incidence(), net.route_od_index(), net._d0, net._k))
 
-    def test_default_start_matches_per_route_loop(self):
-        net = mixed_demand_network()
-        R, K = net.n_routes, net.n_od
-        r_od = net.route_od_index()
-        c0 = route_cost(net, np.zeros(R))
-        pi0 = np.array([min(c0[r] for r in range(R) if r_od[r] == k) for k in range(K)])
-        counts = np.bincount(r_od, minlength=K)
-        h0 = np.array([net.od_pairs[r_od[r]].demand(pi0[r_od[r]]) / counts[r_od[r]] for r in range(R)])
-        assert np.array_equal(_default_start(net), np.concatenate([h0, pi0]))
+    def test_default_start_matches_per_od_loop(self):
+        # all-or-nothing: each OD pair's demand at its cheapest free-flow time
+        # on its cheapest free-flow route, the first one among ties
+        tie = two_route_network(t02=1.0)
+        for net in (mixed_demand_network(), tie, lattice_network()):
+            R, K = net.n_routes, net.n_od
+            r_od = net.route_od_index()
+            c0 = route_cost(net, np.zeros(R))
+            h0, pi0 = np.zeros(R), np.zeros(K)
+            for k in range(K):
+                best = min((r for r in range(R) if r_od[r] == k), key=lambda r: c0[r])  # first among ties
+                pi0[k] = c0[best]
+                h0[best] = net.od_pairs[k].demand(pi0[k])
+            assert np.array_equal(_default_start(net), np.concatenate([h0, pi0]))
+        assert np.array_equal(_default_start(tie), [3.0, 0.0, 1.0])
         # per_route: every route is its own time variable, started at its free-flow cost
-        h0 = np.array([net.od_pairs[r_od[r]].demand(c0[r]) for r in range(R)])
+        net = mixed_demand_network()
+        c0 = route_cost(net, np.zeros(net.n_routes))
+        h0 = np.array([net.od_pairs[k].demand(c) for k, c in zip(net.route_od_index(), c0)])
         assert np.array_equal(_default_start(per_route_network(net)), np.concatenate([h0, c0]))
 
 
@@ -546,12 +566,10 @@ class TestRegularizedNewtonOnNetworks:
         net = LAYOUTS[demand_block](lattice_network())
         problem = assemble_ncp(net)
         start = _default_start(net)
-        buffer = np.empty((problem.n, problem.n))
         for x in (start, start + rng.normal(scale=0.5, size=problem.n)):
             jac = problem.jac_eval(x)
             da, db = fb_subgradient(x, problem.f_eval(x))
-            _system_jacobian(jac, da, db, out=buffer)
-            assert np.array_equal(buffer, system_jacobian_reference(jac, da, db))
+            assert np.array_equal(_system_jacobian(jac, da, db), system_jacobian_reference(jac, da, db))
 
     @pytest.mark.parametrize("demand_block", LAYOUTS)
     def test_demand_block_matches_the_demand_objects(self, rng, demand_block):
