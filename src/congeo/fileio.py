@@ -11,6 +11,7 @@ written by ``_write_table``.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import sys
@@ -120,16 +121,22 @@ def load_json(path: str) -> Any:
 # Strict object validation
 # ---------------------------------------------------------------------------
 
-def _check_keys(obj: dict, required: Sequence[str], optional: Sequence[str], where: str) -> None:
+@functools.cache
+def _key_sets(required: tuple[str, ...], optional: tuple[str, ...]) -> tuple[frozenset, frozenset]:
+    """The required keys and all allowed keys of an object, as sets."""
+    return frozenset(required), frozenset(required + optional)
+
+
+def _check_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], where: str) -> None:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
-    keys = set(obj)
-    missing = [k for k in required if k not in keys]
+    needed, allowed = _key_sets(required, optional)
+    if needed <= obj.keys() <= allowed:
+        return
+    missing = [k for k in required if k not in obj]
     if missing:
         raise SchemaError(f"{where}: missing field(s) {missing}")
-    unknown = sorted(keys - set(required) - set(optional))
-    if unknown:
-        raise SchemaError(f"{where}: unknown field(s) {unknown}")
+    raise SchemaError(f"{where}: unknown field(s) {sorted(obj.keys() - allowed)}")
 
 
 def _number(obj: dict, key: str, where: str) -> float:
@@ -219,13 +226,13 @@ def load_network(source) -> TrafficNetwork:
     """Parse the network schema; every structural invariant violation is a
     SchemaError naming the offending element."""
     doc = _as_dict(source)
-    _check_keys(doc, ["nodes", "links", "routes", "od_pairs"], [], "network")
+    _check_keys(doc, ("nodes", "links", "routes", "od_pairs"), (), "network")
     nodes = _string_list(doc, "nodes", "network")
 
     links = []
     for i, raw in enumerate(_list(doc, "links", "network")):
         where = f"links[{i}]"
-        _check_keys(raw, ["id", "from", "to", "t0", "capacity"], ["bpr_b", "bpr_p"], where)
+        _check_keys(raw, ("id", "from", "to", "t0", "capacity"), ("bpr_b", "bpr_p"), where)
         kwargs = {}
         if "bpr_b" in raw:
             kwargs["bpr_b"] = _number(raw, "bpr_b", where)
@@ -250,7 +257,7 @@ def load_network(source) -> TrafficNetwork:
     routes = []
     for i, raw in enumerate(_list(doc, "routes", "network")):
         where = f"routes[{i}]"
-        _check_keys(raw, ["id", "od", "links"], [], where)
+        _check_keys(raw, ("id", "od", "links"), (), where)
         try:
             routes.append(
                 Route(
@@ -267,7 +274,7 @@ def load_network(source) -> TrafficNetwork:
     od_pairs = []
     for i, raw in enumerate(_list(doc, "od_pairs", "network")):
         where = f"od_pairs[{i}]"
-        _check_keys(raw, ["id", "origin", "destination", "demand"], [], where)
+        _check_keys(raw, ("id", "origin", "destination", "demand"), (), where)
         dem_raw = raw["demand"]
         dwhere = f"{where}.demand"
         if not isinstance(dem_raw, dict) or "type" not in dem_raw:
@@ -275,10 +282,10 @@ def load_network(source) -> TrafficNetwork:
         dtype = dem_raw["type"]
         try:
             if dtype == "fixed":
-                _check_keys(dem_raw, ["type", "d0"], [], dwhere)
+                _check_keys(dem_raw, ("type", "d0"), (), dwhere)
                 demand = FixedDemand(_number(dem_raw, "d0", dwhere))
             elif dtype == "elastic":
-                _check_keys(dem_raw, ["type", "d0", "k"], [], dwhere)
+                _check_keys(dem_raw, ("type", "d0", "k"), (), dwhere)
                 demand = ElasticDemand(_number(dem_raw, "d0", dwhere), _number(dem_raw, "k", dwhere))
             else:
                 raise SchemaError(f"{dwhere}.type: must be 'fixed' or 'elastic', got {dtype!r}")
@@ -315,7 +322,7 @@ def load_ncp_problem(source) -> NcpProblem:
     nonnegative orthant).
     """
     doc = _as_dict(source)
-    _check_keys(doc, ["n", "f"], [], "problem")
+    _check_keys(doc, ("n", "f"), (), "problem")
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise SchemaError(f"problem.n: expected a positive integer, got {n!r}")
@@ -324,14 +331,14 @@ def load_ncp_problem(source) -> NcpProblem:
         raise SchemaError("problem.f: expected an object with a 'type' field")
     ftype = spec["type"]
     if ftype == "affine":
-        _check_keys(spec, ["type", "M", "q"], [], "problem.f")
+        _check_keys(spec, ("type", "M", "q"), (), "problem.f")
         M = _matrix(spec, "M", "problem.f")
         q = _vector(spec, "q", "problem.f")
         if M.shape != (n, n) or q.shape != (n,):
             raise SchemaError(f"problem.f: M must be {n}x{n} and q length {n}")
         return NcpProblem(n=n, f=lambda x: M @ x + q, jacobian=lambda x, free: free_block(M, free))
     if ftype == "quadratic":
-        _check_keys(spec, ["type", "a", "M", "q"], [], "problem.f")
+        _check_keys(spec, ("type", "a", "M", "q"), (), "problem.f")
         a = _vector(spec, "a", "problem.f")
         M = _matrix(spec, "M", "problem.f")
         q = _vector(spec, "q", "problem.f")
@@ -392,7 +399,7 @@ def load_congestion_spec(spec, base_dir: str = ".") -> CongestionField:
         except ValueError as exc:
             raise SchemaError(f"field: {exc}") from None
     if isinstance(spec, dict):
-        _check_keys(spec, ["grid_csv"], [], "field")
+        _check_keys(spec, ("grid_csv",), (), "field")
         rel = _string(spec, "grid_csv", "field")
         return load_congestion_grid(os.path.join(base_dir, rel))
     raise SchemaError(f"field: expected a preset string or grid reference, got {spec!r}")
@@ -411,8 +418,8 @@ def load_scenario(source, base_dir: str | None = None) -> RoutingScenario:
         base = base_dir or os.path.dirname(os.path.abspath(os.fspath(source)))
     _check_keys(
         doc,
-        ["origin", "destination", "field"],
-        ["metric", "tol", "nodes", "seed", "explore", "restarts", "eps_cong", "box_margin"],
+        ("origin", "destination", "field"),
+        ("metric", "tol", "nodes", "seed", "explore", "restarts", "eps_cong", "box_margin"),
         "scenario",
     )
     origin = _vector(doc, "origin", "scenario")

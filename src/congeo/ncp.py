@@ -31,9 +31,12 @@ the strictly inactive set of Facchinei, Fischer & Kanzow (1998).  The step
 solves the m x m system of the other m components, and ``NcpProblem``'s
 Jacobian is asked for that block alone, ``jacobian(x, free)`` =
 F'(x)[free][:, free]; ``free`` is an index array, or ``slice(None)`` when
-nothing is held, and ``free_block`` cuts a stored matrix to it.  The
-descent test takes the gradient H^T phi_pen on the free set, to which the
-held rows (phi_pen_i = 0) add nothing; the gradient fallback and
+nothing is held, and ``free_block`` copies a stored matrix's block.  The
+block is a new array, which the solver may overwrite: the Newton system
+H + eps diag(d_b) is written over it, so an iteration holds one m x m
+array besides the copy that ``np.linalg.solve`` factors.  The descent
+test takes the gradient H^T phi_pen on the free set, to which the held
+rows (phi_pen_i = 0) add nothing; the gradient fallback and
 ``merit_gradient`` take the whole Jacobian.
 """
 
@@ -127,8 +130,8 @@ class NcpProblem:
     """Dimension n, the mapping F and its closed-form Jacobian F'.
 
     ``jacobian(x, free)`` returns the block F'(x)[free][:, free] (the whole
-    (n, n) array when ``free`` is ``slice(None)``); the solver never
-    differences F.
+    (n, n) array when ``free`` is ``slice(None)``) in a new array, which the
+    solver may overwrite; the solver never differences F.
     """
 
     n: int
@@ -159,9 +162,9 @@ class NcpProblem:
 
 
 def free_block(a: np.ndarray, free: np.ndarray | slice) -> np.ndarray:
-    """a[free][:, free] of a square array: ``a`` itself when ``free`` is
-    ``slice(None)``, else a copy of the free rows and columns."""
-    return a if isinstance(free, slice) else a[np.ix_(free, free)]
+    """A new array a[free][:, free] of a square array: a copy of ``a`` when
+    ``free`` is ``slice(None)``, else of its free rows and columns."""
+    return a.copy() if isinstance(free, slice) else a[np.ix_(free, free)]
 
 
 @dataclass(frozen=True)
@@ -195,12 +198,12 @@ def merit(x, problem: NcpProblem) -> float:
 
 
 def _system_jacobian(jac: np.ndarray, da: np.ndarray, db: np.ndarray, eps: float = 0.0) -> np.ndarray:
-    """H + eps diag(d_b) with H = diag(d_a) + diag(d_b) J, in a new array.
-    ``jac`` is only read: a problem may return the same array on every call."""
-    out = db[:, None] * jac
+    """H + eps diag(d_b) with H = diag(d_a) + diag(d_b) J, written over
+    ``jac`` (a new array from ``jac_eval``) and returned."""
+    jac *= db[:, None]
     diag = np.arange(len(db))
-    out[diag, diag] += da + eps * db
-    return out
+    jac[diag, diag] += da + eps * db
+    return jac
 
 
 def merit_gradient(x, problem: NcpProblem) -> np.ndarray:
@@ -212,9 +215,9 @@ def merit_gradient(x, problem: NcpProblem) -> np.ndarray:
 
 
 def _newton_system(problem: NcpProblem, x, da, db, eps, phi_pen, free):
-    """H + eps diag(d_b) on the free set, and the free part of the gradient
-    H^T phi_pen of the penalized merit (phi_pen is 0 on held rows, so they
-    add nothing)."""
+    """H + eps diag(d_b) on the free set, written over the Jacobian block,
+    and the free part of the gradient H^T phi_pen of the penalized merit
+    (phi_pen is 0 on held rows, so they add nothing)."""
     system = _system_jacobian(problem.jac_eval(x, free), da[free], db[free], eps)
     pen = phi_pen[free]
     return system, system.T @ pen - eps * db[free] * pen  # without the regularization

@@ -11,12 +11,22 @@ An elastic OD pair that the equilibrium prices out (served demand 0, so no
 flow on its routes) has no unique time: every pi_k in [d0/k, cheapest route
 cost] meets the conditions, and the solver reports whichever one it reaches.
 
+A ``TrafficNetwork`` stores the route-link incidence A in CSR form, as
+flat read-only index arrays built in one pass over the routes: each
+route's link indices in order (routes concatenated in network order), the
+route of each entry, and each route's OD index.  No dense route x link or
+route x OD matrix is formed: link flows A^T h and route costs A t(v) are
+``np.bincount`` sums over the entries, P pi is pi[route_od] and P^T h a
+bincount, and the route block of the Jacobian is S S^T with
+S = A_f diag(sqrt(t'(v))), one (free routes x links) array filled from the
+free routes' entries (Jayakrishnan et al. 1994 on path-based UE at scale).
+
 The solve starts from all-or-nothing loading (Sheffi 1985, ch. 5): each OD
 pair's demand at its free-flow time goes on its cheapest free-flow route
 (the first in network order among ties) and nothing on the others.  An
 unloaded route costlier than its OD time is held at zero by the solver's
 free-set step and leaves the dense solve; the Jacobian is only formed over
-the free routes' rows of the incidence.
+the free routes and OD pairs.
 
 ``per_route_network`` splits a network into one OD pair per route, which
 forces every route to carry its OD pair's full demand.  It is kept for
@@ -160,36 +170,26 @@ class TrafficNetwork:
             if od.origin not in node_set or od.destination not in node_set:
                 raise ValueError(f"od pair {od.id}: endpoint not among nodes")
 
-        # one pass over the routes: check each walk and fill its row of the
-        # route-link incidence (routes x links) and its od index
+        # one pass over the routes: each one's od index and link indices (-1
+        # where unknown), the route-link incidence in CSR form with its
+        # entries in route order; the walks are checked on these arrays
         link_index = {l.id: i for i, l in enumerate(self.links)}
         od_index = {od.id: i for i, od in enumerate(self.od_pairs)}
-        inc = np.zeros((len(self.routes), len(self.links)))
-        r_od = np.zeros(len(self.routes), dtype=int)
-        for ri, r in enumerate(self.routes):
-            if r.od not in od_index:
-                raise ValueError(f"route {r.id}: unknown od pair {r.od!r}")
-            r_od[ri] = od_index[r.od]
-            od = self.od_pairs[r_od[ri]]
-            walk = [od.origin]
-            for lid in r.links:
-                li = link_index.get(lid)
-                if li is None:
-                    raise ValueError(f"route {r.id}: unknown link {lid!r}")
-                if self.links[li].from_node != walk[-1]:
-                    raise ValueError(f"route {r.id}: link {lid!r} does not continue the walk")
-                walk.append(self.links[li].to_node)
-                inc[ri, li] += 1.0
-            if walk[-1] != od.destination:
-                raise ValueError(f"route {r.id}: walk ends at {walk[-1]!r}, not the destination")
-            if len(set(walk)) != len(walk):
-                raise ValueError(f"route {r.id}: repeated node (route must be loop-free)")
+        r_od, lengths, e_link = [], [], []
+        for r in self.routes:
+            r_od.append(od_index.get(r.od, -1))
+            lengths.append(len(r.links))
+            e_link += [link_index.get(lid, -1) for lid in r.links]
+        r_od, e_link, lengths = (np.array(a, dtype=np.intp) for a in (r_od, e_link, lengths))
+        e_route = np.repeat(np.arange(len(self.routes)), lengths)
+        self._check_walks(r_od, e_link, e_route, lengths)
         for od, served in zip(self.od_pairs, np.bincount(r_od, minlength=len(self.od_pairs))):
             if not served:
                 raise ValueError(f"od pair {od.id}: no route serves it")
         demands = [od.demand for od in self.od_pairs]
         arrays = {
-            "incidence": inc,
+            "entry_link": e_link,
+            "entry_route": e_route,
             "route_od": r_od,
             # per-link BPR parameters, read by every F and Jacobian evaluation
             **{a: np.array([getattr(l, a) for l in self.links]) for a in ("t0", "capacity", "bpr_b", "bpr_p")},
@@ -201,6 +201,48 @@ class TrafficNetwork:
             arr.setflags(write=False)
             object.__setattr__(self, f"_{name}", arr)
 
+    def _check_walks(self, r_od, e_link, e_route, lengths) -> None:
+        """Raise for the first failing route in network order the error of
+        the first check it fails: its od pair, then link by link whether the
+        link is known and continues the walk, then the walk's end, then
+        whether a node repeats."""
+        node = {n: i for i, n in enumerate(self.nodes)}
+        # node indices, each array with a trailing -1 that an unknown index (-1) reads
+        tail = np.array([node[l.from_node] for l in self.links] + [-1])
+        head = np.array([node[l.to_node] for l in self.links] + [-1])
+        origin = np.array([node[od.origin] for od in self.od_pairs] + [-1])[r_od]
+        dest = np.array([node[od.destination] for od in self.od_pairs] + [-1])[r_od]
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        # the node each link must leave: the previous link's head, or the
+        # origin for a route's first link
+        at = np.empty_like(e_link)
+        at[1:] = head[e_link[:-1]]
+        at[starts] = origin
+        broken = (e_link < 0) | (tail[e_link] != at)
+        end = head[e_link[ends - 1]]
+        # each walk's nodes (its origin, then its links' heads), keyed by route
+        n = len(self.nodes) + 1
+        key = np.sort(np.concatenate([np.arange(len(r_od)) * n + origin, e_route * n + head[e_link]]) + 1)
+        fails = (r_od < 0) | (end != dest)
+        fails[e_route[broken]] = True
+        fails[key[1:][key[1:] == key[:-1]] // n] = True
+        if not fails.any():
+            return
+        ri = int(np.argmax(fails))
+        r, first = self.routes[ri], starts[ri]
+        if r_od[ri] < 0:
+            raise ValueError(f"route {r.id}: unknown od pair {r.od!r}")
+        broken_at = np.flatnonzero(broken[first:ends[ri]])
+        if broken_at.size:
+            j = broken_at[0]
+            if e_link[first + j] < 0:
+                raise ValueError(f"route {r.id}: unknown link {r.links[j]!r}")
+            raise ValueError(f"route {r.id}: link {r.links[j]!r} does not continue the walk")
+        if end[ri] != dest[ri]:
+            raise ValueError(f"route {r.id}: walk ends at {self.nodes[end[ri]]!r}, not the destination")
+        raise ValueError(f"route {r.id}: repeated node (route must be loop-free)")
+
     @property
     def n_routes(self) -> int:
         return len(self.routes)
@@ -208,9 +250,6 @@ class TrafficNetwork:
     @property
     def n_od(self) -> int:
         return len(self.od_pairs)
-
-    def incidence(self) -> np.ndarray:
-        return self._incidence
 
     def route_od_index(self) -> np.ndarray:
         return self._route_od
@@ -238,10 +277,14 @@ def _link_time_slopes(network: TrafficNetwork, v: np.ndarray) -> np.ndarray:
     return slopes
 
 
+def _link_flows(network: TrafficNetwork, h: np.ndarray) -> np.ndarray:
+    """Link flows v = A^T h: each link's sum of its routes' flows."""
+    return np.bincount(network._entry_link, weights=h[network._entry_route], minlength=len(network.links))
+
+
 def _route_costs_clamped(network: TrafficNetwork, h: np.ndarray) -> np.ndarray:
-    inc = network.incidence()
-    v = inc.T @ h
-    return inc @ _link_times_vec(network, v)
+    times = _link_times_vec(network, _link_flows(network, h))
+    return np.bincount(network._entry_route, weights=times[network._entry_link], minlength=network.n_routes)
 
 
 def route_cost(network: TrafficNetwork, h) -> np.ndarray:
@@ -275,33 +318,43 @@ def assemble_ncp(network: TrafficNetwork) -> NcpProblem:
     """Encode the equilibrium conditions as an NcpProblem.
 
     Unknowns x = (h_1..h_R, pi_1..pi_K), routes and OD pairs in network
-    order.  With the one-hot route -> OD map P (R x K),
-    F = (c(h) - P pi; P^T h - d(pi)), and the Jacobian
-    [[dc/dh, -P], [P^T, -diag(d'(pi))]] is filled into one array over the
-    free routes and OD pairs; dc/dh = A diag(t'(v)) A^T takes the free rows
-    of the route-link incidence A alone.
+    order.  With the route-link incidence A and the one-hot route -> OD map
+    P, F = (A t(A^T h) - P pi; P^T h - d(pi)), evaluated from the CSR
+    entries and the routes' OD indices.  The Jacobian
+    [[A diag(t'(v)) A^T, -P], [P^T, -diag(d'(pi))]] is filled into one new
+    array over the free routes and OD pairs; its route block is S S^T with
+    S = A_f diag(sqrt(t'(v))), one row per free route, filled from that
+    route's CSR entries.
     """
-    R, K = network.n_routes, network.n_od
-    inc = network.incidence()
-    k = network._k
-    P = np.zeros((R, K))
-    P[np.arange(R), network.route_od_index()] = 1.0
+    R, K, L = network.n_routes, network.n_od, len(network.links)
+    e_link, e_route, r_od, k = network._entry_link, network._entry_route, network._route_od, network._k
 
     def f(x: np.ndarray) -> np.ndarray:
         h, pi = x[:R], x[R:]
         costs = _route_costs_clamped(network, h)
-        return np.concatenate([costs - P @ pi, P.T @ h - _served(network, pi)])
+        return np.concatenate([costs - pi[r_od], np.bincount(r_od, weights=h, minlength=K) - _served(network, pi)])
 
     def jacobian(x: np.ndarray, free: np.ndarray | slice) -> np.ndarray:
         h, pi = x[:R], x[R:]
-        routes, ods = (free, free) if isinstance(free, slice) else (free[free < R], free[free >= R] - R)
-        a, p = inc[routes], P[routes][:, ods]
-        r, m = len(a), len(a) + p.shape[1]
-        jac = np.empty((m, m))
-        np.matmul(a * _link_time_slopes(network, inc.T @ h), a.T, out=jac[:r, :r])
-        np.negative(p, out=jac[:r, r:])
-        jac[r:, :r] = p.T
-        jac[r:, r:] = 0.0
+        routes, ods = (np.arange(R), np.arange(K)) if isinstance(free, slice) else (free[free < R], free[free >= R] - R)
+        r, m = len(routes), len(routes) + len(ods)
+        # S = A_f diag(sqrt(t'(v))): each free route's CSR entries in its row
+        row_of = np.full(R, -1)
+        row_of[routes] = np.arange(r)
+        rows = row_of[e_route]
+        on = rows >= 0
+        root = np.sqrt(_link_time_slopes(network, _link_flows(network, h)))
+        s = np.zeros((r, L))
+        s[rows[on], e_link[on]] = root[e_link[on]]
+        jac = np.zeros((m, m))
+        np.matmul(s, s.T, out=jac[:r, :r])
+        # -P and P^T where a free route's OD pair is free
+        col_of = np.full(K, -1)
+        col_of[ods] = np.arange(r, m)
+        cols = col_of[r_od[routes]]
+        i = np.flatnonzero(cols >= 0)
+        jac[i, cols[i]] = -1.0
+        jac[cols[i], i] = 1.0
         np.fill_diagonal(jac[r:, r:], (k * (_served(network, pi) > 0.0))[ods])  # -d'(pi)
         return jac
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own solution paths:
 the LCP oracle enumerates active sets, the Newton system matrix is formed
-from fresh arrays, the reference Newton loop solves the system on all
+from fresh arrays, the UE map and its Jacobian come from a dense route-link
+incidence and a one-hot route-OD matrix, the reference Newton loop solves the system on all
 unknowns, the two-route equilibrium comes from equal-times algebra, NCP
 Jacobians come from differences of F, coefficient-field x-derivatives come from central differences of the field's values, the
 fundamental tensor comes from second differences of F^2, and curve
@@ -12,8 +13,10 @@ perturbations are rebuilt from splined control points.
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from congeo import fileio
 from congeo.finsler import DomainError, _raw_eval, _vec
 from congeo.ncp import NcpProblem, free_block
+from congeo.traffic import ElasticDemand
 
 # Relative step of the forward-difference Jacobian of ``fd_problem``.
 JACOBIAN_FD_STEP = 1e-7
@@ -89,10 +92,94 @@ def fd_jet(values, value_shape):
     return lambda x: (values(x), fd_derivative(values, x, value_shape))
 
 
-def system_jacobian_reference(jac, da, db):
-    """H = diag(d_a) + diag(d_b) J from fresh arrays: the reference for the
-    system matrix ``ncp._system_jacobian`` builds."""
-    return np.diag(da) + db[:, None] * jac
+def system_jacobian_reference(jac, da, db, eps=0.0):
+    """H + eps diag(d_b) = diag(d_b) J + diag(d_a + eps d_b) from fresh
+    arrays: the reference for the system matrix ``ncp._system_jacobian``
+    writes over the Jacobian."""
+    return db[:, None] * jac + np.diag(da + eps * db)
+
+
+def dense_incidence(network):
+    """The (routes, links) route-link incidence, filled from the route
+    objects' link ids."""
+    ids = [l.id for l in network.links]
+    inc = np.zeros((network.n_routes, len(ids)))
+    for r, route in enumerate(network.routes):
+        for lid in route.links:
+            inc[r, ids.index(lid)] += 1.0
+    return inc
+
+
+def dense_ue_problem(network):
+    """``traffic.assemble_ncp``'s map and Jacobian from the dense incidence A
+    and the one-hot (routes, OD pairs) matrix P, with the BPR times, their
+    slopes and the demands written out per link and per OD pair:
+    F = (A t(A^T h) - P pi; P^T h - d(pi)) and
+    F' = [[(A * t'(v)) A^T, -P], [P^T, -diag(d'(pi))]], cut to the free block."""
+    A = dense_incidence(network)
+    ods = [od.id for od in network.od_pairs]
+    P = np.zeros((network.n_routes, len(ods)))
+    for r, route in enumerate(network.routes):
+        P[r, ods.index(route.od)] = 1.0
+    links, demands = network.links, [od.demand for od in network.od_pairs]
+    R = network.n_routes
+
+    def times(v):
+        return np.array([l.t0 * (1.0 + l.bpr_b * (max(x, 0.0) / l.capacity) ** l.bpr_p) for l, x in zip(links, v)])
+
+    def slopes(v):
+        return np.array([
+            l.t0 * l.bpr_b * l.bpr_p * x ** (l.bpr_p - 1.0) / l.capacity ** l.bpr_p if x > 0.0 else 0.0
+            for l, x in zip(links, v)
+        ])
+
+    def f(x):
+        h, pi = x[:R], x[R:]
+        served = np.array([d(p) for d, p in zip(demands, pi)])
+        return np.concatenate([A @ times(A.T @ h) - P @ pi, P.T @ h - served])
+
+    def jacobian(x, free):
+        h, pi = x[:R], x[R:]
+        elastic = [d.k if isinstance(d, ElasticDemand) and d(p) > 0.0 else 0.0 for d, p in zip(demands, pi)]
+        jac = np.block([[(A * slopes(A.T @ h)) @ A.T, -P], [P.T, np.diag(elastic)]])
+        return free_block(jac, free)
+
+    return NcpProblem(n=R + len(ods), f=f, jacobian=jacobian)
+
+
+def random_lattice(rng, side, n_od, per_od):
+    """Directed side x side lattice (links east and south, BPR p = 4) whose OD
+    pairs run from the north-west quarter to the south-east one along up to
+    ``per_od`` distinct monotone walks; OD pairs alternate fixed and elastic
+    demand, 12 units in all, which loads the links to about capacity."""
+    def node(i, j):
+        return f"n{i}_{j}"
+
+    links = [
+        {"id": f"{m}{i}_{j}", "from": node(i, j), "to": node(i + di, j + dj),
+         "t0": rng.uniform(1.0, 2.0), "capacity": rng.uniform(1.0, 3.0)}
+        for i in range(side) for j in range(side) for m, (di, dj) in (("e", (0, 1)), ("s", (1, 0)))
+        if i + di < side and j + dj < side
+    ]
+    half, scale = side // 2, 12.0 / n_od
+    od_pairs, routes = [], []
+    for k in range(n_od):
+        i0, j0 = rng.integers(0, half - 1, 2)
+        i1, j1 = rng.integers(half + 1, side, 2)
+        if k % 2:
+            demand = {"type": "elastic", "d0": rng.uniform(2.0, 4.0) * scale, "k": rng.uniform(0.02, 0.06) * scale}
+        else:
+            demand = {"type": "fixed", "d0": rng.uniform(1.0, 3.0) * scale}
+        od_pairs.append({"id": f"od{k}", "origin": node(i0, j0), "destination": node(i1, j1), "demand": demand})
+        walks = {tuple(rng.permutation(["s"] * (i1 - i0) + ["e"] * (j1 - j0))) for _ in range(10 * per_od)}
+        for w, walk in enumerate(sorted(walks)[:per_od]):
+            i, j, ids = i0, j0, []
+            for m in walk:
+                ids.append(f"{m}{i}_{j}")
+                i, j = (i + 1, j) if m == "s" else (i, j + 1)
+            routes.append({"id": f"r{k}_{w}", "od": f"od{k}", "links": ids})
+    nodes = [node(i, j) for i in range(side) for j in range(side)]
+    return fileio.load_network({"nodes": nodes, "links": links, "routes": routes, "od_pairs": od_pairs})
 
 
 def full_system_reference(problem, x0, tol):

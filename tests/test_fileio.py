@@ -88,6 +88,21 @@ class TestNetworkLoader:
         with pytest.raises(SchemaError, match="missing"):
             fileio.load_network(doc)
 
+    @pytest.mark.parametrize("drop, add, message", [
+        (["t0"], {}, "links[0]: missing field(s) ['t0']"),
+        (["capacity", "from"], {"speed": 50}, "links[0]: missing field(s) ['from', 'capacity']"),
+        ([], {"speed": 50, "bpr_q": 1, "bpr_b": 0.1}, "links[0]: unknown field(s) ['bpr_q', 'speed']"),
+    ], ids=["missing", "missing-before-unknown", "unknown-sorted"])
+    def test_field_check_messages(self, drop, add, message):
+        doc = self._doc()
+        link = doc["links"][0]
+        for key in drop:
+            del link[key]
+        link.update(add)
+        with pytest.raises(SchemaError) as exc:
+            fileio.load_network(doc)
+        assert str(exc.value) == message
+
     def test_fixed_demand_rejects_k(self):
         doc = self._doc()
         doc["od_pairs"][0]["demand"]["k"] = 1.0

@@ -21,9 +21,11 @@ from congeo.ncp import (
 )
 from oracles import (
     affine_problem,
+    dense_incidence,
     fd_problem,
     full_system_reference,
     lcp_enumeration_oracle,
+    random_lattice,
     random_monotone_affine,
     system_jacobian_reference,
 )
@@ -290,8 +292,9 @@ class TestComplementarityEquivalence:
 
 
 class TestRegularizedNewton:
-    """The system matrix against its fresh-array reference, the
-    caller's Jacobian left untouched, and the step counts of the report."""
+    """The system matrix written over the Jacobian against its fresh-array
+    reference, the caller's stored matrix left untouched, and the step
+    counts of the report."""
 
     def test_system_matrix_matches_reference(self, rng):
         for _ in range(50):
@@ -304,22 +307,26 @@ class TestRegularizedNewton:
             assert np.array_equal(_system_jacobian(M, da, db), expected)
 
     def test_regularization_adds_scaled_db_on_the_diagonal(self, rng):
-        M, q = random_monotone_affine(rng, 5)
-        x = rng.normal(size=5)
-        da, db = fb_subgradient(x, M @ x + q)
-        eps = REGULARIZATION * 3.0
-        expected = system_jacobian_reference(M, da, db) + np.diag(eps * db)
-        assert np.allclose(_system_jacobian(M, da, db, eps), expected, rtol=1e-15, atol=1e-15)
+        for _ in range(20):
+            n = int(rng.integers(1, 8))
+            M, q = random_monotone_affine(rng, n)
+            x = rng.normal(size=n)
+            da, db = fb_subgradient(x, M @ x + q)
+            eps = REGULARIZATION * float(rng.uniform(0.1, 10.0))
+            expected = db[:, None] * M + np.diag(da + eps * db)
+            system = _system_jacobian(M, da, db, eps)
+            assert system is M and np.array_equal(system, expected)
 
     def test_solve_leaves_the_callers_jacobian_unchanged(self, rng):
-        # the affine problem returns the same M on every call
+        # the affine problem stores M and hands out a new copy on every call,
+        # which the solver overwrites
         M, q = random_monotone_affine(rng, 5)
         p = affine_problem(M, q)
         before = M.copy()
         rep = solve_ncp(p)
         merit_gradient(rep.x_star, p)
         assert rep.converged and rep.iterations > 1
-        assert p.jac_eval(rep.x_star) is p.jac_eval(np.ones(5))
+        assert p.jac_eval(rep.x_star) is not M
         assert np.array_equal(M, before)
 
     def test_step_counts(self, rng):
@@ -380,7 +387,7 @@ class TestPenalizedFb:
             assert abs(x @ fx) <= 1e-6
 
     def test_matches_the_plain_fb_reference_on_a_lattice(self, monkeypatch):
-        network = lattice_network(np.random.default_rng(7), side=10, n_od=25, per_od=12)
+        network = random_lattice(np.random.default_rng(7), side=10, n_od=25, per_od=12)
         assert network.n_routes == 300
         penalized = traffic.solve_ue(network)
         monkeypatch.setattr(ncp, "PENALTY", 1.0)
@@ -389,7 +396,7 @@ class TestPenalizedFb:
         # every OD pair serves demand, so its time is unique (an elastic pair
         # priced out of the network may take any time up to its cheapest route)
         assert np.all(np.bincount(network.route_od_index(), weights=reference.h) > 0.1)
-        inc = network.incidence()
+        inc = dense_incidence(network)
         assert np.allclose(inc.T @ penalized.h, inc.T @ reference.h, rtol=0.0, atol=1e-7)
         assert np.allclose(penalized.pi, reference.pi, rtol=0.0, atol=1e-7)
         assert penalized.report.iterations < reference.report.iterations
@@ -435,7 +442,7 @@ class TestFreeSetStep:
         return held_counts
 
     def test_step_matches_the_full_system(self):
-        network = lattice_network(np.random.default_rng(7), side=10, n_od=25, per_od=12)
+        network = random_lattice(np.random.default_rng(7), side=10, n_od=25, per_od=12)
         problem, rep, iterates = self.recorded_solve(network)
         held_counts = self.assert_steps_match_the_full_system(problem, iterates)
         assert held_counts[0] > network.n_routes // 2  # most routes start unloaded and costlier
@@ -456,7 +463,7 @@ class TestFreeSetStep:
         assert np.allclose(rep.x_star[:2], 1.5, rtol=0.0, atol=1e-8)
 
     def test_held_components_stay_zero_across_accepted_steps(self):
-        network = lattice_network(np.random.default_rng(9), side=10, n_od=25, per_od=12)
+        network = random_lattice(np.random.default_rng(9), side=10, n_od=25, per_od=12)
         problem, rep, iterates = self.recorded_solve(network)
         held_total = 0
         for x, x_next in zip(iterates, iterates[1:] + [rep.x_star]):
@@ -484,7 +491,7 @@ class TestFreeSetStep:
 
     def test_nothing_held_keeps_the_full_system_bit_for_bit(self, rng):
         cases = [(affine_problem(*random_monotone_affine(rng, n)), np.ones(n)) for n in (2, 4, 6)]
-        network = lattice_network(np.random.default_rng(7), side=8, n_od=10, per_od=8)
+        network = random_lattice(np.random.default_rng(7), side=8, n_od=10, per_od=8)
         start = traffic._default_start(network)
         start[:network.n_routes] += 0.05  # every route loaded, so no flow sits at 0
         cases.append((traffic.assemble_ncp(network), start))
@@ -496,37 +503,3 @@ class TestFreeSetStep:
             assert rep.merit_history == tuple(history)
             assert np.array_equal(rep.x_star, iterates[-1])
 
-
-def lattice_network(rng, side, n_od, per_od):
-    """Directed side x side lattice (links east and south, BPR p = 4) whose OD
-    pairs run from the north-west quarter to the south-east one along up to
-    ``per_od`` distinct monotone walks; OD pairs alternate fixed and elastic
-    demand, 12 units in all, which loads the links to about capacity."""
-    def node(i, j):
-        return f"n{i}_{j}"
-
-    links = [
-        {"id": f"{m}{i}_{j}", "from": node(i, j), "to": node(i + di, j + dj),
-         "t0": rng.uniform(1.0, 2.0), "capacity": rng.uniform(1.0, 3.0)}
-        for i in range(side) for j in range(side) for m, (di, dj) in (("e", (0, 1)), ("s", (1, 0)))
-        if i + di < side and j + dj < side
-    ]
-    half, scale = side // 2, 12.0 / n_od
-    od_pairs, routes = [], []
-    for k in range(n_od):
-        i0, j0 = rng.integers(0, half - 1, 2)
-        i1, j1 = rng.integers(half + 1, side, 2)
-        if k % 2:
-            demand = {"type": "elastic", "d0": rng.uniform(2.0, 4.0) * scale, "k": rng.uniform(0.02, 0.06) * scale}
-        else:
-            demand = {"type": "fixed", "d0": rng.uniform(1.0, 3.0) * scale}
-        od_pairs.append({"id": f"od{k}", "origin": node(i0, j0), "destination": node(i1, j1), "demand": demand})
-        walks = {tuple(rng.permutation(["s"] * (i1 - i0) + ["e"] * (j1 - j0))) for _ in range(10 * per_od)}
-        for w, walk in enumerate(sorted(walks)[:per_od]):
-            i, j, ids = i0, j0, []
-            for m in walk:
-                ids.append(f"{m}{i}_{j}")
-                i, j = (i + 1, j) if m == "s" else (i, j + 1)
-            routes.append({"id": f"r{k}_{w}", "od": f"od{k}", "links": ids})
-    nodes = [node(i, j) for i in range(side) for j in range(side)]
-    return fileio.load_network({"nodes": nodes, "links": links, "routes": routes, "od_pairs": od_pairs})

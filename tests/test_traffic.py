@@ -17,13 +17,20 @@ from congeo.traffic import (
     link_time,
     per_route_network,
     _default_start,
+    _link_flows,
     _link_time_slopes,
     _link_times_vec,
     route_cost,
     solve_ue,
     wardrop_residuals,
 )
-from oracles import central_jacobian, system_jacobian_reference
+from oracles import (
+    central_jacobian,
+    dense_incidence,
+    dense_ue_problem,
+    random_lattice,
+    system_jacobian_reference,
+)
 
 
 def affine_link(lid, frm, to, t0, slope):
@@ -262,6 +269,60 @@ class TestNetworkValidation:
             OdPair("od1", "o", "o", FixedDemand(1.0))
 
 
+def walk_network(*routes):
+    """o -> a -> {b, d}, b -> d, a -> o and o -> d, one OD pair from o to d
+    served by o-a-d, then ``routes`` (id, od, links) in order."""
+    return TrafficNetwork(
+        nodes=("o", "a", "b", "d"),
+        links=tuple(affine_link(lid, lid[0], lid[1], 1.0, 1.0) for lid in ("oa", "ab", "ad", "bd", "ao", "od")),
+        routes=(Route("good", "od", ("oa", "ad")),) + tuple(Route(*r) for r in routes),
+        od_pairs=(OdPair("od", "o", "d", FixedDemand(1.0)),),
+    )
+
+
+# one bad route of each kind the walk checks find, with its message
+BAD_ROUTES = {
+    "od": (("od9", ("oa", "ad")), "unknown od pair 'od9'"),
+    "link": (("od", ("oa", "zz")), "unknown link 'zz'"),
+    "walk": (("od", ("oa", "bd")), "link 'bd' does not continue the walk"),
+    "destination": (("od", ("oa", "ab")), "walk ends at 'b', not the destination"),
+    "loop": (("od", ("oa", "ao", "od")), "repeated node (route must be loop-free)"),
+}
+
+
+class TestWalkCheckOrder:
+    """The walks are checked in bulk, but the error names the first failing
+    route in network order, with the message of the first check a
+    route-by-route, link-by-link walk would fail."""
+
+    @pytest.mark.parametrize("first, second", list(itertools.permutations(BAD_ROUTES, 2)))
+    def test_first_failing_route_is_named(self, first, second):
+        (od1, links1), message = BAD_ROUTES[first]
+        (od2, links2), _ = BAD_ROUTES[second]
+        with pytest.raises(ValueError) as exc:
+            walk_network(("x", od1, links1), ("y", od2, links2))
+        assert str(exc.value) == f"route x: {message}"
+
+    @pytest.mark.parametrize("od, links, message", [
+        ("od9", ("zz", "bd"), "unknown od pair 'od9'"),
+        ("od", ("oa", "bd", "zz"), "link 'bd' does not continue the walk"),
+        ("od", ("zz", "bd"), "unknown link 'zz'"),
+        ("od", ("oa", "zz", "ao", "oa"), "unknown link 'zz'"),
+        ("od", ("ab",), "link 'ab' does not continue the walk"),
+        ("od", ("oa", "ao", "oa", "ab"), "walk ends at 'b', not the destination"),
+        ("od", ("oa", "ao"), "walk ends at 'o', not the destination"),
+    ], ids=["od-before-links", "walk-before-unknown-link", "unknown-link-before-walk", "unknown-link-before-loop",
+            "walk-before-destination", "destination-before-loop", "destination-at-a-loop"])
+    def test_first_check_a_route_fails_is_reported(self, od, links, message):
+        with pytest.raises(ValueError) as exc:
+            walk_network(("x", od, links), ("y", "od9", ("oa", "ad")))
+        assert str(exc.value) == f"route x: {message}"
+
+    def test_valid_walks_pass(self):
+        net = walk_network(("x", "od", ("od",)), ("y", "od", ("oa", "ab", "bd")))
+        assert net.n_routes == 3 and np.array_equal(net._entry_route, [0, 0, 1, 2, 2, 2])
+
+
 class TestAssembleNcp:
     def test_single_route_solution_zeros_system(self):
         net = single_route_network(FixedDemand(2.0))
@@ -461,12 +522,14 @@ class TestVectorizedHelpers:
 
     def test_route_arrays_match_the_network_objects(self):
         net = mixed_demand_network()
-        inc = [[float(l.id in r.links) for l in net.links] for r in net.routes]
-        assert np.array_equal(net.incidence(), inc)
+        # the CSR entries of the incidence: each route's links in order, routes in network order
+        assert [net.links[i].id for i in net._entry_link] == [lid for r in net.routes for lid in r.links]
+        assert [net.routes[i].id for i in net._entry_route] == [r.id for r in net.routes for _ in r.links]
         assert [net.od_pairs[k].id for k in net.route_od_index()] == [r.od for r in net.routes]
         # d(pi) = max(0, d0 - k pi): ElasticDemand(4.0, 0.5) and FixedDemand(1.0)
         assert np.array_equal(net._d0, [4.0, 1.0]) and np.array_equal(net._k, [0.5, 0.0])
-        assert not any(a.flags.writeable for a in (net.incidence(), net.route_od_index(), net._d0, net._k))
+        arrays = (net._entry_link, net._entry_route, net.route_od_index(), net._d0, net._k)
+        assert not any(a.flags.writeable for a in arrays)
 
     def test_default_start_matches_per_od_loop(self):
         # all-or-nothing: each OD pair's demand at its cheapest free-flow time
@@ -488,6 +551,52 @@ class TestVectorizedHelpers:
         c0 = route_cost(net, np.zeros(net.n_routes))
         h0 = np.array([net.od_pairs[k].demand(c) for k, c in zip(net.route_od_index(), c0)])
         assert np.array_equal(_default_start(per_route_network(net)), np.concatenate([h0, c0]))
+
+
+class TestCsrAgainstDense:
+    """Link flows, route costs, F and the free Jacobian block from the CSR
+    arrays against the dense incidence of ``oracles.dense_ue_problem``, to
+    1e-12 relative."""
+
+    NETWORKS = {
+        "mixed": mixed_demand_network,
+        "lattice_4x4": lattice_network,
+        "lattice_10x10": lambda: random_lattice(np.random.default_rng(7), side=10, n_od=25, per_od=12),
+    }
+
+    @staticmethod
+    def points(rng, net, count):
+        """Points with some route flows at 0 and OD times on both sides of
+        the elastic demands' zero."""
+        R = net.n_routes
+        for _ in range(count):
+            h = np.where(rng.random(R) < 0.3, 0.0, rng.uniform(0.0, 3.0, size=R))
+            yield np.concatenate([h, rng.uniform(0.0, 30.0, size=net.n_od)])
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_flows_costs_and_f(self, rng, name):
+        net = self.NETWORKS[name]()
+        inc, reference, problem = dense_incidence(net), dense_ue_problem(net), assemble_ncp(net)
+        for x in self.points(rng, net, 10):
+            h = x[:net.n_routes]
+            v = inc.T @ h
+            assert np.allclose(_link_flows(net, h), v, rtol=1e-12, atol=0.0)
+            times = [link_time(l, vi) for l, vi in zip(net.links, v)]
+            assert np.allclose(route_cost(net, h), inc @ times, rtol=1e-12, atol=0.0)
+            # F = c - pi can cancel, so F is compared relative to its largest entry
+            f_ref = reference.f_eval(x)
+            assert np.max(np.abs(problem.f_eval(x) - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_free_jacobian_block(self, rng, name):
+        # S S^T with S = A_f diag(sqrt t'(v)) against (A_f * t'(v)) A_f^T, with the OD columns
+        net = self.NETWORKS[name]()
+        reference, problem = dense_ue_problem(net), assemble_ncp(net)
+        n = problem.n
+        for x in self.points(rng, net, 10):
+            for free in (slice(None), np.flatnonzero(rng.random(n) < 0.5), np.flatnonzero(rng.random(n) < 0.1)):
+                jac = problem.jac_eval(x, free)
+                assert np.allclose(jac, reference.jac_eval(x, free), rtol=1e-12, atol=0.0)
 
 
 class TestGapAndResiduals:
@@ -569,7 +678,10 @@ class TestRegularizedNewtonOnNetworks:
         for x in (start, start + rng.normal(scale=0.5, size=problem.n)):
             jac = problem.jac_eval(x)
             da, db = fb_subgradient(x, problem.f_eval(x))
-            assert np.array_equal(_system_jacobian(jac, da, db), system_jacobian_reference(jac, da, db))
+            for eps in (0.0, 1e-4 * float(np.linalg.norm(fb_system(x, problem)))):
+                expected = system_jacobian_reference(jac, da, db, eps)
+                system = _system_jacobian(jac.copy(), da, db, eps)
+                assert np.array_equal(system, expected)
 
     @pytest.mark.parametrize("demand_block", LAYOUTS)
     def test_demand_block_matches_the_demand_objects(self, rng, demand_block):
