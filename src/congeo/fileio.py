@@ -226,19 +226,19 @@ def load_network(source) -> TrafficNetwork:
     """Parse the network schema; every structural invariant violation is a
     SchemaError naming the offending element."""
     doc = _as_dict(source)
-    _check_keys(doc, ("nodes", "links", "routes", "od_pairs"), (), "network")
-    nodes = _string_list(doc, "nodes", "network")
+    try:
+        _check_keys(doc, ("nodes", "links", "routes", "od_pairs"), (), "network")
+        nodes = _string_list(doc, "nodes", "network")
 
-    links = []
-    for i, raw in enumerate(_list(doc, "links", "network")):
-        where = f"links[{i}]"
-        _check_keys(raw, ("id", "from", "to", "t0", "capacity"), ("bpr_b", "bpr_p"), where)
-        kwargs = {}
-        if "bpr_b" in raw:
-            kwargs["bpr_b"] = _number(raw, "bpr_b", where)
-        if "bpr_p" in raw:
-            kwargs["bpr_p"] = _number(raw, "bpr_p", where)
-        try:
+        links = []
+        for i, raw in enumerate(_list(doc, "links", "network")):
+            where = f"links[{i}]"
+            _check_keys(raw, ("id", "from", "to", "t0", "capacity"), ("bpr_b", "bpr_p"), where)
+            kwargs = {}
+            if "bpr_b" in raw:
+                kwargs["bpr_b"] = _number(raw, "bpr_b", where)
+            if "bpr_p" in raw:
+                kwargs["bpr_p"] = _number(raw, "bpr_p", where)
             links.append(
                 Link(
                     id=_string(raw, "id", where),
@@ -249,16 +249,11 @@ def load_network(source) -> TrafficNetwork:
                     **kwargs,
                 )
             )
-        except SchemaError:
-            raise
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
 
-    routes = []
-    for i, raw in enumerate(_list(doc, "routes", "network")):
-        where = f"routes[{i}]"
-        _check_keys(raw, ("id", "od", "links"), (), where)
-        try:
+        routes = []
+        for i, raw in enumerate(_list(doc, "routes", "network")):
+            where = f"routes[{i}]"
+            _check_keys(raw, ("id", "od", "links"), (), where)
             routes.append(
                 Route(
                     id=_string(raw, "id", where),
@@ -266,21 +261,16 @@ def load_network(source) -> TrafficNetwork:
                     links=tuple(_string_list(raw, "links", where)),
                 )
             )
-        except SchemaError:
-            raise
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
 
-    od_pairs = []
-    for i, raw in enumerate(_list(doc, "od_pairs", "network")):
-        where = f"od_pairs[{i}]"
-        _check_keys(raw, ("id", "origin", "destination", "demand"), (), where)
-        dem_raw = raw["demand"]
-        dwhere = f"{where}.demand"
-        if not isinstance(dem_raw, dict) or "type" not in dem_raw:
-            raise SchemaError(f"{dwhere}: expected an object with a 'type' field")
-        dtype = dem_raw["type"]
-        try:
+        od_pairs = []
+        for i, raw in enumerate(_list(doc, "od_pairs", "network")):
+            where = f"od_pairs[{i}]"
+            _check_keys(raw, ("id", "origin", "destination", "demand"), (), where)
+            dem_raw = raw["demand"]
+            dwhere = f"{where}.demand"
+            if not isinstance(dem_raw, dict) or "type" not in dem_raw:
+                raise SchemaError(f"{dwhere}: expected an object with a 'type' field")
+            dtype = dem_raw["type"]
             if dtype == "fixed":
                 _check_keys(dem_raw, ("type", "d0"), (), dwhere)
                 demand = FixedDemand(_number(dem_raw, "d0", dwhere))
@@ -297,17 +287,15 @@ def load_network(source) -> TrafficNetwork:
                     demand=demand,
                 )
             )
-        except SchemaError:
-            raise
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
 
-    try:
+        where = "network"
         return TrafficNetwork(
             nodes=tuple(nodes), links=tuple(links), routes=tuple(routes), od_pairs=tuple(od_pairs)
         )
+    except SchemaError:
+        raise
     except ValueError as exc:
-        raise SchemaError(f"network: {exc}") from None
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ cost] meets the conditions, and the solver reports whichever one it reaches.
 A ``TrafficNetwork`` stores the route-link incidence A in CSR form, as
 flat read-only index arrays built in one pass over the routes: each
 route's link indices in order (routes concatenated in network order), the
-route of each entry, and each route's OD index.  No dense route x link or
-route x OD matrix is formed: link flows A^T h and route costs A t(v) are
-``np.bincount`` sums over the entries, P pi is pi[route_od] and P^T h a
-bincount, and the route block of the Jacobian is S S^T with
-S = A_f diag(sqrt(t'(v))), one (free routes x links) array filled from the
-free routes' entries (Jayakrishnan et al. 1994 on path-based UE at scale).
+route of each entry, and each route's OD index.  The same pass checks each
+route's walk link by link and raises at the first check it fails.  No
+dense route x link or route x OD matrix is formed: link flows A^T h and
+route costs A t(v) are ``np.bincount`` sums over the entries, P pi is
+pi[route_od] and P^T h a bincount, and the route block of the Jacobian is
+S S^T with S = A_f diag(sqrt(t'(v))), one (free routes x links) array
+filled from the free routes' entries (Jayakrishnan et al. 1994 on
+path-based UE at scale).
 
 The solve starts from all-or-nothing loading (Sheffi 1985, ch. 5): each OD
 pair's demand at its free-flow time goes on its cheapest free-flow route
@@ -170,22 +172,40 @@ class TrafficNetwork:
             if od.origin not in node_set or od.destination not in node_set:
                 raise ValueError(f"od pair {od.id}: endpoint not among nodes")
 
-        # one pass over the routes: each one's od index and link indices (-1
-        # where unknown), the route-link incidence in CSR form with its
-        # entries in route order; the walks are checked on these arrays
-        link_index = {l.id: i for i, l in enumerate(self.links)}
+        # one pass over the routes: check each walk, link by link, and fill
+        # its od index and its entries of the route-link incidence in CSR form
+        # (entries in route order)
+        link_at = {l.id: (i, l.from_node, l.to_node) for i, l in enumerate(self.links)}
         od_index = {od.id: i for i, od in enumerate(self.od_pairs)}
-        r_od, lengths, e_link = [], [], []
-        for r in self.routes:
-            r_od.append(od_index.get(r.od, -1))
-            lengths.append(len(r.links))
-            e_link += [link_index.get(lid, -1) for lid in r.links]
-        r_od, e_link, lengths = (np.array(a, dtype=np.intp) for a in (r_od, e_link, lengths))
-        e_route = np.repeat(np.arange(len(self.routes)), lengths)
-        self._check_walks(r_od, e_link, e_route, lengths)
+        r_od, e_link, e_route = [], [], []
+        for ri, r in enumerate(self.routes):
+            k = od_index.get(r.od)
+            if k is None:
+                raise ValueError(f"route {r.id}: unknown od pair {r.od!r}")
+            od = self.od_pairs[k]
+            node, seen = od.origin, {od.origin}
+            for lid in r.links:
+                link = link_at.get(lid)
+                if link is None:
+                    raise ValueError(f"route {r.id}: unknown link {lid!r}")
+                li, tail, head = link
+                if tail != node:
+                    raise ValueError(f"route {r.id}: link {lid!r} does not continue the walk")
+                e_link.append(li)
+                node = head
+                seen.add(head)
+            if node != od.destination:
+                raise ValueError(f"route {r.id}: walk ends at {node!r}, not the destination")
+            if len(seen) <= len(r.links):  # a loop-free walk of n links visits n + 1 nodes
+                raise ValueError(f"route {r.id}: repeated node (route must be loop-free)")
+            r_od.append(k)
+            e_route += [ri] * len(r.links)
+        r_od, e_link, e_route = (np.array(a, dtype=np.intp) for a in (r_od, e_link, e_route))
         for od, served in zip(self.od_pairs, np.bincount(r_od, minlength=len(self.od_pairs))):
             if not served:
                 raise ValueError(f"od pair {od.id}: no route serves it")
+        if not self.od_pairs:
+            raise ValueError("needs at least one od pair")
         demands = [od.demand for od in self.od_pairs]
         arrays = {
             "entry_link": e_link,
@@ -200,48 +220,6 @@ class TrafficNetwork:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, f"_{name}", arr)
-
-    def _check_walks(self, r_od, e_link, e_route, lengths) -> None:
-        """Raise for the first failing route in network order the error of
-        the first check it fails: its od pair, then link by link whether the
-        link is known and continues the walk, then the walk's end, then
-        whether a node repeats."""
-        node = {n: i for i, n in enumerate(self.nodes)}
-        # node indices, each array with a trailing -1 that an unknown index (-1) reads
-        tail = np.array([node[l.from_node] for l in self.links] + [-1])
-        head = np.array([node[l.to_node] for l in self.links] + [-1])
-        origin = np.array([node[od.origin] for od in self.od_pairs] + [-1])[r_od]
-        dest = np.array([node[od.destination] for od in self.od_pairs] + [-1])[r_od]
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        # the node each link must leave: the previous link's head, or the
-        # origin for a route's first link
-        at = np.empty_like(e_link)
-        at[1:] = head[e_link[:-1]]
-        at[starts] = origin
-        broken = (e_link < 0) | (tail[e_link] != at)
-        end = head[e_link[ends - 1]]
-        # each walk's nodes (its origin, then its links' heads), keyed by route
-        n = len(self.nodes) + 1
-        key = np.sort(np.concatenate([np.arange(len(r_od)) * n + origin, e_route * n + head[e_link]]) + 1)
-        fails = (r_od < 0) | (end != dest)
-        fails[e_route[broken]] = True
-        fails[key[1:][key[1:] == key[:-1]] // n] = True
-        if not fails.any():
-            return
-        ri = int(np.argmax(fails))
-        r, first = self.routes[ri], starts[ri]
-        if r_od[ri] < 0:
-            raise ValueError(f"route {r.id}: unknown od pair {r.od!r}")
-        broken_at = np.flatnonzero(broken[first:ends[ri]])
-        if broken_at.size:
-            j = broken_at[0]
-            if e_link[first + j] < 0:
-                raise ValueError(f"route {r.id}: unknown link {r.links[j]!r}")
-            raise ValueError(f"route {r.id}: link {r.links[j]!r} does not continue the walk")
-        if end[ri] != dest[ri]:
-            raise ValueError(f"route {r.id}: walk ends at {self.nodes[end[ri]]!r}, not the destination")
-        raise ValueError(f"route {r.id}: repeated node (route must be loop-free)")
 
     @property
     def n_routes(self) -> int:
@@ -432,12 +410,11 @@ def wardrop_residuals(network: TrafficNetwork, solution) -> WardropResiduals:
     h = np.asarray(h, dtype=float)
     pi = np.asarray(pi, dtype=float)
     group = network.route_od_index()
-    R = network.n_routes
     costs = _route_costs_clamped(network, h)
     pi_per_route = pi[group]
-    comp = float(np.max(np.abs(h * (costs - pi_per_route)))) if R else 0.0
-    time_violation = float(np.max(np.maximum(pi_per_route - costs, 0.0))) if R else 0.0
-    neg_flow = float(np.max(np.maximum(-h, 0.0))) if R else 0.0
+    comp = float(np.max(np.abs(h * (costs - pi_per_route))))
+    time_violation = float(np.max(np.maximum(pi_per_route - costs, 0.0)))
+    neg_flow = float(np.max(np.maximum(-h, 0.0)))
     gaps = np.abs(np.bincount(group, weights=h, minlength=network.n_od) - _served(network, pi))
     return WardropResiduals(
         max_complementarity=comp,

@@ -113,6 +113,16 @@ class TestExitCodes:
         assert run_cli("solve-ue", str(bad), "--out", str(tmp_path / "ue")) == EXIT_INPUT
         assert capsys.readouterr().err == f"congeo: input error: {message}\n"
 
+    def test_network_without_od_pair_is_an_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "empty.json"
+        fileio.dump_json({"nodes": [], "links": [], "routes": [], "od_pairs": []}, str(bad))
+        message = "network: needs at least one od pair"
+        assert run_cli("validate", str(bad), "--out", str(tmp_path)) == EXIT_INPUT
+        assert fileio.load_json(str(tmp_path / "validate_report.json"))["failures"] == [message]
+        capsys.readouterr()
+        assert run_cli("solve-ue", str(bad), "--out", str(tmp_path / "ue")) == EXIT_INPUT
+        assert capsys.readouterr().err == f"congeo: input error: {message}\n"
+
     def test_validate_saturated_field_exits_1(self, tmp_path):
         xs = ys = np.linspace(-1, 1, 3)
         vectors = np.zeros((3, 3, 2))

@@ -135,6 +135,12 @@ class TestNetworkLoader:
             ("routes", "id", 5, "routes[0].id: expected a string, got 5"),
             ("od_pairs", "id", 3, "od_pairs[0].id: expected a string, got 3"),
             ("links", "t0", -1.0, "links[0]: link A: free-flow time must be positive"),
+            ("routes", "links", [], "routes[0]: route r1: needs at least one link"),
+            ("od_pairs", "demand", {"type": "fixed", "d0": -1.0}, "od_pairs[0]: fixed demand must be nonnegative"),
+            ("od_pairs", "demand", {"type": "elastic", "d0": 1.0, "k": -0.5},
+             "od_pairs[0]: elastic demand needs d0 >= 0 and k >= 0"),
+            ("od_pairs", "destination", "o", "od_pairs[0]: od pair od1: origin equals destination"),
+            ("links", "id", "B", "network: duplicate link id 'B'"),
         ],
     )
     def test_error_names_the_element_once(self, section, field, value, message):

@@ -264,6 +264,11 @@ class TestNetworkValidation:
                 ),
             )
 
+    def test_network_without_od_pair_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            TrafficNetwork(nodes=(), links=(), routes=(), od_pairs=())
+        assert str(exc.value) == "needs at least one od pair"
+
     def test_self_loop_od_rejected(self):
         with pytest.raises(ValueError, match="origin equals destination"):
             OdPair("od1", "o", "o", FixedDemand(1.0))
@@ -291,9 +296,9 @@ BAD_ROUTES = {
 
 
 class TestWalkCheckOrder:
-    """The walks are checked in bulk, but the error names the first failing
-    route in network order, with the message of the first check a
-    route-by-route, link-by-link walk would fail."""
+    """The walks are checked route by route, link by link, in the pass that
+    builds the CSR arrays: the error names the first failing route in
+    network order, with the message of the first check its walk fails."""
 
     @pytest.mark.parametrize("first, second", list(itertools.permutations(BAD_ROUTES, 2)))
     def test_first_failing_route_is_named(self, first, second):
@@ -321,6 +326,66 @@ class TestWalkCheckOrder:
     def test_valid_walks_pass(self):
         net = walk_network(("x", "od", ("od",)), ("y", "od", ("oa", "ab", "bd")))
         assert net.n_routes == 3 and np.array_equal(net._entry_route, [0, 0, 1, 2, 2, 2])
+
+
+def corrupt_route(net, route, pos, kind):
+    """``route`` with one fault of ``kind`` at link position ``pos``, and the
+    message of the first check a link-by-link walk of it fails: an unknown
+    od pair, an unknown link, a known link that does not leave the walk's
+    node, or the walk cut before that link."""
+    links = route.links
+    tail = {l.id: l.from_node for l in net.links}
+    if kind == "od":
+        return Route(route.id, "od?", links), "unknown od pair 'od?'"
+    if kind == "link":
+        return Route(route.id, route.od, links[:pos] + ("zz",) + links[pos + 1:]), "unknown link 'zz'"
+    if kind == "walk":
+        stray = next(l.id for l in net.links if l.from_node != tail[links[pos]])
+        return (Route(route.id, route.od, links[:pos] + (stray,) + links[pos + 1:]),
+                f"link {stray!r} does not continue the walk")
+    return Route(route.id, route.od, links[:pos]), f"walk ends at {tail[links[pos]]!r}, not the destination"
+
+
+def draw_fault(data, routes, first):
+    """A route at index ``first`` or later, a fault kind for ``corrupt_route``
+    and a link position (a cut keeps at least the first link)."""
+    ri = data.draw(st.integers(first, len(routes) - 1))
+    kind = data.draw(st.sampled_from(("od", "link", "walk", "cut")))
+    pos = data.draw(st.integers(1 if kind == "cut" else 0, len(routes[ri].links) - 1))
+    return ri, kind, pos
+
+
+class TestWalkChecksOnLattices:
+    """Random test lattices with corrupted routes, checked against the
+    per-route, link-by-link reading of each walk."""
+
+    @given(st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_the_corrupted_route_is_named(self, seed, data):
+        net = random_lattice(np.random.default_rng(seed), side=6, n_od=3, per_od=3)
+        routes = list(net.routes)
+        ri, kind, pos = draw_fault(data, routes, 0)
+        routes[ri], message = corrupt_route(net, routes[ri], pos, kind)
+        message = f"route {routes[ri].id}: {message}"
+        with pytest.raises(ValueError) as exc:
+            TrafficNetwork(net.nodes, net.links, routes, net.od_pairs)
+        assert str(exc.value) == message
+        # a second corrupted route later in the network leaves the message
+        if ri + 1 < len(routes):
+            rj, kind, pos = draw_fault(data, routes, ri + 1)
+            routes[rj], _ = corrupt_route(net, routes[rj], pos, kind)
+            with pytest.raises(ValueError) as exc:
+                TrafficNetwork(net.nodes, net.links, routes, net.od_pairs)
+            assert str(exc.value) == message
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_csr_arrays_match_their_per_route_construction(self, seed):
+        net = random_lattice(np.random.default_rng(seed), side=6, n_od=3, per_od=3)
+        links, ods = [l.id for l in net.links], [od.id for od in net.od_pairs]
+        assert net._entry_link.tolist() == [links.index(lid) for r in net.routes for lid in r.links]
+        assert net._entry_route.tolist() == [ri for ri, r in enumerate(net.routes) for _ in r.links]
+        assert net._route_od.tolist() == [ods.index(r.od) for r in net.routes]
 
 
 class TestAssembleNcp:
