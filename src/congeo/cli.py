@@ -264,7 +264,8 @@ def _route_one(scenario, stem: str, cfg: RunConfig, artifacts: list[str]) -> dic
             "restarts": bvp.restarts_used,
             "multiplicity": bvp.multiplicity,
             "chord_time": result.chord_time,
-            "starts": [{"outcome": s.outcome, "iterations": s.iterations} for s in bvp.starts],
+            "stages": bvp.stages,
+            "starts": [{"outcome": s.outcome, "iterations": s.iterations, "nodes": s.nodes} for s in bvp.starts],
         },
         summary_path,
     )

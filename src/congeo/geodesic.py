@@ -1,5 +1,5 @@
 """Geodesics of Randers structures: direct integration, length evaluation,
-and two-point boundary-value solving by single shooting.
+and two-point boundary-value solving by single shooting, coarse to fine.
 
 With the quadratic Lagrangian L(x, y) = F(x, y)^2 / 2, length-minimizing
 curves solve
@@ -20,12 +20,18 @@ unchanged, and ``geodesic_ivp`` is a batch of one.  The rows of a batch
 are computed with elementwise operations only (as are the preset fields),
 so each row equals the same state or shot computed alone, bit for bit, and
 batching changes no decision of ``geodesic_bvp``.
+
+A route costs its sequential RK4 stages, not its batch width, so a
+boundary-value solve finer than ``COARSE_NODES`` nodes runs its Newton
+starts at ``COARSE_NODES`` first and then polishes the coarse solutions at
+the full resolution (nested iteration, Deuflhard 2004).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +57,8 @@ SHOT_FD_STEP = 1e-6
 MAX_BACKTRACKS = 12
 # Backtracking levels of a Newton step shot speculatively in one batch.
 SPECULATIVE_BACKTRACKS = 4
+# Nodes of the coarse level of a boundary-value solve (see ``geodesic_bvp``).
+COARSE_NODES = 8
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float)
@@ -216,23 +224,23 @@ class GeodesicIvp:
         object.__setattr__(self, "y0", y0)
 
 
-def _rk4_step(lag: Lagrangian, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """One classical RK4 step of size h of the geodesic flow, for a batch of states."""
+def _rk4_step(acceleration, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """One classical RK4 step of size h of the flow xdd = acceleration(x, xd), for a batch of states."""
     half = 0.5 * h
-    a1 = lag.acceleration(x, v)
+    a1 = acceleration(x, v)
     v2 = v + half * a1
-    a2 = lag.acceleration(x + half * v, v2)
+    a2 = acceleration(x + half * v, v2)
     v3 = v + half * a2
-    a3 = lag.acceleration(x + half * v2, v3)
+    a3 = acceleration(x + half * v2, v3)
     v4 = v + h * a3
-    a4 = lag.acceleration(x + h * v3, v4)
+    a4 = acceleration(x + h * v3, v4)
     return x + (h / 6.0) * (v + 2 * v2 + 2 * v3 + v4), v + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
 
 
-def _step(lag: Lagrangian, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, dict]:
+def _step(acceleration, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, dict]:
     """``_rk4_step`` plus the rows that left the validity domain, as row -> DomainError."""
     try:
-        return *_rk4_step(lag, x, v, h), {}
+        return *_rk4_step(acceleration, x, v, h), {}
     except DomainError as exc:
         if len(x) == 1:
             return x, v, {0: exc}
@@ -240,7 +248,7 @@ def _step(lag: Lagrangian, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.n
     x_new, v_new, failed = np.empty_like(x), np.empty_like(v), {}
     for r in range(len(x)):
         try:
-            (x_new[r],), (v_new[r],) = _rk4_step(lag, x[r:r + 1], v[r:r + 1], h)
+            (x_new[r],), (v_new[r],) = _rk4_step(acceleration, x[r:r + 1], v[r:r + 1], h)
         except DomainError as exc:
             failed[r] = exc
     return x_new, v_new, failed
@@ -249,12 +257,20 @@ def _step(lag: Lagrangian, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.n
 def _integrate(lag: Lagrangian, x0: np.ndarray, y0: np.ndarray, steps: int, h: float):
     """Classical RK4 for a (B, dim) batch of initial states, ``steps`` steps of size h.
 
-    Returns the trajectories ``xs``, ``vs`` of shape (B, steps + 1, dim) and,
-    per row, the ``DomainError`` that stopped it or None.  A row that leaves
+    Returns the trajectories ``xs``, ``vs`` of shape (B, steps + 1, dim),
+    per row the ``DomainError`` that stopped it or None, and the number of
+    ``lag.acceleration`` calls made, one after the other.  A row that leaves
     the validity domain or turns non-finite drops out of the batch (its
     trajectory is undefined from there on); the other rows go on exactly as
     if integrated alone.
     """
+    calls = 0
+
+    def acceleration(x, v):
+        nonlocal calls
+        calls += 1
+        return lag.acceleration(x, v)
+
     batch, n = y0.shape
     xs = np.empty((batch, steps + 1, n))
     vs = np.empty((batch, steps + 1, n))
@@ -267,7 +283,7 @@ def _integrate(lag: Lagrangian, x0: np.ndarray, y0: np.ndarray, steps: int, h: f
     for k in range(steps):
         if not len(rows):
             break
-        x, v, failed = _step(lag, xs[rows, k], vs[rows, k], h)
+        x, v, failed = _step(acceleration, xs[rows, k], vs[rows, k], h)
         for r in np.flatnonzero(~(np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1))):
             failed.setdefault(r, DomainError(f"non-finite state at integration step {k + 1}"))
         if failed:
@@ -277,7 +293,7 @@ def _integrate(lag: Lagrangian, x0: np.ndarray, y0: np.ndarray, steps: int, h: f
             keep[list(failed)] = False
             rows, x, v = rows[keep], x[keep], v[keep]
         xs[rows, k + 1], vs[rows, k + 1] = x, v
-    return xs, vs, errors
+    return xs, vs, errors, calls
 
 
 def geodesic_ivp(F: RandersStructure, ivp: GeodesicIvp) -> Curve:
@@ -288,7 +304,7 @@ def geodesic_ivp(F: RandersStructure, ivp: GeodesicIvp) -> Curve:
     Leaving the validity domain or a non-finite state raises ``DomainError``.
     """
     steps = ivp.steps
-    xs, vs, errors = _integrate(Lagrangian(F), np.array([ivp.x0]), np.array([ivp.y0]), steps, ivp.horizon / steps)
+    xs, vs, errors, _ = _integrate(Lagrangian(F), np.array([ivp.x0]), np.array([ivp.y0]), steps, ivp.horizon / steps)
     if errors[0] is not None:
         raise errors[0]
     params = np.linspace(0.0, 1.0, steps + 1)
@@ -315,7 +331,8 @@ class BvpConfig:
 
 @dataclass(frozen=True)
 class StartOutcome:
-    """How one BVP start ended, after how many Newton iterations.
+    """How one BVP start ended, after how many Newton iterations, on shots of
+    how many nodes.
 
     ``outcome`` is ``converged``; ``stalled`` (no backtracking level lowered
     the endpoint error, the step vanished, or ``max_newton`` ran out);
@@ -326,10 +343,24 @@ class StartOutcome:
 
     outcome: str
     iterations: int
+    nodes: int
 
 
 @dataclass(frozen=True)
 class BvpResult:
+    """A boundary-value solve: the returned curve (``config.nodes`` nodes)
+    and its travel time ``length``, and the work that found it.
+
+    ``starts`` records every Newton start that ran, coarse ones first, then
+    the polish and any full-resolution fallback (see ``geodesic_bvp``);
+    ``iterations`` is their sum and ``restarts_used`` counts the first
+    level's starts past the first.  ``multiplicity`` counts the distinct
+    converged initial velocities of the level that gave the curve.
+    ``stages`` counts the sequential RK4 stage batches shot, that is the
+    ``Lagrangian.acceleration`` calls made one after the other: four per
+    integration step of a batch, more where a step is retaken row by row.
+    """
+
     curve: Curve
     endpoint_error: float
     converged: bool
@@ -339,6 +370,7 @@ class BvpResult:
     length: float
     initial_velocity: tuple[float, ...]
     starts: tuple[StartOutcome, ...]
+    stages: int
 
 
 @dataclass(frozen=True)
@@ -364,15 +396,15 @@ class _Shot:
         return Curve(params=np.linspace(0.0, 1.0, len(self.points)), points=self.points, velocities=self.velocities)
 
 
-def _shoot(lag: Lagrangian, p: np.ndarray, trials: list, cfg: BvpConfig) -> list[_Shot | None]:
+def _shoot(lag: Lagrangian, p: np.ndarray, trials: list, cfg: BvpConfig) -> tuple[list[_Shot | None], int]:
     """Shoot every trial velocity together with its n finite-difference
     companions (velocity + delta_j e_j) in one batch; None for a trial whose
-    own shot left the domain."""
+    own shot left the domain.  Also returns the acceleration calls made."""
     n = len(p)
     deltas = [SHOT_FD_STEP * np.maximum(1.0, np.abs(u)) for u in trials]
     y0 = np.concatenate([np.vstack([u, u + np.diag(d)]) for u, d in zip(trials, deltas)])
     steps = cfg.nodes - 1
-    xs, vs, errors = _integrate(lag, np.broadcast_to(p, y0.shape), y0, steps, 1.0 / steps)
+    xs, vs, errors, calls = _integrate(lag, np.broadcast_to(p, y0.shape), y0, steps, 1.0 / steps)
     shots: list[_Shot | None] = []
     for k, d in enumerate(deltas):
         r = k * (n + 1)
@@ -382,7 +414,7 @@ def _shoot(lag: Lagrangian, p: np.ndarray, trials: list, cfg: BvpConfig) -> list
         companions_ok = all(e is None for e in errors[r + 1:r + n + 1])
         companions = xs[r + 1:r + n + 1, -1].copy() if companions_ok else None
         shots.append(_Shot(xs[r].copy(), vs[r].copy(), companions, d))
-    return shots
+    return shots, calls
 
 
 def _newton(q: np.ndarray, y0: np.ndarray, cfg: BvpConfig):
@@ -396,7 +428,7 @@ def _newton(q: np.ndarray, y0: np.ndarray, cfg: BvpConfig):
     """
     (shot,) = yield [y0]
     if shot is None:
-        return StartOutcome("domain_exit", 0), None
+        return StartOutcome("domain_exit", 0, cfg.nodes), None
     err = shot.error(q)
     converged = err <= cfg.tol
     outcome, iterations = "stalled", 0
@@ -434,18 +466,21 @@ def _newton(q: np.ndarray, y0: np.ndarray, cfg: BvpConfig):
         converged = err <= cfg.tol
     if converged:
         outcome = "converged"
-    return StartOutcome(outcome, iterations), (err, y0, shot)
+    return StartOutcome(outcome, iterations, cfg.nodes), (err, y0, shot)
 
 
-def _lockstep(lag: Lagrangian, p: np.ndarray, q: np.ndarray, starts: list, cfg: BvpConfig) -> list:
+def _lockstep(lag: Lagrangian, p: np.ndarray, q: np.ndarray, starts: list, cfg: BvpConfig) -> tuple[list, int]:
     """Run the Newton iterations of all starts side by side, the shots of each
-    round in one batch; returns each start's ``_newton`` result in order."""
+    round in one batch; returns each start's ``_newton`` result in order and
+    the acceleration calls its shots made."""
     runs = [_newton(q, y0, cfg) for y0 in starts]
     results: list = [None] * len(runs)
+    stages = 0
     pending = {i: next(run) for i, run in enumerate(runs)}
     while pending:
         order = list(pending)
-        shots = _shoot(lag, p, [u for i in order for u in pending[i]], cfg)
+        shots, calls = _shoot(lag, p, [u for i in order for u in pending[i]], cfg)
+        stages += calls
         for i in order:
             mine, shots = shots[:len(pending[i])], shots[len(pending[i]):]
             try:
@@ -453,7 +488,67 @@ def _lockstep(lag: Lagrangian, p: np.ndarray, q: np.ndarray, starts: list, cfg: 
             except StopIteration as stop:
                 results[i] = stop.value
                 del pending[i]
-    return results
+    return results, stages
+
+
+def _starts(p: np.ndarray, q: np.ndarray, cfg: BvpConfig) -> list[np.ndarray]:
+    """The chord velocity q - p, then ``cfg.restarts`` seeded rotations and
+    rescalings of it (perturbations off the plane for dim > 2)."""
+    rng = np.random.default_rng(cfg.seed)
+    starts = [q - p]
+    for _ in range(cfg.restarts):
+        theta = rng.normal(0.0, 0.8)
+        scale = float(np.exp(rng.normal(0.0, 0.4)))
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        if len(p) == 2:
+            starts.append(scale * (rot @ (q - p)))
+        else:
+            starts.append(scale * (q - p) + 0.3 * np.linalg.norm(q - p) * rng.normal(size=len(p)))
+    return starts
+
+
+class _Level(NamedTuple):
+    """One level of a boundary-value solve: a ``StartOutcome`` per start that
+    ran, the distinct converged solutions as (velocity, curve), the shot that
+    came closest to q as (error, curve, velocity) or None, and the
+    acceleration calls its shots made."""
+
+    records: list
+    solutions: list
+    closest: tuple | None
+    stages: int
+
+
+def _solve(lag: Lagrangian, p: np.ndarray, q: np.ndarray, starts: list, cfg: BvpConfig) -> _Level:
+    """Newton iteration from each start on shots of ``cfg.nodes`` nodes.
+
+    Under ``explore`` all starts advance in lockstep, one batch per round;
+    without it they run one after the other and the first converged one
+    ends the level.  Two converged velocities within 1e-4 relative count as
+    one solution.
+    """
+    records: list[StartOutcome] = []
+    solutions: list[tuple[np.ndarray, Curve]] = []
+    closest: tuple[float, Curve, np.ndarray] | None = None
+    stages = 0
+    for group in [starts] if cfg.explore else [[y0] for y0 in starts]:
+        results, calls = _lockstep(lag, p, q, group, cfg)
+        stages += calls
+        for record, found in results:
+            records.append(record)
+            if found is None:
+                continue
+            err, y0, shot = found
+            curve = shot.curve()
+            if closest is None or err < closest[0]:
+                closest = (err, curve, y0)
+            if record.outcome == "converged" and not any(
+                np.linalg.norm(y0 - s[0]) <= 1e-4 * max(1.0, np.linalg.norm(y0)) for s in solutions
+            ):
+                solutions.append((y0, curve))
+        if solutions and not cfg.explore:
+            break
+    return _Level(records, solutions, closest, stages)
 
 
 def geodesic_bvp(F: RandersStructure, p, q, config: BvpConfig | None = None) -> BvpResult:
@@ -466,71 +561,56 @@ def geodesic_bvp(F: RandersStructure, p, q, config: BvpConfig | None = None) -> 
     Non-convergence is reported through the result, never raised; ``starts``
     records how each start that ran ended.
 
+    Above ``COARSE_NODES`` nodes the solve is coarse to fine: the starts run
+    on shots of ``COARSE_NODES`` nodes, then every distinct converged coarse
+    velocity is polished on shots of ``config.nodes`` nodes (in lockstep
+    under ``explore``), and the shortest converged polished geodesic wins.
+    If no coarse start or no polish converges, the starts run again at the
+    full resolution, as a solve at ``COARSE_NODES`` nodes or fewer runs
+    them; a coarse curve is never returned.
+
     Batching changes no decision: each Newton trial velocity is shot together
     with its finite-difference companions (so an accepted trial carries the
     next Jacobian), the first ``SPECULATIVE_BACKTRACKS`` backtracking levels
     go in one batch, and under ``explore`` all starts advance in lockstep,
     one batch per round.  Without ``explore`` the starts run one after the
-    other and the first converged one ends the solve.
+    other and the first converged one ends the level.
     """
     cfg = config or BvpConfig()
     p = _pt(p)
     q = _pt(q, len(p))
     if np.array_equal(p, q):
         raise ValueError("boundary points must differ")
-    n = len(p)
-    rng = np.random.default_rng(cfg.seed)
-
-    starts = [q - p]
-    for _ in range(cfg.restarts):
-        theta = rng.normal(0.0, 0.8)
-        scale = float(np.exp(rng.normal(0.0, 0.4)))
-        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        if n == 2:
-            starts.append(scale * (rot @ (q - p)))
-        else:
-            starts.append(scale * (q - p) + 0.3 * np.linalg.norm(q - p) * rng.normal(size=n))
-
+    starts = _starts(p, q, cfg)
     lag = Lagrangian(F)
-    if cfg.explore:
-        runs = iter(_lockstep(lag, p, q, starts, cfg))
+    if cfg.nodes <= COARSE_NODES:
+        levels = [_solve(lag, p, q, starts, cfg)]
     else:
-        runs = (_lockstep(lag, p, q, [y0], cfg)[0] for y0 in starts)
-
-    total_iters = 0
-    best: tuple[float, Curve, np.ndarray] | None = None
-    solutions: list[tuple[np.ndarray, Curve, float]] = []
-    records: list[StartOutcome] = []
-    for record, found in runs:
-        records.append(record)
-        total_iters += record.iterations
-        if found is None:
-            continue
-        err, y0, shot = found
-        curve = shot.curve()
-        if best is None or err < best[0]:
-            best = (err, curve, y0)
-        if record.outcome == "converged":
-            if not any(np.linalg.norm(y0 - s[0]) <= 1e-4 * max(1.0, np.linalg.norm(y0)) for s in solutions):
-                solutions.append((y0, curve, curve_length(F, curve)))
-            if not cfg.explore:
-                break
-
-    if solutions:  # the shortest converged geodesic
-        y0, curve, length = min(solutions, key=lambda s: s[2])
-    elif best is None:
+        levels = [_solve(lag, p, q, starts, replace(cfg, nodes=COARSE_NODES))]
+        if levels[0].solutions:
+            levels.append(_solve(lag, p, q, [s[0] for s in levels[0].solutions], cfg))
+        if not levels[-1].solutions:
+            levels.append(_solve(lag, p, q, starts, cfg))
+    final = levels[-1]
+    if final.solutions:  # the shortest converged geodesic
+        lengths = [curve_length(F, c) for _, c in final.solutions]
+        length = min(lengths)
+        y0, curve = final.solutions[lengths.index(length)]
+    elif final.closest is None:
         raise DomainError("every shooting attempt left the structure's validity domain")
     else:  # the shot that came closest to q
-        _, curve, y0 = best
+        _, curve, y0 = final.closest
         length = curve_length(F, curve)
+    records = tuple(r for level in levels for r in level.records)
     return BvpResult(
         curve=curve,
         endpoint_error=float(np.linalg.norm(curve.points[-1] - q)),
-        converged=bool(solutions),
-        iterations=total_iters,
-        restarts_used=len(records) - 1,
-        multiplicity=len(solutions),
+        converged=bool(final.solutions),
+        iterations=sum(r.iterations for r in records),
+        restarts_used=len(levels[0].records) - 1,
+        multiplicity=len(final.solutions),
         length=length,
         initial_velocity=tuple(y0),
-        starts=tuple(records),
+        starts=records,
+        stages=sum(level.stages for level in levels),
     )

@@ -368,11 +368,14 @@ class TestRouteCommand:
         assert none_summary["travel_time"] == pytest.approx(1.0, abs=1e-6)
         assert uniform_summary["travel_time"] == pytest.approx(2.0, abs=1e-8)
         assert (tmp_path / "scenario_none_route.svg").exists()
-        # one record per start: flat geometry converges from every start,
-        # at once from the chord
+        # one record per start: flat geometry converges from every coarse
+        # start, at once from the chord, to one solution, which needs no
+        # polishing at the full 200 nodes
         starts = none_summary["starts"]
-        assert [s["outcome"] for s in starts] == ["converged"] * (none_summary["restarts"] + 1)
+        coarse = none_summary["restarts"] + 1
+        assert [(s["outcome"], s["nodes"]) for s in starts[:coarse]] == [("converged", 8)] * coarse
         assert starts[0]["iterations"] == 0
+        assert starts[coarse:] == [{"outcome": "converged", "iterations": 0, "nodes": 200}]
 
     def test_jobs_flag_same_results(self, tmp_path):
         out1, out2 = tmp_path / "seq", tmp_path / "par"
@@ -396,7 +399,9 @@ class TestRouteCommand:
             run_cli("route", str(path), *flags, "--out", str(tmp_path / name))
             starts = fileio.load_json(str(tmp_path / name / "seeded_summary.json"))["starts"]
             expected = route(dataclasses.replace(scenario, bvp=dataclasses.replace(scenario.bvp, seed=seed)))
-            assert starts == [{"outcome": s.outcome, "iterations": s.iterations} for s in expected.bvp.starts]
+            assert starts == [
+                {"outcome": s.outcome, "iterations": s.iterations, "nodes": s.nodes} for s in expected.bvp.starts
+            ]
             records[name] = starts
         assert records["file"] != records["flag"]  # the two seeds restart differently
 

@@ -41,6 +41,21 @@ def vortex_structure(strength=0.8):
     return build_randers(euclidean_metric(), congestion_vortex(0.0, 0.0, strength))
 
 
+def one_level(F, p, q, cfg):
+    """``geodesic._solve`` on ``geodesic_bvp``'s starts: the single-level solve
+    at ``cfg.nodes`` nodes that a solve above ``COARSE_NODES`` falls back to."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    return geodesic._solve(Lagrangian(F), p, q, geodesic._starts(p, q, cfg), cfg)
+
+
+def decisions(F, level):
+    """(iterations, restarts used, multiplicity, (velocity, curve, length) of
+    the shortest solution) of a level, as ``geodesic_bvp`` reports them for a
+    single-level solve."""
+    shortest = min(((y0, c, curve_length(F, c)) for y0, c in level.solutions), key=lambda s: s[2])
+    return sum(r.iterations for r in level.records), len(level.records) - 1, len(level.solutions), shortest
+
+
 def small_grid_structure():
     """A swirl sampled on non-uniform axes over [-1.5, 1.5]^2."""
     xs = np.array([-1.5, -1.0, -0.2, 0.3, 0.9, 1.5])
@@ -221,9 +236,12 @@ class TestBatching:
         # on the grid, the third velocity carries its shot out of the grid
         y0 = np.array([[1.0, 0.2], [0.5, -0.3], [30.0, 1.0], [0.9, 0.9]])
         steps = 30
-        xs, vs, errors = geodesic._integrate(
+        xs, vs, errors, calls = geodesic._integrate(
             Lagrangian(F), np.broadcast_to(x0, y0.shape), y0, steps, 1.0 / steps
         )
+        # four calls per step; on the grid, the step that loses the third row
+        # fails at its second stage and is retaken row by row (2 + 3 * 4 + 2)
+        assert calls == 4 * steps + (16 if make is small_grid_structure else 0)
         for k in range(len(y0)):
             try:
                 solo = geodesic_ivp(F, GeodesicIvp(x0, tuple(y0[k]), steps=steps))
@@ -260,9 +278,13 @@ class TestGeneralDimension:
         y0 = np.array([1.0, -0.5, 0.25])
         c = geodesic_ivp(F, GeodesicIvp((0.0, 0.0, 0.0), tuple(y0), steps=40))
         assert np.allclose(c.points, c.params[:, None] * y0, rtol=0.0, atol=1e-12)
-        res = geodesic_bvp(F, (0, 0, 0), (1.0, 2.0, -0.5), BvpConfig(explore=True, restarts=2, nodes=20))
+        cfg = BvpConfig(explore=True, restarts=2, nodes=20)
+        res = geodesic_bvp(F, (0, 0, 0), (1.0, 2.0, -0.5), cfg)
         assert res.converged and res.multiplicity == 1
-        assert [s.outcome for s in res.starts] == ["converged"] * 3
+        level = one_level(F, (0, 0, 0), (1.0, 2.0, -0.5), cfg)
+        assert [s.outcome for s in level.records] == ["converged"] * 3
+        # the driver: three coarse starts, one distinct solution, one polish
+        assert [(s.outcome, s.nodes) for s in res.starts] == [("converged", 8)] * 3 + [("converged", 20)]
 
 
 class TestElResidual:
@@ -370,14 +392,23 @@ class TestGeodesicBvp:
 
     def test_vortex_beats_chord(self):
         F = vortex_structure(0.8)
-        res = geodesic_bvp(F, (-2, 0), (2, 0), BvpConfig(explore=True))
-        assert res.converged
-        # the decisions of the unbatched solver (63 Newton iterations, four
-        # distinct geodesics, the same chosen start)
-        assert (res.iterations, res.multiplicity, res.restarts_used) == (63, 4, 8)
-        assert np.allclose(res.initial_velocity, [2.802499374474956, 2.4194874062777747], rtol=0.0, atol=1e-9)
+        cfg = BvpConfig(explore=True)
+        level = one_level(F, (-2, 0), (2, 0), cfg)
+        # the decisions of the unbatched single-level solver (63 Newton
+        # iterations, four distinct geodesics, the same chosen start)
+        iterations, restarts, multiplicity, (y0, _, length) = decisions(F, level)
+        assert (iterations, multiplicity, restarts) == (63, 4, 8)
+        assert np.allclose(y0, [2.802499374474956, 2.4194874062777747], rtol=0.0, atol=1e-9)
         chord = straight_curve((-2, 0), (2, 0), n=400)
-        assert res.length <= curve_length(F, chord) + 1e-8
+        assert length <= curve_length(F, chord) + 1e-8
+        # coarse to fine: the same winner, two of the four polished
+        # geodesics merge, 86 Newton iterations over both levels
+        res = geodesic_bvp(F, (-2, 0), (2, 0), cfg)
+        assert res.converged
+        assert (res.iterations, res.multiplicity, res.restarts_used) == (86, 3, 8)
+        assert [s.nodes for s in res.starts] == [8] * 9 + [200] * 4
+        assert np.allclose(res.initial_velocity, y0, rtol=1e-9, atol=0.0)
+        assert res.length == pytest.approx(length, rel=1e-10)
 
     def test_minimality_against_perturbations(self, rng):
         F = vortex_structure(0.8)
@@ -441,28 +472,31 @@ class TestBvpDecisions:
     def test_batching_keeps_the_decisions(self, case, explore):
         p, q, vortex, expected = PINNED_BVPS[case]
         F = build_randers(euclidean_metric(), congestion_vortex(*vortex))
-        res = geodesic_bvp(F, p, q, BvpConfig(nodes=24, restarts=2, explore=explore))
+        level = one_level(F, p, q, BvpConfig(nodes=24, restarts=2, explore=explore))
         iterations, restarts, multiplicity, y0 = expected[explore]
-        assert res.converged
-        assert (res.iterations, res.restarts_used, res.multiplicity) == (iterations, restarts, multiplicity)
-        assert np.allclose(res.initial_velocity, y0, rtol=0.0, atol=1e-9)
-        assert len(res.starts) == res.restarts_used + 1
-        assert sum(s.iterations for s in res.starts) == res.iterations
+        assert level.solutions
+        got_iterations, got_restarts, got_multiplicity, (got_y0, _, _) = decisions(F, level)
+        assert (got_iterations, got_restarts, got_multiplicity) == (iterations, restarts, multiplicity)
+        assert np.allclose(got_y0, y0, rtol=0.0, atol=1e-9)
 
     def test_start_outcomes_repeat_and_report_domain_exit(self):
         # the fourth of five starts shoots out of the sampled grid
         F = small_grid_structure()
         cfg = BvpConfig(explore=True, restarts=4, nodes=30, seed=2)
-        runs = [geodesic_bvp(F, (-1.0, 0.0), (1.0, 0.0), cfg) for _ in range(2)]
-        assert runs[0].starts == runs[1].starts
-        outcomes = [s.outcome for s in runs[0].starts]
+        runs = [one_level(F, (-1.0, 0.0), (1.0, 0.0), cfg) for _ in range(2)]
+        assert runs[0].records == runs[1].records
+        outcomes = [s.outcome for s in runs[0].records]
         assert outcomes == ["converged", "converged", "converged", "domain_exit", "converged"]
-        assert all(s.iterations == 0 for s in runs[0].starts if s.outcome == "domain_exit")
+        assert all(s.iterations == 0 for s in runs[0].records if s.outcome == "domain_exit")
+        # the driver's coarse level meets the same exit; its records repeat too
+        driven = [geodesic_bvp(F, (-1.0, 0.0), (1.0, 0.0), cfg) for _ in range(2)]
+        assert (driven[0].starts, driven[0].stages) == (driven[1].starts, driven[1].stages)
+        assert [s.outcome for s in driven[0].starts if s.nodes == 8] == outcomes
 
     def test_stalled_outcome(self):
         F = vortex_structure(0.8)
-        res = geodesic_bvp(F, (-2, 0), (2, 0), BvpConfig(max_newton=0, restarts=0))
-        assert [(s.outcome, s.iterations) for s in res.starts] == [("stalled", 0)]
+        level = one_level(F, (-2, 0), (2, 0), BvpConfig(max_newton=0, restarts=0))
+        assert [(s.outcome, s.iterations) for s in level.records] == [("stalled", 0)]
 
     def test_fd_failed_outcome(self):
         # a wall x_0 = c between the reach of the chord's shot and that of its
@@ -494,9 +528,9 @@ class TestBvpDecisions:
                 raise DomainError("beyond the wall")
             return base.bundle(x)
 
-        res = geodesic_bvp(dataclasses.replace(base, bundle=walled), p, q, cfg)
-        assert res.starts == (StartOutcome("fd_failed", 1),)
-        assert not res.converged
+        level = one_level(dataclasses.replace(base, bundle=walled), p, q, cfg)
+        assert level.records == [StartOutcome("fd_failed", 1, 24)]
+        assert not level.solutions
         assert geodesic_bvp(base, p, q, cfg).converged  # without the wall
 
     def test_singular_outcome(self):
@@ -505,9 +539,9 @@ class TestBvpDecisions:
         # Jacobian's columns are zero
         F = constant_randers(np.eye(2), [0.2, -0.1])
         p = np.array([1e10, 0.0])
-        res = geodesic_bvp(F, p, p + [1.0, 0.5], BvpConfig(nodes=24, restarts=0))
-        assert res.starts == (StartOutcome("singular", 1),)
-        assert not res.converged
+        level = one_level(F, p, p + [1.0, 0.5], BvpConfig(nodes=24, restarts=0))
+        assert level.records == [StartOutcome("singular", 1, 24)]
+        assert not level.solutions
 
     def test_overflowing_step_is_singular(self):
         # a Jacobian of subnormal entries solves to an infinite step
@@ -517,7 +551,7 @@ class TestBvpDecisions:
         next(run)
         with pytest.raises(StopIteration) as stop:
             run.send([shot])
-        assert stop.value.value[0] == StartOutcome("singular", 1)
+        assert stop.value.value[0] == StartOutcome("singular", 1, 200)
 
     @pytest.mark.parametrize(
         "bad",
@@ -532,3 +566,68 @@ class TestBvpDecisions:
     def test_config_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             BvpConfig(**bad)
+
+
+def driver_cases():
+    """(structure, p, q, config) of the pinned 24-node cases, the default
+    200-node vortex(0.8) solve and the 3-D constant structure."""
+    for p, q, vortex, _ in PINNED_BVPS:
+        F = build_randers(euclidean_metric(), congestion_vortex(*vortex))
+        for explore in (True, False):
+            yield F, p, q, BvpConfig(nodes=24, restarts=2, explore=explore)
+    yield vortex_structure(0.8), (-2, 0), (2, 0), BvpConfig()
+    F3 = constant_randers(np.eye(3), (0.3, -0.1, 0.2))
+    yield F3, (0, 0, 0), (1.0, 2.0, -0.5), BvpConfig(explore=True, restarts=2, nodes=20)
+
+
+class TestCoarseToFine:
+    """``geodesic_bvp`` above ``COARSE_NODES`` against the single-level solve
+    ``_solve`` at the full resolution."""
+
+    @pytest.mark.parametrize("case", list(driver_cases()))
+    def test_no_worse_than_one_level(self, monkeypatch, case):
+        F, p, q, cfg = case
+        level = one_level(F, p, q, cfg)
+        calls = []
+        accel = Lagrangian.acceleration
+        monkeypatch.setattr(Lagrangian, "acceleration", lambda self, x, v: calls.append(1) or accel(self, x, v))
+        res = geodesic_bvp(F, p, q, cfg)
+        monkeypatch.undo()
+        assert level.solutions and res.converged
+        assert res.length <= decisions(F, level)[3][2] * (1 + 1e-6)
+        assert res.curve.n_nodes == cfg.nodes
+        assert res.starts[-1].nodes == cfg.nodes
+        assert res.iterations == sum(s.iterations for s in res.starts)
+        assert res.restarts_used == sum(s.nodes == geodesic.COARSE_NODES for s in res.starts) - 1
+        assert res.stages == len(calls)
+        again = geodesic_bvp(F, p, q, cfg)
+        assert (again.stages, again.starts) == (res.stages, res.starts)
+
+    @pytest.mark.parametrize("nodes", [5, geodesic.COARSE_NODES])
+    def test_coarse_resolution_is_one_level(self, nodes):
+        F = vortex_structure(0.8)
+        cfg = BvpConfig(explore=True, restarts=2, nodes=nodes)
+        level = one_level(F, (-2, 0), (2, 0), cfg)
+        res = geodesic_bvp(F, (-2, 0), (2, 0), cfg)
+        assert res.converged
+        iterations, restarts, multiplicity, (y0, curve, length) = decisions(F, level)
+        assert (res.iterations, res.restarts_used, res.multiplicity) == (iterations, restarts, multiplicity)
+        assert np.array_equal(res.initial_velocity, y0)
+        assert np.array_equal(res.curve.points, curve.points)
+        assert res.length == length
+        assert (res.starts, res.stages) == (tuple(level.records), level.stages)
+
+    def test_never_converging_falls_back_to_full_resolution(self):
+        F = vortex_structure(0.8)
+        cfg = BvpConfig(max_newton=0, restarts=1)
+        level = one_level(F, (-2, 0), (2, 0), cfg)
+        res = geodesic_bvp(F, (-2, 0), (2, 0), cfg)
+        assert not res.converged and res.multiplicity == 0
+        assert res.curve.n_nodes == cfg.nodes
+        _, curve, y0 = level.closest
+        assert np.array_equal(res.curve.points, curve.points)
+        assert np.array_equal(res.initial_velocity, y0)
+        # two coarse records, then the fallback's, which are the level's
+        assert [s.nodes for s in res.starts] == [geodesic.COARSE_NODES] * 2 + [cfg.nodes] * 2
+        assert res.starts[2:] == tuple(level.records)
+        assert res.restarts_used == 1
