@@ -30,6 +30,13 @@ a callable written for one point (``x[0]``) reads the first *point* of a
 batch and gives a wrong answer at B = 2 without raising an error.  The
 public one-point methods (``field(x)``, ``F.coefficients(x)``, ...) still
 take a single point; they evaluate it as a batch of one.
+
+Over the Euclidean plane (``euclidean_metric(2)``), the structure that
+``build_randers`` makes carries a ``spray``: the geodesic acceleration of
+L = F^2/2 in closed form, from one congestion jet call and elementwise
+arithmetic on the two components.  It agrees with the general derivation
+of ``geodesic.Lagrangian`` from ``bundle`` to round-off and costs roughly
+half as much; every other structure takes that general path.
 """
 
 from __future__ import annotations
@@ -225,16 +232,23 @@ class RandersStructure:
     ``bundle(x)`` maps a (B, dim) batch of points to ``(a, b, da, db)`` of
     shapes (B, dim, dim), (B, dim), (B, dim, dim, dim) and (B, dim, dim), the
     derivative axis right after the batch axis (or anything broadcasting to
-    those shapes, such as constants).  It is the only way the structure is
-    evaluated; ``coefficients`` (which re-validates the schema) and
-    ``coefficient_derivatives`` are one-point views over it.  The raw
-    dataclass checks nothing; build structures with ``constant_randers`` or
-    ``build_randers``, which enforce validity up front (and ``build_randers``
-    again at every evaluation).  Evaluations of F re-check the drift bound.
+    those shapes, such as constants).  ``coefficients`` (which re-validates
+    the schema) and ``coefficient_derivatives`` are one-point views over it.
+    The raw dataclass checks nothing; build structures with
+    ``constant_randers`` or ``build_randers``, which enforce validity up
+    front (and ``build_randers`` again at every evaluation).  Evaluations
+    of F re-check the drift bound.
+
+    ``spray``, when set, maps a (B, dim) batch of states (x, y) to their
+    geodesic accelerations, which ``geodesic.Lagrangian`` otherwise derives
+    from ``bundle``.  ``build_randers`` sets it over ``euclidean_metric(2)``;
+    it evaluates the congestion field's jet, not ``bundle``, so a copy made
+    with ``dataclasses.replace(F, bundle=...)`` keeps accelerating as F does.
     """
 
     bundle: Callable[[np.ndarray], tuple]
     dim: int = 2
+    spray: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def coefficients(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = _pt(x, self.dim)
@@ -310,7 +324,8 @@ def build_randers(
     The saturation bound ``||w||_g <= 1 - eps_cong`` and a positive-definite
     ``g`` are verified up front at the field's probe points plus
     ``check_points`` (one batched evaluation), and the bound again lazily at
-    every later coefficient evaluation; violations raise ``DomainError``
+    every later coefficient evaluation (and every ``spray`` evaluation, set
+    when ``g`` is ``euclidean_metric(2)``); violations raise ``DomainError``
     naming the first offending point (nothing is clamped).
     """
     if g.dim != omega.dim:
@@ -320,9 +335,8 @@ def build_randers(
     dim = g.dim
     bound = 1.0 - eps_cong
 
-    def saturation(x: np.ndarray, mat: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(g w, ||w||_g) at each point; raises at the first saturated one."""
-        gw = _mv(mat, w)
+    def saturation(x: np.ndarray, w: np.ndarray, gw: np.ndarray) -> np.ndarray:
+        """||w||_g at each point, from w and g w; raises at the first saturated one."""
         nw = np.sqrt(np.maximum(_dot(w, gw), 0.0))
         bad = ~(nw < bound)  # also trips on NaN
         if bad.any():
@@ -331,12 +345,13 @@ def build_randers(
                 f"congestion saturated or non-finite: ||w||_g = {nw[k]:.6g} "
                 f"(bound {bound:.6g}) at {x[k]}"
             )
-        return gw, nw
+        return nw
 
     def check(x: np.ndarray) -> None:
         """Schema (metric shape, symmetry, finiteness, positive-definiteness;
         congestion shape, finiteness) and saturation at a batch of points."""
-        saturation(x, g(x), omega(x))
+        w = omega(x)
+        saturation(x, w, _mv(g(x), w))
 
     points = np.concatenate([_point_rows(omega.probes, dim), _point_rows(check_points, dim)])
     try:
@@ -353,7 +368,8 @@ def build_randers(
         mat, dmat, w, dw = (np.asarray(t, dtype=float) for t in (*g.jet(x), *omega.jet(x)))
         if w.shape != x.shape:  # a constant field
             w = np.broadcast_to(w, x.shape)
-        gw, nw = saturation(x, mat, w)
+        gw = _mv(mat, w)
+        nw = saturation(x, w, gw)
         lam = 1.0 - nw**2
         lam2 = (lam**2)[:, None, None]
         a = mat / lam2
@@ -365,7 +381,45 @@ def build_randers(
         db = (dmat_w + dw_mat) / lam[:, None, None] - dlam[:, :, None] * gw[:, None, :] / lam2
         return a, b, da, db
 
-    return RandersStructure(bundle=bundle, dim=dim)
+    if g is not _EUCLIDEAN_PLANE:
+        return RandersStructure(bundle=bundle, dim=dim)
+
+    def spray(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Geodesic acceleration of L = F^2/2 at a (B, 2) batch of states.
+
+        Over g = I: s = |y|, u = y/s, ell = (u + w)/lam (so L_i = F ell_i),
+        F = (s + w.y)/lam, d_m lam = -2 d_m w^k w^k,
+        d_m F = (d_m w^i y^i - F d_m lam)/lam and the right-hand side
+        F (dF - (y^m d_m w - (dlam.y) ell)/lam) - ell (dF.y), solved against
+        the fundamental tensor F/(s lam) u_perp u_perp^T + ell ell^T with
+        u_perp = (-u_1, u_0).
+        """
+        w, dw = (np.asarray(t, dtype=float) for t in omega.jet(x))
+        if w.shape != x.shape:  # a constant field
+            w = np.broadcast_to(w, x.shape)
+        lam = 1.0 - saturation(x, w, w) ** 2
+        y0, y1 = y[:, 0], y[:, 1]
+        s = np.sqrt(y0 * y0 + y1 * y1)
+        if not np.all(s):
+            raise DomainError("Lagrangian fiber derivatives undefined at y = 0")
+        w0, w1 = w[:, 0], w[:, 1]
+        d00, d01, d10, d11 = dw[..., 0, 0], dw[..., 0, 1], dw[..., 1, 0], dw[..., 1, 1]
+        u0, u1 = y0 / s, y1 / s
+        l0, l1 = (u0 + w0) / lam, (u1 + w1) / lam
+        Fv = (s + (w0 * y0 + w1 * y1)) / lam
+        dl0 = -2.0 * (d00 * w0 + d01 * w1)
+        dl1 = -2.0 * (d10 * w0 + d11 * w1)
+        dF0 = (d00 * y0 + d01 * y1 - Fv * dl0) / lam
+        dF1 = (d10 * y0 + d11 * y1 - Fv * dl1) / lam
+        dl_y = dl0 * y0 + dl1 * y1
+        dF_y = dF0 * y0 + dF1 * y1
+        r0 = Fv * (dF0 - (y0 * d00 + y1 * d10 - dl_y * l0) / lam) - l0 * dF_y
+        r1 = Fv * (dF1 - (y0 * d01 + y1 * d11 - dl_y * l1) / lam) - l1 * dF_y
+        c = Fv / (s * lam)
+        t01 = l0 * l1 - c * u0 * u1
+        return _cramer(c * u1 * u1 + l0 * l0, t01, t01, c * u0 * u0 + l1 * l1, r0, r1, x)
+
+    return RandersStructure(bundle=bundle, dim=dim, spray=spray)
 
 
 def _fiber(a: np.ndarray, b: np.ndarray, y: np.ndarray, what: str) -> tuple:
@@ -384,6 +438,20 @@ def _fiber(a: np.ndarray, b: np.ndarray, y: np.ndarray, what: str) -> tuple:
     return al, ell, Fv, lb, tensor
 
 
+def _cramer(t00, t01, t10, t11, r0, r1, x: np.ndarray) -> np.ndarray:
+    """Cramer's rule for a batch of 2 x 2 fundamental-tensor systems
+    [[t00, t01], [t10, t11]] acc = (r0, r1), entries of shape (B,); a
+    singular one is a domain error naming its point in the (B, 2) ``x``."""
+    det = t00 * t11 - t01 * t10
+    singular = det == 0.0
+    if singular.any():
+        raise DomainError(f"singular fiber Hessian at x={tuple(map(float, x[singular.argmax()]))}")
+    acc = np.empty(x.shape)
+    acc[:, 0] = (t11 * r0 - t01 * r1) / det
+    acc[:, 1] = (t00 * r1 - t10 * r0) / det
+    return acc
+
+
 def fundamental_tensor(F: RandersStructure, x, y) -> np.ndarray:
     """g_ij(x, y) = half the fiber Hessian of F^2 at (x, y), y != 0, in the
     closed Randers form: a (dim, dim) array."""
@@ -397,8 +465,9 @@ def fundamental_tensor(F: RandersStructure, x, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def euclidean_metric(dim: int = 2) -> RiemannianField:
-    packed = (np.eye(dim), np.zeros((dim, dim, dim)))
-    return RiemannianField(jet=lambda x: packed, dim=dim)
+    """The Euclidean metric; in the plane always the same instance, over
+    which ``build_randers`` gives its structures a closed-form ``spray``."""
+    return _EUCLIDEAN_PLANE if dim == 2 else constant_metric(np.eye(dim))
 
 
 def constant_metric(matrix) -> RiemannianField:
@@ -407,7 +476,12 @@ def constant_metric(matrix) -> RiemannianField:
         raise DomainError("constant metric must be positive-definite")
     dim = mat.shape[0]
     packed = (mat, np.zeros((dim, dim, dim)))
+    for t in packed:  # shared by every evaluation (and every user of _EUCLIDEAN_PLANE)
+        t.setflags(write=False)
     return RiemannianField(jet=lambda x: packed, dim=dim)
+
+
+_EUCLIDEAN_PLANE = constant_metric(np.eye(2))
 
 
 def constant_randers(a, b) -> RandersStructure:

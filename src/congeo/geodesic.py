@@ -13,13 +13,16 @@ constant along the way, which the tests use as a first integral.
 
 Everything is evaluated in batches.  ``Lagrangian`` takes (B, dim) states
 stacked along a leading axis and makes one ``bundle`` call per batch (the
-structure's fields must follow the batch contract in ``finsler``).  One
-classical RK4 integrator advances a batch of shots; a row that leaves the
-validity domain or turns non-finite drops out and the others go on
-unchanged, and ``geodesic_ivp`` is a batch of one.  The rows of a batch
-are computed with elementwise operations only (as are the preset fields),
-so each row equals the same state or shot computed alone, bit for bit, and
-batching changes no decision of ``geodesic_bvp``.
+structure's fields must follow the batch contract in ``finsler``); its
+acceleration is the structure's closed-form ``spray`` instead where the
+structure has one, as every structure ``build_randers`` makes over the
+Euclidean plane does.  One classical RK4 integrator advances a batch of
+shots; a row that leaves the validity domain or turns non-finite drops out
+and the others go on unchanged (a step that fails is retaken in bisected
+parts to find it), and ``geodesic_ivp`` is a batch of one.  The rows of a
+batch are computed with elementwise operations only (as are the preset
+fields), so each row equals the same state or shot computed alone, bit for
+bit, and batching changes no decision of ``geodesic_bvp``.
 
 A route costs its sequential RK4 stages, not its batch width, so a
 boundary-value solve finer than ``COARSE_NODES`` nodes runs its Newton
@@ -36,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._common import trapezoid
-from .finsler import DomainError, RandersStructure, _dot, _fiber, _mv, _pt, _speeds, _sum
+from .finsler import DomainError, RandersStructure, _cramer, _dot, _fiber, _mv, _pt, _speeds, _sum
 
 __all__ = [
     "Curve",
@@ -125,7 +128,7 @@ def _second_differences(t: np.ndarray, x: np.ndarray) -> np.ndarray:
 class Lagrangian:
     """Quadratic action density L(x, y) = F(x, y)^2 / 2: its derivatives at a
     (B, dim) batch of states, all from one ``bundle`` call, and the geodesic
-    acceleration they give."""
+    acceleration they give (or the structure's ``spray``, when it has one)."""
 
     structure: RandersStructure
 
@@ -148,16 +151,14 @@ class Lagrangian:
         """Solve L_ij xdd = dL/dx - (dL_i/dx^j) xd^j for the geodesic flow.
 
         Takes a (B, dim) batch; a singular fiber Hessian in any row is a
-        domain error naming that row's point."""
+        domain error naming that row's point.  A structure with a ``spray``
+        gives the result directly."""
+        if self.structure.spray is not None:
+            return self.structure.spray(x, v)
         Fv, _, tensor, dF, mixed = self._terms(x, v)
         rhs = Fv[:, None] * dF - _sum(mixed * v[:, :, None], axis=1)
         if x.shape[1] == 2:
-            det = tensor[:, 0, 0] * tensor[:, 1, 1] - tensor[:, 0, 1] * tensor[:, 1, 0]
-            singular = det == 0.0
-            if singular.any():
-                raise DomainError(f"singular fiber Hessian at x={tuple(map(float, x[singular.argmax()]))}")
-            # Cramer's rule: (t11 r0 - t01 r1, t00 r1 - t10 r0) / det
-            acc = (tensor[:, (1, 0), (1, 0)] * rhs - tensor[:, (0, 1), (1, 0)] * rhs[:, ::-1]) / det[:, None]
+            acc = _cramer(tensor[:, 0, 0], tensor[:, 0, 1], tensor[:, 1, 0], tensor[:, 1, 1], rhs[:, 0], rhs[:, 1], x)
         else:
             try:
                 acc = np.linalg.solve(tensor, rhs[:, :, None])[:, :, 0]
@@ -238,20 +239,21 @@ def _rk4_step(acceleration, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.
 
 
 def _step(acceleration, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, dict]:
-    """``_rk4_step`` plus the rows that left the validity domain, as row -> DomainError."""
+    """``_rk4_step`` plus the rows that left the validity domain, as row -> DomainError.
+
+    A field may raise for a batch as a whole, so a failed batch is retaken
+    in two halves, each bisected again while it fails, down to single rows.
+    """
     try:
         return *_rk4_step(acceleration, x, v, h), {}
     except DomainError as exc:
         if len(x) == 1:
             return x, v, {0: exc}
-    # a field may raise for a batch as a whole: step each row alone
-    x_new, v_new, failed = np.empty_like(x), np.empty_like(v), {}
-    for r in range(len(x)):
-        try:
-            (x_new[r],), (v_new[r],) = _rk4_step(acceleration, x[r:r + 1], v[r:r + 1], h)
-        except DomainError as exc:
-            failed[r] = exc
-    return x_new, v_new, failed
+    half = len(x) // 2
+    x0, v0, failed = _step(acceleration, x[:half], v[:half], h)
+    x1, v1, failed1 = _step(acceleration, x[half:], v[half:], h)
+    failed.update((half + r, exc) for r, exc in failed1.items())
+    return np.concatenate((x0, x1)), np.concatenate((v0, v1)), failed
 
 
 def _integrate(lag: Lagrangian, x0: np.ndarray, y0: np.ndarray, steps: int, h: float):
@@ -358,7 +360,8 @@ class BvpResult:
     converged initial velocities of the level that gave the curve.
     ``stages`` counts the sequential RK4 stage batches shot, that is the
     ``Lagrangian.acceleration`` calls made one after the other: four per
-    integration step of a batch, more where a step is retaken row by row.
+    integration step of a batch, more where a step that left the validity
+    domain is retaken in bisected parts.
     """
 
     curve: Curve

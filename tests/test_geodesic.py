@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from congeo.finsler import (
+    CongestionField,
     DomainError,
     RandersStructure,
     build_randers,
+    congestion_none,
+    congestion_uniform,
     congestion_vortex,
+    constant_metric,
     constant_randers,
     euclidean_metric,
     euclidean_randers,
@@ -56,12 +60,16 @@ def decisions(F, level):
     return sum(r.iterations for r in level.records), len(level.records) - 1, len(level.solutions), shortest
 
 
-def small_grid_structure():
+def small_grid_field():
     """A swirl sampled on non-uniform axes over [-1.5, 1.5]^2."""
     xs = np.array([-1.5, -1.0, -0.2, 0.3, 0.9, 1.5])
     ys = np.array([-1.5, -0.7, 0.0, 0.4, 1.5])
     w = np.array([[[0.2 * np.sin(2 * px) * np.cos(py), 0.1 * px * py] for py in ys] for px in xs])
-    return build_randers(euclidean_metric(), grid_congestion(xs, ys, w))
+    return grid_congestion(xs, ys, w)
+
+
+def small_grid_structure():
+    return build_randers(euclidean_metric(), small_grid_field())
 
 
 class TestCurve:
@@ -119,6 +127,19 @@ class TestCurveLength:
         c = Curve(params=np.linspace(0, 1, 5), points=np.ones((5, 2)))
         with pytest.raises(DomainError, match="degenerate"):
             curve_length(euclidean_randers(), c)
+
+
+SPRAY_FIELDS = {
+    "none": congestion_none,
+    "uniform": lambda: congestion_uniform(0.5, -0.6),
+    "vortex": lambda: congestion_vortex(0.2, -0.1, 0.8),
+    "grid": small_grid_field,
+}
+
+
+def without_spray(F):
+    """F with its accelerations derived from ``bundle`` (``Lagrangian._terms``)."""
+    return dataclasses.replace(F, spray=None)
 
 
 def terms_at(F, x, y) -> list:
@@ -211,9 +232,10 @@ class TestLagrangian:
 class TestBatching:
     """Rows of a batch equal the same states (or shots) computed alone, bit for bit."""
 
+    @pytest.mark.parametrize("spray", [True, False])
     @pytest.mark.parametrize("make", [vortex_structure, small_grid_structure])
-    def test_acceleration_rows_equal_single_states(self, rng, make):
-        lag = Lagrangian(make())
+    def test_acceleration_rows_equal_single_states(self, rng, make, spray):
+        lag = Lagrangian(make() if spray else without_spray(make()))
         x = rng.uniform(-1.2, 1.2, size=(27, 2))
         v = rng.normal(size=(27, 2))
         batch = lag.acceleration(x, v)
@@ -240,7 +262,8 @@ class TestBatching:
             Lagrangian(F), np.broadcast_to(x0, y0.shape), y0, steps, 1.0 / steps
         )
         # four calls per step; on the grid, the step that loses the third row
-        # fails at its second stage and is retaken row by row (2 + 3 * 4 + 2)
+        # fails at its fourth stage and is retaken in halves: rows 0-1 (4),
+        # rows 2-3 (4, failing at the fourth stage again), rows 2 and 3 alone (4 + 4)
         assert calls == 4 * steps + (16 if make is small_grid_structure else 0)
         for k in range(len(y0)):
             try:
@@ -255,9 +278,101 @@ class TestBatching:
             assert [e is None for e in errors] == [True, True, False, True]
             assert "outside" in str(errors[2])
 
+    def test_failed_step_is_bisected(self):
+        # eight rows, the sixth shot out of the grid: the step that loses it
+        # fails at its fourth stage and is retaken in halves, and only the
+        # halves that fail are split again (28 calls, not 4 + 8 * 4)
+        lag = Lagrangian(small_grid_structure())
+        sizes = []
+
+        def acceleration(x, v):
+            sizes.append(len(x))
+            return lag.acceleration(x, v)
+
+        x = np.full((8, 2), [-0.5, 0.1])
+        v = np.array([[1.0, 0.2], [0.5, -0.3], [0.9, 0.9], [0.2, 0.1], [-0.4, 0.6], [30.0, 1.0], [0.3, -0.8], [-0.7, -0.2]])
+        h = 1.0 / 30
+        failed = {}
+        while not failed:
+            sizes.clear()
+            x_new, v_new, failed = geodesic._step(acceleration, x, v, h)
+            if not failed:
+                x, v = x_new, v_new
+        assert list(failed) == [5] and "outside" in str(failed[5])
+        assert sizes == [s for s in (8, 4, 4, 2, 1, 1, 2) for _ in range(4)]
+        for k in set(range(8)) - {5}:
+            (x_solo,), (v_solo,), _ = geodesic._step(lag.acceleration, x[k:k + 1], v[k:k + 1], h)
+            assert np.array_equal(x_new[k], x_solo) and np.array_equal(v_new[k], v_solo)
+
     def test_single_ivp_raises_the_row_error(self):
         with pytest.raises(DomainError, match="outside congestion grid"):
             geodesic_ivp(small_grid_structure(), GeodesicIvp((-0.5, 0.1), (30.0, 1.0), steps=30))
+
+
+class TestSpray:
+    """The closed-form spray of a structure over the Euclidean plane against
+    the general path from ``bundle`` and Cramer's rule."""
+
+    @pytest.mark.parametrize("name", list(SPRAY_FIELDS))
+    def test_matches_the_bundle_path(self, rng, name):
+        # rows equal their solo evaluation: TestBatching, on both paths
+        F = build_randers(euclidean_metric(), SPRAY_FIELDS[name]())
+        assert F.spray is not None
+        x = rng.uniform(-1.4, 1.4, size=(200, 2))
+        v = rng.normal(size=(200, 2))
+        got = Lagrangian(F).acceleration(x, v)
+        ref = Lagrangian(without_spray(F)).acceleration(x, v)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.linalg.norm(ref, axis=1)[:, None])
+
+    @pytest.mark.parametrize("name", ["saturated", "zero velocity", "outside the grid"])
+    def test_errors_match_the_bundle_path(self, name):
+        radial = CongestionField(lambda x: (0.5 * x, 0.5 * np.eye(2)), probes=((0.0, 0.0),))
+        field, x, v = {
+            "saturated": (radial, [[0.5, 0.0], [2.5, 0.0], [3.0, 0.0]], [[1.0, 0.0]] * 3),
+            "zero velocity": (radial, [[0.5, 0.0], [0.2, 0.1]], [[1.0, 0.0], [0.0, 0.0]]),
+            "outside the grid": (small_grid_field(), [[0.0, 0.0], [1.6, 0.0], [0.0, -2.0]], [[1.0, 0.0]] * 3),
+        }[name]
+        F = build_randers(euclidean_metric(), field)
+        x, v = np.array(x), np.array(v)
+        raised = []
+        for structure in (F, without_spray(F)):
+            with pytest.raises(DomainError) as exc:
+                Lagrangian(structure).acceleration(x, v)
+            raised.append((type(exc.value), str(exc.value)))
+        assert raised[0] == raised[1]
+        if name == "saturated":
+            assert "at [2.5 0. ]" in raised[0][1]
+
+    def test_one_jet_call_per_evaluation(self, rng):
+        calls = []
+        field = congestion_vortex(0.0, 0.0, 0.7)
+        F = build_randers(euclidean_metric(), CongestionField(lambda x: calls.append(1) or field.jet(x), probes=field.probes))
+        calls.clear()
+        F.spray(rng.uniform(-1.0, 1.0, size=(12, 2)), rng.normal(size=(12, 2)))
+        assert len(calls) == 1
+
+    def test_a_copy_with_another_bundle_keeps_it(self):
+        F = vortex_structure()
+        assert dataclasses.replace(F, bundle=lambda x: F.bundle(x)).spray is F.spray
+
+    def test_only_structures_over_the_euclidean_plane_have_one(self):
+        vortex = congestion_vortex(0.0, 0.0, 0.5)
+        assert euclidean_metric() is euclidean_metric(2)
+        assert build_randers(constant_metric(np.eye(2)), vortex).spray is None
+        assert build_randers(euclidean_metric(3), congestion_none(3)).spray is None
+        assert constant_randers(np.eye(2), [0.3, 0.0]).spray is None
+
+    @pytest.mark.parametrize(
+        "p, q, vortex",
+        [((-2, 0), (2, 0), (0.0, 0.0, 0.8)), ((-1.5, -0.3), (1.8, 0.6), (0.1, -0.2, 0.6)), ((-1.0, 1.0), (1.5, -1.2), (0.0, 0.0, 0.7))],
+    )
+    def test_same_bvp_decisions(self, p, q, vortex):
+        F = build_randers(euclidean_metric(), congestion_vortex(*vortex))
+        cfg = BvpConfig(nodes=24, restarts=2, explore=True)
+        got, ref = geodesic_bvp(F, p, q, cfg), geodesic_bvp(without_spray(F), p, q, cfg)
+        assert got.converged
+        assert (got.starts, got.stages, got.multiplicity) == (ref.starts, ref.stages, ref.multiplicity)
+        assert got.length == pytest.approx(ref.length, rel=1e-11, abs=0.0)
 
 
 class TestGeneralDimension:
@@ -501,37 +616,36 @@ class TestBvpDecisions:
     def test_fd_failed_outcome(self):
         # a wall x_0 = c between the reach of the chord's shot and that of its
         # first finite-difference companion: the shot stays inside, the
-        # companion leaves, and the start has no Jacobian
-        base = build_randers(euclidean_metric(), congestion_vortex(0.0, 0.0, 0.3))
+        # companion leaves, and the start has no Jacobian.  The wall stands in
+        # the congestion field's jet, which the structure's spray evaluates.
+        field = congestion_vortex(0.0, 0.0, 0.3)
         p, q = np.array([-2.0, 1.0]), np.array([2.0, 1.0])
         cfg = BvpConfig(nodes=24, restarts=0)
         steps = cfg.nodes - 1
 
+        def walled(wall, seen):  # the structure, its field raising beyond x_0 = wall
+            def jet(x):
+                seen.append(np.max(x[..., 0]))
+                if seen[-1] > wall:
+                    raise DomainError("beyond the wall")
+                return field.jet(x)
+
+            return build_randers(euclidean_metric(), CongestionField(jet, probes=field.probes))
+
         def reach(y0):  # the largest x_0 at which a shot of y0 evaluates the field
             seen = []
-
-            def bundle(x):
-                seen.append(np.max(x[..., 0]))
-                return base.bundle(x)
-
-            lag = Lagrangian(dataclasses.replace(base, bundle=bundle))
+            lag = Lagrangian(walled(np.inf, seen))
+            seen.clear()  # the probe check of build_randers
             geodesic._integrate(lag, p[None], y0[None], steps, 1.0 / steps)
             return max(seen)
 
         y0 = q - p
         inside, outside = reach(y0), reach(y0 + [geodesic.SHOT_FD_STEP * max(1.0, abs(y0[0])), 0.0])
         assert inside < outside
-        wall = 0.5 * (inside + outside)
-
-        def walled(x):
-            if np.any(x[..., 0] > wall):
-                raise DomainError("beyond the wall")
-            return base.bundle(x)
-
-        level = one_level(dataclasses.replace(base, bundle=walled), p, q, cfg)
+        level = one_level(walled(0.5 * (inside + outside), []), p, q, cfg)
         assert level.records == [StartOutcome("fd_failed", 1, 24)]
         assert not level.solutions
-        assert geodesic_bvp(base, p, q, cfg).converged  # without the wall
+        assert geodesic_bvp(build_randers(euclidean_metric(), field), p, q, cfg).converged  # without the wall
 
     def test_singular_outcome(self):
         # near x_0 = 1e10 a coordinate resolves only about 2e-6, coarser than
