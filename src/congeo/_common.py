@@ -13,8 +13,8 @@ _CALL_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
 
 
 def parse_call(spec: str, kind: str) -> tuple[str, list[float]]:
-    """Split ``name`` or ``name(a, b, ...)`` into the name and its numeric
-    arguments; ``kind`` names the spec in error messages."""
+    """Split ``name`` or ``name(a, b, ...)`` into the name and its finite
+    numeric arguments; ``kind`` names the spec in error messages."""
     m = _CALL_RE.match(spec)
     if not m:
         raise ValueError(f"malformed {kind}: {spec!r}")
@@ -22,6 +22,9 @@ def parse_call(spec: str, kind: str) -> tuple[str, list[float]]:
     if argstr is None or not argstr.strip():
         return name, []
     try:
-        return name, [float(tok) for tok in argstr.split(",")]
+        args = [float(tok) for tok in argstr.split(",")]
     except ValueError:
         raise ValueError(f"non-numeric arguments in {kind}: {spec!r}") from None
+    if not np.all(np.isfinite(args)):
+        raise ValueError(f"non-finite arguments in {kind}: {spec!r}")
+    return name, args

@@ -20,9 +20,9 @@ from typing import Any, Sequence
 import numpy as np
 
 from .dynamic import Trajectory
-from .finsler import CongestionField, euclidean_metric, grid_congestion, parse_congestion_spec
+from .finsler import CongestionField, grid_congestion, parse_congestion_spec
 from .geodesic import BvpConfig, Curve
-from .ncp import NcpProblem, free_block
+from .ncp import NcpProblem
 from .routing import RoutingScenario
 from .traffic import (
     ElasticDemand,
@@ -324,7 +324,7 @@ def load_ncp_problem(source) -> NcpProblem:
         q = _vector(spec, "q", "problem.f")
         if M.shape != (n, n) or q.shape != (n,):
             raise SchemaError(f"problem.f: M must be {n}x{n} and q length {n}")
-        return NcpProblem(n=n, f=lambda x: M @ x + q, jacobian=lambda x, free: free_block(M, free))
+        return NcpProblem(n=n, f=lambda x: M @ x + q, jacobian=lambda x, free: M[np.ix_(free, free)])
     if ftype == "quadratic":
         _check_keys(spec, ("type", "a", "M", "q"), (), "problem.f")
         a = _vector(spec, "a", "problem.f")
@@ -335,7 +335,7 @@ def load_ncp_problem(source) -> NcpProblem:
         return NcpProblem(
             n=n,
             f=lambda x: a * x * x + M @ x + q,
-            jacobian=lambda x, free: np.diag((2.0 * a * x)[free]) + free_block(M, free),
+            jacobian=lambda x, free: np.diag((2.0 * a * x)[free]) + M[np.ix_(free, free)],
         )
     raise SchemaError(f"problem.f.type: unknown family {ftype!r}")
 
@@ -407,16 +407,13 @@ def load_scenario(source, base_dir: str | None = None) -> RoutingScenario:
     _check_keys(
         doc,
         ("origin", "destination", "field"),
-        ("metric", "tol", "nodes", "seed", "explore", "restarts", "eps_cong", "box_margin"),
+        ("tol", "nodes", "seed", "explore", "restarts", "eps_cong", "box_margin"),
         "scenario",
     )
     origin = _vector(doc, "origin", "scenario")
     destination = _vector(doc, "destination", "scenario")
     if origin.shape != (2,) or destination.shape != (2,):
         raise SchemaError("scenario: origin and destination must be [x, y] pairs")
-    metric_name = doc.get("metric", "euclidean")
-    if metric_name != "euclidean":
-        raise SchemaError(f"scenario.metric: only 'euclidean' is available, got {metric_name!r}")
     field = load_congestion_spec(doc["field"], base)
     bvp_kwargs = {"explore": True}
     if "tol" in doc:
@@ -437,7 +434,6 @@ def load_scenario(source, base_dir: str | None = None) -> RoutingScenario:
         return RoutingScenario(
             origin=tuple(origin),
             destination=tuple(destination),
-            metric=euclidean_metric(),
             congestion=field,
             bvp=BvpConfig(**bvp_kwargs),
             **kwargs,

@@ -56,6 +56,8 @@ __all__ = [
 
 # Relative step of the finite-difference shooting Jacobian.
 SHOT_FD_STEP = 1e-6
+# Newton iterations of one start, at most this many.
+MAX_NEWTON = 25
 # Step lengths 1, 1/2, 1/4, ... a Newton step tries, at most this many.
 MAX_BACKTRACKS = 12
 # Backtracking levels of a Newton step shot speculatively in one batch.
@@ -106,10 +108,6 @@ class Curve:
     @property
     def n_nodes(self) -> int:
         return self.params.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
     def velocity_samples(self) -> np.ndarray:
         if self.velocities is not None:
@@ -190,8 +188,6 @@ def el_residual(F: RandersStructure, c: Curve) -> np.ndarray:
     here are second-order differences of the stored nodes).  All interior
     nodes are evaluated in one batch.
     """
-    if c.n_nodes < 3:
-        raise ValueError("residual needs at least three nodes")
     v = c.velocity_samples()[1:-1]
     zero = ~v.any(axis=1)
     if zero.any():
@@ -256,23 +252,16 @@ def _step(acceleration, x: np.ndarray, v: np.ndarray, h: float) -> tuple[np.ndar
     return np.concatenate((x0, x1)), np.concatenate((v0, v1)), failed
 
 
-def _integrate(lag: Lagrangian, x0: np.ndarray, y0: np.ndarray, steps: int, h: float):
-    """Classical RK4 for a (B, dim) batch of initial states, ``steps`` steps of size h.
+def _integrate(acceleration, x0: np.ndarray, y0: np.ndarray, steps: int, h: float):
+    """Classical RK4 of xdd = acceleration(x, xd) for a (B, dim) batch of
+    initial states, ``steps`` steps of size h.
 
-    Returns the trajectories ``xs``, ``vs`` of shape (B, steps + 1, dim),
-    per row the ``DomainError`` that stopped it or None, and the number of
-    ``lag.acceleration`` calls made, one after the other.  A row that leaves
+    Returns the trajectories ``xs``, ``vs`` of shape (B, steps + 1, dim) and
+    per row the ``DomainError`` that stopped it or None.  A row that leaves
     the validity domain or turns non-finite drops out of the batch (its
     trajectory is undefined from there on); the other rows go on exactly as
     if integrated alone.
     """
-    calls = 0
-
-    def acceleration(x, v):
-        nonlocal calls
-        calls += 1
-        return lag.acceleration(x, v)
-
     batch, n = y0.shape
     xs = np.empty((batch, steps + 1, n))
     vs = np.empty((batch, steps + 1, n))
@@ -295,7 +284,7 @@ def _integrate(lag: Lagrangian, x0: np.ndarray, y0: np.ndarray, steps: int, h: f
             keep[list(failed)] = False
             rows, x, v = rows[keep], x[keep], v[keep]
         xs[rows, k + 1], vs[rows, k + 1] = x, v
-    return xs, vs, errors, calls
+    return xs, vs, errors
 
 
 def geodesic_ivp(F: RandersStructure, ivp: GeodesicIvp) -> Curve:
@@ -306,7 +295,9 @@ def geodesic_ivp(F: RandersStructure, ivp: GeodesicIvp) -> Curve:
     Leaving the validity domain or a non-finite state raises ``DomainError``.
     """
     steps = ivp.steps
-    xs, vs, errors, _ = _integrate(Lagrangian(F), np.array([ivp.x0]), np.array([ivp.y0]), steps, ivp.horizon / steps)
+    xs, vs, errors = _integrate(
+        Lagrangian(F).acceleration, np.array([ivp.x0]), np.array([ivp.y0]), steps, ivp.horizon / steps
+    )
     if errors[0] is not None:
         raise errors[0]
     params = np.linspace(0.0, 1.0, steps + 1)
@@ -317,7 +308,6 @@ def geodesic_ivp(F: RandersStructure, ivp: GeodesicIvp) -> Curve:
 class BvpConfig:
     tol: float = 1e-6
     nodes: int = 200
-    max_newton: int = 25
     restarts: int = 8
     seed: int = 0
     explore: bool = False
@@ -327,8 +317,8 @@ class BvpConfig:
             raise ValueError("nodes must be at least 3")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_newton < 0 or self.restarts < 0:
-            raise ValueError("max_newton and restarts must be nonnegative")
+        if self.restarts < 0:
+            raise ValueError("restarts must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -337,7 +327,7 @@ class StartOutcome:
     how many nodes.
 
     ``outcome`` is ``converged``; ``stalled`` (no backtracking level lowered
-    the endpoint error, the step vanished, or ``max_newton`` ran out);
+    the endpoint error, the step vanished, or ``MAX_NEWTON`` ran out);
     ``domain_exit`` (the start's own shot left the validity domain);
     ``fd_failed`` (a finite-difference companion did); or ``singular`` (the
     shooting Jacobian could not be solved).  A step is taken only if it
@@ -358,8 +348,8 @@ class BvpResult:
     ``iterations`` is their sum and ``restarts_used`` counts the first
     level's starts past the first.  ``multiplicity`` counts the distinct
     converged initial velocities of the level that gave the curve.
-    ``stages`` counts the sequential RK4 stage batches shot, that is the
-    ``Lagrangian.acceleration`` calls made one after the other: four per
+    ``stages`` counts the sequential RK4 stage batches shot, the calls of
+    the acceleration that ``geodesic_bvp`` hands the integrator: four per
     integration step of a batch, more where a step that left the validity
     domain is retaken in bisected parts.
     """
@@ -399,15 +389,15 @@ class _Shot:
         return Curve(params=np.linspace(0.0, 1.0, len(self.points)), points=self.points, velocities=self.velocities)
 
 
-def _shoot(lag: Lagrangian, p: np.ndarray, trials: list, cfg: BvpConfig) -> tuple[list[_Shot | None], int]:
+def _shoot(acceleration, p: np.ndarray, trials: list, cfg: BvpConfig) -> list[_Shot | None]:
     """Shoot every trial velocity together with its n finite-difference
     companions (velocity + delta_j e_j) in one batch; None for a trial whose
-    own shot left the domain.  Also returns the acceleration calls made."""
+    own shot left the domain."""
     n = len(p)
     deltas = [SHOT_FD_STEP * np.maximum(1.0, np.abs(u)) for u in trials]
     y0 = np.concatenate([np.vstack([u, u + np.diag(d)]) for u, d in zip(trials, deltas)])
     steps = cfg.nodes - 1
-    xs, vs, errors, calls = _integrate(lag, np.broadcast_to(p, y0.shape), y0, steps, 1.0 / steps)
+    xs, vs, errors = _integrate(acceleration, np.broadcast_to(p, y0.shape), y0, steps, 1.0 / steps)
     shots: list[_Shot | None] = []
     for k, d in enumerate(deltas):
         r = k * (n + 1)
@@ -417,7 +407,7 @@ def _shoot(lag: Lagrangian, p: np.ndarray, trials: list, cfg: BvpConfig) -> tupl
         companions_ok = all(e is None for e in errors[r + 1:r + n + 1])
         companions = xs[r + 1:r + n + 1, -1].copy() if companions_ok else None
         shots.append(_Shot(xs[r].copy(), vs[r].copy(), companions, d))
-    return shots, calls
+    return shots
 
 
 def _newton(q: np.ndarray, y0: np.ndarray, cfg: BvpConfig):
@@ -435,7 +425,7 @@ def _newton(q: np.ndarray, y0: np.ndarray, cfg: BvpConfig):
     err = shot.error(q)
     converged = err <= cfg.tol
     outcome, iterations = "stalled", 0
-    for _ in range(cfg.max_newton):
+    for _ in range(MAX_NEWTON):
         if converged:
             break
         iterations += 1
@@ -472,18 +462,15 @@ def _newton(q: np.ndarray, y0: np.ndarray, cfg: BvpConfig):
     return StartOutcome(outcome, iterations, cfg.nodes), (err, y0, shot)
 
 
-def _lockstep(lag: Lagrangian, p: np.ndarray, q: np.ndarray, starts: list, cfg: BvpConfig) -> tuple[list, int]:
+def _lockstep(acceleration, p: np.ndarray, q: np.ndarray, starts: list, cfg: BvpConfig) -> list:
     """Run the Newton iterations of all starts side by side, the shots of each
-    round in one batch; returns each start's ``_newton`` result in order and
-    the acceleration calls its shots made."""
+    round in one batch; returns each start's ``_newton`` result in order."""
     runs = [_newton(q, y0, cfg) for y0 in starts]
     results: list = [None] * len(runs)
-    stages = 0
     pending = {i: next(run) for i, run in enumerate(runs)}
     while pending:
         order = list(pending)
-        shots, calls = _shoot(lag, p, [u for i in order for u in pending[i]], cfg)
-        stages += calls
+        shots = _shoot(acceleration, p, [u for i in order for u in pending[i]], cfg)
         for i in order:
             mine, shots = shots[:len(pending[i])], shots[len(pending[i]):]
             try:
@@ -491,7 +478,7 @@ def _lockstep(lag: Lagrangian, p: np.ndarray, q: np.ndarray, starts: list, cfg: 
             except StopIteration as stop:
                 results[i] = stop.value
                 del pending[i]
-    return results, stages
+    return results
 
 
 def _starts(p: np.ndarray, q: np.ndarray, cfg: BvpConfig) -> list[np.ndarray]:
@@ -512,17 +499,15 @@ def _starts(p: np.ndarray, q: np.ndarray, cfg: BvpConfig) -> list[np.ndarray]:
 
 class _Level(NamedTuple):
     """One level of a boundary-value solve: a ``StartOutcome`` per start that
-    ran, the distinct converged solutions as (velocity, curve), the shot that
-    came closest to q as (error, curve, velocity) or None, and the
-    acceleration calls its shots made."""
+    ran, the distinct converged solutions as (velocity, curve), and the shot
+    that came closest to q as (error, curve, velocity) or None."""
 
     records: list
     solutions: list
     closest: tuple | None
-    stages: int
 
 
-def _solve(lag: Lagrangian, p: np.ndarray, q: np.ndarray, starts: list, cfg: BvpConfig) -> _Level:
+def _solve(acceleration, p: np.ndarray, q: np.ndarray, starts: list, cfg: BvpConfig) -> _Level:
     """Newton iteration from each start on shots of ``cfg.nodes`` nodes.
 
     Under ``explore`` all starts advance in lockstep, one batch per round;
@@ -533,11 +518,8 @@ def _solve(lag: Lagrangian, p: np.ndarray, q: np.ndarray, starts: list, cfg: Bvp
     records: list[StartOutcome] = []
     solutions: list[tuple[np.ndarray, Curve]] = []
     closest: tuple[float, Curve, np.ndarray] | None = None
-    stages = 0
     for group in [starts] if cfg.explore else [[y0] for y0 in starts]:
-        results, calls = _lockstep(lag, p, q, group, cfg)
-        stages += calls
-        for record, found in results:
+        for record, found in _lockstep(acceleration, p, q, group, cfg):
             records.append(record)
             if found is None:
                 continue
@@ -551,7 +533,7 @@ def _solve(lag: Lagrangian, p: np.ndarray, q: np.ndarray, starts: list, cfg: Bvp
                 solutions.append((y0, curve))
         if solutions and not cfg.explore:
             break
-    return _Level(records, solutions, closest, stages)
+    return _Level(records, solutions, closest)
 
 
 def geodesic_bvp(F: RandersStructure, p, q, config: BvpConfig | None = None) -> BvpResult:
@@ -585,15 +567,22 @@ def geodesic_bvp(F: RandersStructure, p, q, config: BvpConfig | None = None) -> 
     if np.array_equal(p, q):
         raise ValueError("boundary points must differ")
     starts = _starts(p, q, cfg)
-    lag = Lagrangian(F)
+    accel = Lagrangian(F).acceleration
+    stages = 0
+
+    def acceleration(x, v):  # one sequential RK4 stage batch
+        nonlocal stages
+        stages += 1
+        return accel(x, v)
+
     if cfg.nodes <= COARSE_NODES:
-        levels = [_solve(lag, p, q, starts, cfg)]
+        levels = [_solve(acceleration, p, q, starts, cfg)]
     else:
-        levels = [_solve(lag, p, q, starts, replace(cfg, nodes=COARSE_NODES))]
+        levels = [_solve(acceleration, p, q, starts, replace(cfg, nodes=COARSE_NODES))]
         if levels[0].solutions:
-            levels.append(_solve(lag, p, q, [s[0] for s in levels[0].solutions], cfg))
+            levels.append(_solve(acceleration, p, q, [s[0] for s in levels[0].solutions], cfg))
         if not levels[-1].solutions:
-            levels.append(_solve(lag, p, q, starts, cfg))
+            levels.append(_solve(acceleration, p, q, starts, cfg))
     final = levels[-1]
     if final.solutions:  # the shortest converged geodesic
         lengths = [curve_length(F, c) for _, c in final.solutions]
@@ -615,5 +604,5 @@ def geodesic_bvp(F: RandersStructure, p, q, config: BvpConfig | None = None) -> 
         length=length,
         initial_velocity=tuple(y0),
         starts=records,
-        stages=sum(level.stages for level in levels),
+        stages=stages,
     )

@@ -30,14 +30,13 @@ H + eps diag(d_b) is d_a,i e_i with right-hand side 0 and its step is 0:
 the strictly inactive set of Facchinei, Fischer & Kanzow (1998).  The step
 solves the m x m system of the other m components, and ``NcpProblem``'s
 Jacobian is asked for that block alone, ``jacobian(x, free)`` =
-F'(x)[free][:, free]; ``free`` is an index array, or ``slice(None)`` when
-nothing is held, and ``free_block`` copies a stored matrix's block.  The
-block is a new array, which the solver may overwrite: the Newton system
-H + eps diag(d_b) is written over it, so an iteration holds one m x m
-array besides the copy that ``np.linalg.solve`` factors.  The descent
-test takes the gradient H^T phi_pen on the free set, to which the held
-rows (phi_pen_i = 0) add nothing; the gradient fallback and
-``merit_gradient`` take the whole Jacobian.
+F'(x)[free][:, free] for an index array ``free`` (``M[np.ix_(free, free)]``
+of a stored matrix M), a new array which the solver may overwrite: the
+Newton system H + eps diag(d_b) is written over it, so an iteration holds
+one m x m array besides the copy that ``np.linalg.solve`` factors.  The
+descent test takes the gradient H^T phi_pen on the free set, to which the
+held rows (phi_pen_i = 0) add nothing; the gradient fallback and
+``merit_gradient`` take the whole Jacobian, ``free = np.arange(n)``.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "fb_phi",
     "fb_subgradient",
     "fb_system",
-    "free_block",
     "merit",
     "merit_gradient",
     "penalized_phi",
@@ -129,14 +127,14 @@ def penalized_subgradient(a, b):
 class NcpProblem:
     """Dimension n, the mapping F and its closed-form Jacobian F'.
 
-    ``jacobian(x, free)`` returns the block F'(x)[free][:, free] (the whole
-    (n, n) array when ``free`` is ``slice(None)``) in a new array, which the
-    solver may overwrite; the solver never differences F.
+    ``jacobian(x, free)`` returns the block F'(x)[free][:, free] over a 1-d
+    integer index array ``free`` (``np.arange(n)`` for all of it) in a new
+    array, which the solver may overwrite; the solver never differences F.
     """
 
     n: int
     f: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray, np.ndarray | slice], np.ndarray]
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.n < 1:
@@ -151,20 +149,15 @@ class NcpProblem:
             raise FloatingPointError(f"F non-finite at x={x}")
         return fx
 
-    def jac_eval(self, x: np.ndarray, free: np.ndarray | slice = slice(None)) -> np.ndarray:
+    def jac_eval(self, x: np.ndarray, free: np.ndarray | None = None) -> np.ndarray:
+        free = np.arange(self.n) if free is None else free
         jac = np.asarray(self.jacobian(np.asarray(x, dtype=float), free), dtype=float)
-        m = self.n if isinstance(free, slice) else len(free)
+        m = len(free)
         if jac.shape != (m, m):
             raise ValueError(f"Jacobian shape {jac.shape}, expected ({m},{m})")
         if not np.all(np.isfinite(jac)):
             raise FloatingPointError(f"Jacobian non-finite at x={x}")
         return jac
-
-
-def free_block(a: np.ndarray, free: np.ndarray | slice) -> np.ndarray:
-    """A new array a[free][:, free] of a square array: a copy of ``a`` when
-    ``free`` is ``slice(None)``, else of its free rows and columns."""
-    return a.copy() if isinstance(free, slice) else a[np.ix_(free, free)]
 
 
 @dataclass(frozen=True)
@@ -231,7 +224,7 @@ def _search_direction(problem: NcpProblem, x, fx, phi_pen):
     da, db = penalized_subgradient(x, fx)
     eps = REGULARIZATION * float(np.linalg.norm(phi_pen))
     held = (x == 0.0) & (fx > 0.0)
-    free = np.flatnonzero(~held) if held.any() else slice(None)
+    free = np.flatnonzero(~held)
     system, grad = _newton_system(problem, x, da, db, eps, phi_pen, free)
     try:
         step = np.linalg.solve(system, -phi_pen[free])
@@ -244,7 +237,7 @@ def _search_direction(problem: NcpProblem, x, fx, phi_pen):
     except np.linalg.LinAlgError:
         pass
     if held.any():  # the gradient is nonzero on held components too
-        _, grad = _newton_system(problem, x, da, db, eps, phi_pen, slice(None))
+        _, grad = _newton_system(problem, x, da, db, eps, phi_pen, np.arange(len(x)))
     direction = -grad
     return direction, float(direction @ grad), 0
 

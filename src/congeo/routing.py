@@ -3,10 +3,9 @@ origin-destination geodesic -> route polyline with travel-time length.
 
 The congestion field is exogenous: routed traffic does not feed back into
 the field.  ``certified_structure`` is the one place a scenario's structure
-is built: validity (a positive-definite metric, saturation below
-1 - eps_cong) is certified at the field's probes and on a sample grid over
-the OD bounding box expanded by a configurable margin before any
-integration starts; geodesics may bow outside the raw OD box, hence the
+is built, over the Euclidean metric: saturation below 1 - eps_cong is
+certified at the field's probes and on a sample grid over the OD bounding
+box expanded by a configurable margin before any integration starts; geodesics may bow outside the raw OD box, hence the
 margin.  ``route`` and the CLI's ``validate`` both call it, so ``validate``
 rejects every scenario that ``route`` rejects before integrating.
 
@@ -24,7 +23,6 @@ from .finsler import (
     EPS_CONG,
     CongestionField,
     RandersStructure,
-    RiemannianField,
     congestion_none,
     euclidean_metric,
     build_randers,
@@ -49,7 +47,6 @@ BOX_SAMPLES = 21
 class RoutingScenario:
     origin: tuple[float, ...]
     destination: tuple[float, ...]
-    metric: RiemannianField = field(default_factory=euclidean_metric)
     congestion: CongestionField = field(default_factory=congestion_none)
     eps_cong: float = EPS_CONG
     bvp: BvpConfig = field(default_factory=lambda: BvpConfig(explore=True))
@@ -62,7 +59,7 @@ class RoutingScenario:
             raise ValueError("origin and destination must differ")
         if not 0 < self.eps_cong < 1:
             raise ValueError("eps_cong must lie in (0, 1)")
-        if self.box_margin < 0:
+        if not self.box_margin >= 0:
             raise ValueError("box_margin must be nonnegative")
         object.__setattr__(self, "origin", tuple(p))
         object.__setattr__(self, "destination", tuple(q))
@@ -100,17 +97,17 @@ def chord_curve(p, q, nodes: int = 200) -> Curve:
 def certified_structure(scenario: RoutingScenario) -> RandersStructure:
     """The scenario's Randers structure, certified before any integration.
 
-    ``build_randers`` checks the metric and the saturation bound under the
-    scenario's ``eps_cong`` at the field's probes plus a BOX_SAMPLES x
-    BOX_SAMPLES grid over the validity box; a violation raises DomainError
-    naming the first offending point.
+    ``build_randers`` builds it over the field's ``euclidean_metric`` and
+    checks the saturation bound under the scenario's ``eps_cong`` at the
+    field's probes plus a BOX_SAMPLES x BOX_SAMPLES grid over the validity
+    box; a violation raises DomainError naming the first offending point.
     """
     lo, hi = validity_box(scenario.origin, scenario.destination, scenario.box_margin)
     axes = [np.linspace(lo[i], hi[i], BOX_SAMPLES) for i in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
     check_points = np.stack([m.ravel() for m in mesh], axis=1)
     return build_randers(
-        scenario.metric,
+        euclidean_metric(scenario.congestion.dim),
         scenario.congestion,
         eps_cong=scenario.eps_cong,
         check_points=check_points,

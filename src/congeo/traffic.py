@@ -79,9 +79,9 @@ class Link:
             raise ValueError(f"link {self.id}: free-flow time must be positive")
         if not self.capacity > 0:
             raise ValueError(f"link {self.id}: capacity must be positive")
-        if self.bpr_b < 0:
+        if not self.bpr_b >= 0:
             raise ValueError(f"link {self.id}: bpr_b must be nonnegative")
-        if self.bpr_p < 1:
+        if not self.bpr_p >= 1:
             raise ValueError(f"link {self.id}: bpr_p must be at least 1")
 
 
@@ -90,7 +90,7 @@ class FixedDemand:
     value: float
 
     def __post_init__(self):
-        if self.value < 0:
+        if not self.value >= 0:
             raise ValueError("fixed demand must be nonnegative")
 
     def __call__(self, pi: float) -> float:
@@ -105,7 +105,7 @@ class ElasticDemand:
     k: float
 
     def __post_init__(self):
-        if self.d0 < 0 or self.k < 0:
+        if not (self.d0 >= 0 and self.k >= 0):
             raise ValueError("elastic demand needs d0 >= 0 and k >= 0")
 
     def __call__(self, pi: float) -> float:
@@ -312,9 +312,9 @@ def assemble_ncp(network: TrafficNetwork) -> NcpProblem:
         costs = _route_costs_clamped(network, h)
         return np.concatenate([costs - pi[r_od], np.bincount(r_od, weights=h, minlength=K) - _served(network, pi)])
 
-    def jacobian(x: np.ndarray, free: np.ndarray | slice) -> np.ndarray:
+    def jacobian(x: np.ndarray, free: np.ndarray) -> np.ndarray:
         h, pi = x[:R], x[R:]
-        routes, ods = (np.arange(R), np.arange(K)) if isinstance(free, slice) else (free[free < R], free[free >= R] - R)
+        routes, ods = free[free < R], free[free >= R] - R
         r, m = len(routes), len(routes) + len(ods)
         # S = A_f diag(sqrt(t'(v))): each free route's CSR entries in its row
         row_of = np.full(R, -1)

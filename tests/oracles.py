@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline
 
 from congeo import fileio
 from congeo.finsler import DomainError, _raw_eval, _vec
-from congeo.ncp import NcpProblem, free_block
+from congeo.ncp import NcpProblem
 from congeo.traffic import ElasticDemand
 
 # Relative step of the forward-difference Jacobian of ``fd_problem``.
@@ -31,7 +31,7 @@ HESSIAN_FD_STEP = 1e-4
 def affine_problem(M, q):
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
-    return NcpProblem(n=len(q), f=lambda x: M @ x + q, jacobian=lambda x, free: free_block(M, free))
+    return NcpProblem(n=len(q), f=lambda x: M @ x + q, jacobian=lambda x, free: M[np.ix_(free, free)])
 
 
 def fd_problem(n, f):
@@ -47,7 +47,7 @@ def fd_problem(n, f):
             e = np.zeros(n)
             e[j] = h
             jac[:, j] = (problem.f_eval(x + e) - f0) / h
-        return free_block(jac, free)
+        return jac[np.ix_(free, free)]
 
     problem = NcpProblem(n=n, f=f, jacobian=jacobian)
     return problem
@@ -142,7 +142,7 @@ def dense_ue_problem(network):
         h, pi = x[:R], x[R:]
         elastic = [d.k if isinstance(d, ElasticDemand) and d(p) > 0.0 else 0.0 for d, p in zip(demands, pi)]
         jac = np.block([[(A * slopes(A.T @ h)) @ A.T, -P], [P.T, np.diag(elastic)]])
-        return free_block(jac, free)
+        return jac[np.ix_(free, free)]
 
     return NcpProblem(n=R + len(ods), f=f, jacobian=jacobian)
 

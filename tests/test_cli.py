@@ -168,6 +168,7 @@ REJECTED_SCENARIOS = {
         "field": {"grid_csv": os.path.abspath(demo("field_grid.csv"))},
     },
     "eps_cong-range": {"origin": [0.0, 0.0], "destination": [1.0, 0.0], "field": "none", "eps_cong": 2},
+    "nan-preset": {"origin": [0.0, 1.0], "destination": [1.0, 1.0], "field": "vortex(0,0,nan)"},
 }
 
 
@@ -188,12 +189,19 @@ class TestValidateAgreesWithRoute:
         report = fileio.load_json(str(tmp_path / "validate" / "validate_report.json"))
         assert (report["kind"], report["failures"]) == ("scenario", [message])
 
-    def test_route_checks_eps_cong_before_routing_any_scenario(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("eps_cong-range", "eps_cong must lie in (0, 1)"),
+            ("nan-preset", "non-finite arguments in congestion preset: 'vortex(0,0,nan)'"),
+        ],
+    )
+    def test_route_checks_inputs_before_routing_any_scenario(self, tmp_path, capsys, name, message):
         bad = tmp_path / "bad.json"
-        fileio.dump_json(REJECTED_SCENARIOS["eps_cong-range"], str(bad))
+        fileio.dump_json(REJECTED_SCENARIOS[name], str(bad))
         out = tmp_path / "out"
         assert run_cli("route", demo("scenario_uniform.json"), str(bad), "--out", str(out)) == EXIT_INPUT
-        assert "eps_cong must lie in (0, 1)" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert os.listdir(out) == []
 
 
@@ -483,8 +491,9 @@ class TestDynamicCommand:
             (("--cost-model", "affine(0,-1)"), "no flow of zero merit"),
             (("--cost-model", "affine(-1,-1)"), "no flow of zero merit"),
             (("--cost-model", "affine(1e-320,-1)"), "overflows for a=1e-320; flows must be finite"),
+            (("--cost-model", "affine(nan,1)"), "non-finite arguments in cost model: 'affine(nan,1)'"),
         ],
-        ids=["half_phi", "a_zero", "a_negative", "overflow"],
+        ids=["half_phi", "a_zero", "a_negative", "overflow", "a_nan"],
     )
     def test_minimize_without_zero_merit_flow_exits_1(self, tmp_path, capsys, model_args, reason):
         code = run_cli("dynamic", demo("trajectory_constant.csv"), *model_args, "--minimize", "--out", str(tmp_path))

@@ -290,8 +290,9 @@ class TestScenarioLoader:
         with pytest.raises(SchemaError, match="unknown field"):
             fileio.load_scenario({"origin": [0, 0], "destination": [1, 0], "field": "none", "speed": 3})
 
-    def test_non_euclidean_metric_rejected(self):
-        with pytest.raises(SchemaError, match="metric"):
+    def test_metric_is_an_unknown_field(self):
+        # the base metric is always Euclidean, so a scenario does not name it
+        with pytest.raises(SchemaError, match=r"unknown field\(s\) \['metric'\]"):
             fileio.load_scenario(
                 {"origin": [0, 0], "destination": [1, 0], "field": "none", "metric": "hyperbolic"}
             )

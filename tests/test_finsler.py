@@ -425,7 +425,8 @@ class TestPresetParsing:
             assert np.allclose(d_an, d_fd, rtol=1e-7, atol=1e-9)
 
     @pytest.mark.parametrize(
-        "bad", ["spiral(1)", "uniform(1)", "vortex(0,0)", "uniform(a,b)", "none(3)"]
+        "bad",
+        ["spiral(1)", "uniform(1)", "vortex(0,0)", "uniform(a,b)", "none(3)", "vortex(0,0,nan)", "uniform(1e999,0)"],
     )
     def test_malformed_specs_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -45,11 +45,19 @@ def vortex_structure(strength=0.8):
     return build_randers(euclidean_metric(), congestion_vortex(0.0, 0.0, strength))
 
 
-def one_level(F, p, q, cfg):
+def one_level(F, p, q, cfg, calls=None):
     """``geodesic._solve`` on ``geodesic_bvp``'s starts: the single-level solve
-    at ``cfg.nodes`` nodes that a solve above ``COARSE_NODES`` falls back to."""
+    at ``cfg.nodes`` nodes that a solve above ``COARSE_NODES`` falls back to.
+    ``calls``, when given, gets one entry per acceleration call."""
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    return geodesic._solve(Lagrangian(F), p, q, geodesic._starts(p, q, cfg), cfg)
+    accel = Lagrangian(F).acceleration
+
+    def acceleration(x, v):
+        if calls is not None:
+            calls.append(len(x))
+        return accel(x, v)
+
+    return geodesic._solve(acceleration, p, q, geodesic._starts(p, q, cfg), cfg)
 
 
 def decisions(F, level):
@@ -258,13 +266,15 @@ class TestBatching:
         # on the grid, the third velocity carries its shot out of the grid
         y0 = np.array([[1.0, 0.2], [0.5, -0.3], [30.0, 1.0], [0.9, 0.9]])
         steps = 30
-        xs, vs, errors, calls = geodesic._integrate(
-            Lagrangian(F), np.broadcast_to(x0, y0.shape), y0, steps, 1.0 / steps
+        lag, calls = Lagrangian(F), []
+        xs, vs, errors = geodesic._integrate(
+            lambda x, v: calls.append(len(x)) or lag.acceleration(x, v),
+            np.broadcast_to(x0, y0.shape), y0, steps, 1.0 / steps,
         )
         # four calls per step; on the grid, the step that loses the third row
         # fails at its fourth stage and is retaken in halves: rows 0-1 (4),
         # rows 2-3 (4, failing at the fourth stage again), rows 2 and 3 alone (4 + 4)
-        assert calls == 4 * steps + (16 if make is small_grid_structure else 0)
+        assert len(calls) == 4 * steps + (16 if make is small_grid_structure else 0)
         for k in range(len(y0)):
             try:
                 solo = geodesic_ivp(F, GeodesicIvp(x0, tuple(y0[k]), steps=steps))
@@ -543,9 +553,10 @@ class TestGeodesicBvp:
         orders = [np.log2(norms[i] / norms[i + 1]) for i in range(len(norms) - 1)]
         assert min(orders) >= 1.5
 
-    def test_nonconvergence_reported_not_raised(self):
+    def test_nonconvergence_reported_not_raised(self, monkeypatch):
         F = vortex_structure(0.8)
-        cfg = BvpConfig(max_newton=0, restarts=0)
+        cfg = BvpConfig(restarts=0)
+        monkeypatch.setattr(geodesic, "MAX_NEWTON", 0)
         res = geodesic_bvp(F, (-2, 0), (2, 0), cfg)
         assert not res.converged
         assert res.endpoint_error > cfg.tol
@@ -608,9 +619,10 @@ class TestBvpDecisions:
         assert (driven[0].starts, driven[0].stages) == (driven[1].starts, driven[1].stages)
         assert [s.outcome for s in driven[0].starts if s.nodes == 8] == outcomes
 
-    def test_stalled_outcome(self):
+    def test_stalled_outcome(self, monkeypatch):
         F = vortex_structure(0.8)
-        level = one_level(F, (-2, 0), (2, 0), BvpConfig(max_newton=0, restarts=0))
+        monkeypatch.setattr(geodesic, "MAX_NEWTON", 0)
+        level = one_level(F, (-2, 0), (2, 0), BvpConfig(restarts=0))
         assert [(s.outcome, s.iterations) for s in level.records] == [("stalled", 0)]
 
     def test_fd_failed_outcome(self):
@@ -636,7 +648,7 @@ class TestBvpDecisions:
             seen = []
             lag = Lagrangian(walled(np.inf, seen))
             seen.clear()  # the probe check of build_randers
-            geodesic._integrate(lag, p[None], y0[None], steps, 1.0 / steps)
+            geodesic._integrate(lag.acceleration, p[None], y0[None], steps, 1.0 / steps)
             return max(seen)
 
         y0 = q - p
@@ -673,7 +685,6 @@ class TestBvpDecisions:
             {"tol": float("inf")},
             {"tol": float("nan")},
             {"tol": 0.0},
-            {"max_newton": -1},
             {"restarts": -1},
         ],
     )
@@ -721,7 +732,8 @@ class TestCoarseToFine:
     def test_coarse_resolution_is_one_level(self, nodes):
         F = vortex_structure(0.8)
         cfg = BvpConfig(explore=True, restarts=2, nodes=nodes)
-        level = one_level(F, (-2, 0), (2, 0), cfg)
+        calls = []
+        level = one_level(F, (-2, 0), (2, 0), cfg, calls)
         res = geodesic_bvp(F, (-2, 0), (2, 0), cfg)
         assert res.converged
         iterations, restarts, multiplicity, (y0, curve, length) = decisions(F, level)
@@ -729,11 +741,12 @@ class TestCoarseToFine:
         assert np.array_equal(res.initial_velocity, y0)
         assert np.array_equal(res.curve.points, curve.points)
         assert res.length == length
-        assert (res.starts, res.stages) == (tuple(level.records), level.stages)
+        assert (res.starts, res.stages) == (tuple(level.records), len(calls))
 
-    def test_never_converging_falls_back_to_full_resolution(self):
+    def test_never_converging_falls_back_to_full_resolution(self, monkeypatch):
         F = vortex_structure(0.8)
-        cfg = BvpConfig(max_newton=0, restarts=1)
+        cfg = BvpConfig(restarts=1)
+        monkeypatch.setattr(geodesic, "MAX_NEWTON", 0)
         level = one_level(F, (-2, 0), (2, 0), cfg)
         res = geodesic_bvp(F, (-2, 0), (2, 0), cfg)
         assert not res.converged and res.multiplicity == 0

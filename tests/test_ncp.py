@@ -12,7 +12,6 @@ from congeo.ncp import (
     fb_phi,
     fb_subgradient,
     fb_system,
-    free_block,
     merit,
     merit_gradient,
     penalized_phi,
@@ -339,7 +338,7 @@ class TestRegularizedNewton:
                 calls.append(1)
                 return M @ x + q
 
-            rep = solve_ncp(NcpProblem(n=n, f=f, jacobian=lambda x, free, M=M: free_block(M, free)))
+            rep = solve_ncp(NcpProblem(n=n, f=f, jacobian=lambda x, free, M=M: M[np.ix_(free, free)]))
             assert rep.converged
             assert rep.newton_steps + rep.gradient_steps == rep.iterations
             # one F at the start, then one per trial point: accepted or backtracked
@@ -472,6 +471,35 @@ class TestFreeSetStep:
             held_total += np.count_nonzero(held)
         assert held_total > 0
 
+    @staticmethod
+    def index_checked(problem, sizes):
+        """``problem`` with a Jacobian that asserts it is asked for its block
+        by a 1-d integer index array, recording each block's size."""
+
+        def jacobian(x, free):
+            assert isinstance(free, np.ndarray) and free.ndim == 1 and free.dtype.kind == "i"
+            sizes.append(len(free))
+            return problem.jacobian(x, free)
+
+        return NcpProblem(problem.n, problem.f, jacobian)
+
+    def test_jacobian_receives_index_arrays_only(self):
+        # an interior solution x* = (1, 1) with F(x*) = 0: nothing is held
+        M = np.array([[2.0, 1.0], [1.0, 3.0]])
+        sizes = []
+        problem = self.index_checked(affine_problem(M, -M @ np.ones(2)), sizes)
+        rep = solve_ncp(problem, x0=[3.0, 2.0])
+        assert rep.converged and np.allclose(rep.x_star, 1.0)
+        assert sizes and set(sizes) == {2}
+        merit_gradient(rep.x_star, problem)  # the whole Jacobian is np.arange(n)
+        assert sizes[-1] == 2
+        # a lattice from all-or-nothing loading, where most routes are held
+        network = random_lattice(np.random.default_rng(7), side=8, n_od=10, per_od=8)
+        sizes = []
+        problem = self.index_checked(traffic.assemble_ncp(network), sizes)
+        assert solve_ncp(problem, traffic._default_start(network)).converged
+        assert min(sizes) < problem.n
+
     def test_gradient_fallback_takes_the_whole_jacobian(self):
         # F = (x_0 - 2, x_1 + 1) at x = (1, 0) holds x_1.  The free block makes
         # the system nearly singular, so the Newton step is huge and fails the
@@ -482,7 +510,7 @@ class TestFreeSetStep:
         da, db = penalized_subgradient(x, fx)
         eps = REGULARIZATION * np.linalg.norm(pen)
         jac = np.array([[(1e-9 - da[0] - eps * db[0]) / db[0], 3.0], [0.0, 1.0]])
-        problem = NcpProblem(2, lambda v: v + np.array([-2.0, 1.0]), lambda v, free: free_block(jac, free))
+        problem = NcpProblem(2, lambda v: v + np.array([-2.0, 1.0]), lambda v, free: jac[np.ix_(free, free)])
         direction, slope, rows = ncp._search_direction(problem, x, fx, pen)
         assert rows == 0
         expected = -(system_jacobian_reference(jac, da, db).T @ pen)

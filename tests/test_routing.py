@@ -7,6 +7,7 @@ from congeo.finsler import (
     congestion_vortex,
     grid_congestion,
 )
+from congeo import geodesic
 from congeo.geodesic import BvpConfig
 from congeo.routing import RouteResult, RoutingScenario, chord_curve, route, validity_box
 
@@ -117,19 +118,25 @@ class TestRoute:
         with pytest.raises(ValueError):
             RoutingScenario(origin=(1, 1), destination=(1, 1))
 
+    @pytest.mark.parametrize("margin", [-0.1, float("nan")])
+    def test_invalid_box_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match="box_margin"):
+            RoutingScenario(origin=(0, 0), destination=(1, 0), box_margin=margin)
+
     def test_distinct_endpoints_at_large_coordinates_accepted(self):
         # metre-scale grid coordinates: 5 apart at 1e6
         res = route(RoutingScenario(origin=(1e6, 0), destination=(1e6 + 5, 0), bvp=BvpConfig(restarts=0)))
         assert res.bvp.converged
         assert res.bvp.length == pytest.approx(5.0, abs=1e-6)
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
         sc = RoutingScenario(
             origin=(-2, 0),
             destination=(2, 0),
             congestion=congestion_vortex(0.0, 0.0, 0.8),
-            bvp=BvpConfig(max_newton=0, restarts=0),
+            bvp=BvpConfig(restarts=0),
         )
+        monkeypatch.setattr(geodesic, "MAX_NEWTON", 0)
         res = route(sc)
         assert isinstance(res, RouteResult)
         assert not res.bvp.converged

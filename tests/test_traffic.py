@@ -158,6 +158,25 @@ class TestLinkTime:
             Link("l", "a", "b", t0=1.0, capacity=0.0)
         with pytest.raises(ValueError):
             Link("l", "a", "b", t0=1.0, capacity=1.0, bpr_p=0.5)
+        # NaN fails every comparison, so each bound is checked as "not x >= bound"
+        for name in ("t0", "capacity", "bpr_b", "bpr_p"):
+            with pytest.raises(ValueError, match=name if name.startswith("bpr") else "link l"):
+                Link("l", "a", "b", **{"t0": 1.0, "capacity": 1.0, name: float("nan")})
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FixedDemand(-1.0),
+            lambda: FixedDemand(float("nan")),
+            lambda: ElasticDemand(-1.0, 1.0),
+            lambda: ElasticDemand(4.0, -1.0),
+            lambda: ElasticDemand(float("nan"), 1.0),
+            lambda: ElasticDemand(4.0, float("nan")),
+        ],
+    )
+    def test_demand_validation(self, make):
+        with pytest.raises(ValueError, match="demand"):
+            make()
 
 
 class TestRouteCost:
@@ -659,7 +678,7 @@ class TestCsrAgainstDense:
         reference, problem = dense_ue_problem(net), assemble_ncp(net)
         n = problem.n
         for x in self.points(rng, net, 10):
-            for free in (slice(None), np.flatnonzero(rng.random(n) < 0.5), np.flatnonzero(rng.random(n) < 0.1)):
+            for free in (np.arange(n), np.flatnonzero(rng.random(n) < 0.5), np.flatnonzero(rng.random(n) < 0.1)):
                 jac = problem.jac_eval(x, free)
                 assert np.allclose(jac, reference.jac_eval(x, free), rtol=1e-12, atol=0.0)
 
