@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from typing import Any, Sequence
@@ -67,7 +68,7 @@ class SchemaError(ValueError):
 
 def fmt_float(v: float) -> str:
     v = float(v)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ValueError(f"refusing to serialize non-finite float {v}")
     return format(v, ".17g")
 
@@ -184,29 +185,15 @@ def _string_list(obj: dict, key: str, where: str) -> list[str]:
     return v
 
 
-def _matrix(obj: dict, key: str, where: str) -> np.ndarray:
-    v = obj[key]
+def _array(obj: dict, key: str, where: str, ndim: int) -> np.ndarray:
+    """A finite numeric vector (``ndim`` 1) or matrix (``ndim`` 2)."""
+    kind = "vector" if ndim == 1 else "matrix"
     try:
-        arr = np.asarray(v, dtype=float)
+        arr = np.asarray(obj[key], dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{where}.{key}: expected a numeric matrix") from None
-    if arr.ndim != 2:
-        raise SchemaError(f"{where}.{key}: expected a 2-d matrix, got shape {arr.shape}")
-    return _finite(arr, key, where)
-
-
-def _vector(obj: dict, key: str, where: str) -> np.ndarray:
-    v = obj[key]
-    try:
-        arr = np.asarray(v, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{where}.{key}: expected a numeric vector") from None
-    if arr.ndim != 1:
-        raise SchemaError(f"{where}.{key}: expected a 1-d vector, got shape {arr.shape}")
-    return _finite(arr, key, where)
-
-
-def _finite(arr: np.ndarray, key: str, where: str) -> np.ndarray:
+        raise SchemaError(f"{where}.{key}: expected a numeric {kind}") from None
+    if arr.ndim != ndim:
+        raise SchemaError(f"{where}.{key}: expected a {ndim}-d {kind}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{where}.{key}: expected finite numbers")
     return arr
@@ -320,16 +307,16 @@ def load_ncp_problem(source) -> NcpProblem:
     ftype = spec["type"]
     if ftype == "affine":
         _check_keys(spec, ("type", "M", "q"), (), "problem.f")
-        M = _matrix(spec, "M", "problem.f")
-        q = _vector(spec, "q", "problem.f")
+        M = _array(spec, "M", "problem.f", 2)
+        q = _array(spec, "q", "problem.f", 1)
         if M.shape != (n, n) or q.shape != (n,):
             raise SchemaError(f"problem.f: M must be {n}x{n} and q length {n}")
         return NcpProblem(n=n, f=lambda x: M @ x + q, jacobian=lambda x, free: M[np.ix_(free, free)])
     if ftype == "quadratic":
         _check_keys(spec, ("type", "a", "M", "q"), (), "problem.f")
-        a = _vector(spec, "a", "problem.f")
-        M = _matrix(spec, "M", "problem.f")
-        q = _vector(spec, "q", "problem.f")
+        a = _array(spec, "a", "problem.f", 1)
+        M = _array(spec, "M", "problem.f", 2)
+        q = _array(spec, "q", "problem.f", 1)
         if a.shape != (n,) or M.shape != (n, n) or q.shape != (n,):
             raise SchemaError(f"problem.f: a, q must have length {n} and M be {n}x{n}")
         return NcpProblem(
@@ -398,20 +385,16 @@ def load_congestion_spec(spec, base_dir: str = ".") -> CongestionField:
 # ---------------------------------------------------------------------------
 
 def load_scenario(source, base_dir: str | None = None) -> RoutingScenario:
-    if isinstance(source, dict):
-        doc = source
-        base = base_dir or "."
-    else:
-        doc = load_json(os.fspath(source))
-        base = base_dir or os.path.dirname(os.path.abspath(os.fspath(source)))
+    doc = _as_dict(source)
+    base = base_dir or ("." if doc is source else os.path.dirname(os.path.abspath(os.fspath(source))))
     _check_keys(
         doc,
         ("origin", "destination", "field"),
-        ("tol", "nodes", "seed", "explore", "restarts", "eps_cong", "box_margin"),
+        ("tol", "nodes", "seed", "explore", "restarts", "eps_cong"),
         "scenario",
     )
-    origin = _vector(doc, "origin", "scenario")
-    destination = _vector(doc, "destination", "scenario")
+    origin = _array(doc, "origin", "scenario", 1)
+    destination = _array(doc, "destination", "scenario", 1)
     if origin.shape != (2,) or destination.shape != (2,):
         raise SchemaError("scenario: origin and destination must be [x, y] pairs")
     field = load_congestion_spec(doc["field"], base)
@@ -428,8 +411,6 @@ def load_scenario(source, base_dir: str | None = None) -> RoutingScenario:
     kwargs = {}
     if "eps_cong" in doc:
         kwargs["eps_cong"] = _number(doc, "eps_cong", "scenario")
-    if "box_margin" in doc:
-        kwargs["box_margin"] = _number(doc, "box_margin", "scenario")
     try:
         return RoutingScenario(
             origin=tuple(origin),

@@ -28,8 +28,9 @@ constants, are accepted.  Each field supplies its derivative in closed
 form, with its value.  Index point components as ``x[..., i]``:
 a callable written for one point (``x[0]``) reads the first *point* of a
 batch and gives a wrong answer at B = 2 without raising an error.  The
-public one-point methods (``field(x)``, ``F.coefficients(x)``, ...) still
-take a single point; they evaluate it as a batch of one.
+checked public evaluations (``field(x)``, ``F.coefficients(x)``,
+``randers_eval(F, x, y)``) take a point or a (B, dim) batch; a point is
+evaluated as a batch of one.
 
 Over the Euclidean plane (``euclidean_metric(2)``), the structure that
 ``build_randers`` makes carries a ``spray``: the geodesic acceleration of
@@ -172,8 +173,7 @@ class RiemannianField:
     (B, dim, dim), and their derivatives ``dg[b, m, i, j] = d g_ij / d x^m``
     at point b (see the module's field contract).  Calling the field gives
     the checked metric (shape, finiteness, symmetry, positive-definiteness;
-    a failure names the first offending point) and ``derivative`` the
-    derivative, each at a point or a batch.
+    a failure names the first offending point) at a point or a batch.
     """
 
     jet: Callable[[np.ndarray], tuple]
@@ -187,11 +187,6 @@ class RiemannianField:
         if bad.any():
             raise DomainError(f"metric matrix not positive-definite at {pts[bad.argmax()]}")
         return mat[0] if single else mat
-
-    def derivative(self, x) -> np.ndarray:
-        pts, single = _points(x, self.dim)
-        d = _batch(self.jet(pts)[1], (len(pts),) + (self.dim,) * 3, "metric derivative")
-        return d[0] if single else d
 
 
 @dataclass(frozen=True)
@@ -232,9 +227,9 @@ class RandersStructure:
     ``bundle(x)`` maps a (B, dim) batch of points to ``(a, b, da, db)`` of
     shapes (B, dim, dim), (B, dim), (B, dim, dim, dim) and (B, dim, dim), the
     derivative axis right after the batch axis (or anything broadcasting to
-    those shapes, such as constants).  ``coefficients`` (which re-validates
-    the schema) and ``coefficient_derivatives`` are one-point views over it.
-    The raw dataclass checks nothing; build structures with
+    those shapes, such as constants).  ``coefficients`` re-validates the
+    schema at a point or a batch; ``coefficient_derivatives`` is a one-point
+    view.  The raw dataclass checks nothing; build structures with
     ``constant_randers`` or ``build_randers``, which enforce validity up
     front (and ``build_randers`` again at every evaluation).  Evaluations
     of F re-check the drift bound.
@@ -251,13 +246,16 @@ class RandersStructure:
     spray: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def coefficients(self, x) -> tuple[np.ndarray, np.ndarray]:
-        x = _pt(x, self.dim)
-        a, b, _, _ = self.bundle(x[None])
-        a = _check_sym_matrix(_batch(a, (1, self.dim, self.dim), "alpha matrix")[0], self.dim, "alpha matrix")
-        b = _batch(b, (1, self.dim), "beta")[0]
-        if not np.all(np.isfinite(b)):
-            raise DomainError(f"beta non-finite at {x}")
-        return a, b
+        """(a, b) at a point, or stacked over a (B, dim) batch of points; a
+        non-finite beta is a domain error naming the first such point."""
+        pts, single = _points(x, self.dim)
+        a, b, _, _ = self.bundle(pts)
+        a = _check_sym_matrix(_batch(a, (len(pts), self.dim, self.dim), "alpha matrix"), self.dim, "alpha matrix")
+        b = _batch(b, pts.shape, "beta")
+        bad = ~np.isfinite(b).all(axis=1)
+        if bad.any():
+            raise DomainError(f"beta non-finite at {pts[bad.argmax()]}")
+        return (a[0], b[0]) if single else (a, b)
 
     def coefficient_derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(da, db) with da[m,i,j] = d a_ij/d x^m, db[m,i] = d b_i/d x^m."""
@@ -270,44 +268,29 @@ class RandersStructure:
 # Core evaluations
 # ---------------------------------------------------------------------------
 
-def _covector_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Norm of the covector b with respect to the inverse of a, over leading axes."""
-    return np.sqrt(np.maximum(_dot(b, np.linalg.solve(a, b[..., None])[..., 0]), 0.0))
-
-
-def covector_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Norm of the covector b with respect to the inverse of a."""
-    return float(_covector_norms(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
-
-
-def _raw_eval(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sqrt(a_ij y^i y^j) + b_i y^i over leading axes (no validity checks)."""
-    return np.sqrt(np.maximum(_dot(y, _mv(a, y)), 0.0)) + _dot(b, y)
-
-
-def randers_eval(F: RandersStructure, x, y) -> float:
-    """Evaluate F(x, y).  Zero y returns 0; drift with ||b||_a >= 1 is a
-    domain error (F would lose positivity)."""
-    a, b = F.coefficients(x)
-    nb = covector_norm(a, b)
-    if not nb < 1.0:
-        raise DomainError(f"invalid drift: ||b||_a = {nb:.6g} >= 1 at {_pt(x)}")
-    y = _vec(y, "tangent components")
-    return float(_raw_eval(a, b, y))
-
-
-def _speeds(F: RandersStructure, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F(x_k, y_k) for a (B, dim) batch of states from one ``bundle`` call;
-    drift with ||b||_a >= 1 is a domain error naming the first such point."""
-    a, b, _, _ = F.bundle(x)
+def covector_norm(a, b) -> float | np.ndarray:
+    """Norm of the covector b with respect to the inverse of a, over leading
+    axes; a float for one pair."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    nb = np.broadcast_to(_covector_norms(a, b), x.shape[:-1])
+    nb = np.sqrt(np.maximum(_dot(b, np.linalg.solve(a, b[..., None])[..., 0]), 0.0))
+    return float(nb) if b.ndim == 1 else nb
+
+
+def randers_eval(F: RandersStructure, x, y) -> float | np.ndarray:
+    """Evaluate F(x, y) at a point (a float) or at a (B, dim) batch of
+    states (an array).  Zero y gives 0; drift with ||b||_a >= 1 is a domain
+    error naming the first such point (F would lose positivity)."""
+    pts, single = _points(x, F.dim)
+    a, b = F.coefficients(pts)
+    nb = covector_norm(a, b)
     bad = ~(nb < 1.0)
     if bad.any():
         k = int(bad.argmax())
-        raise DomainError(f"invalid drift: ||b||_a = {nb[k]:.6g} >= 1 at {x[k]}")
-    return _raw_eval(a, b, y)
+        raise DomainError(f"invalid drift: ||b||_a = {nb[k]:.6g} >= 1 at {pts[k]}")
+    y = _vec(y, "tangent components") if single else np.asarray(y, dtype=float)
+    speeds = np.sqrt(np.maximum(_dot(y, _mv(a, y)), 0.0)) + _dot(b, y)
+    return float(speeds[0]) if single else speeds
 
 
 def build_randers(

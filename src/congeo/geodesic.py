@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._common import trapezoid
-from .finsler import DomainError, RandersStructure, _cramer, _dot, _fiber, _mv, _pt, _speeds, _sum
+from .finsler import DomainError, RandersStructure, _cramer, _dot, _fiber, _mv, _pt, _sum, randers_eval
 
 __all__ = [
     "Curve",
@@ -173,12 +173,12 @@ class Lagrangian:
 
 def curve_length(F: RandersStructure, c: Curve) -> float:
     """Trapezoid quadrature of F(x, xd) along the curve (travel time), all
-    nodes in one batched evaluation; drift with ||b||_a >= 1 at a node is a
-    domain error naming it, as in ``randers_eval``."""
+    nodes in one batched ``randers_eval``, which names the first node with
+    drift ||b||_a >= 1."""
     v = c.velocity_samples()
     if np.max(np.abs(v)) == 0.0:
         raise DomainError("degenerate curve: zero velocity everywhere")
-    return float(trapezoid(_speeds(F, c.points, v), c.params))
+    return float(trapezoid(randers_eval(F, c.points, v), c.params))
 
 
 def el_residual(F: RandersStructure, c: Curve) -> np.ndarray:
@@ -197,13 +197,19 @@ def el_residual(F: RandersStructure, c: Curve) -> np.ndarray:
     return _mv(tensor, xdd) + _sum(mixed * v[:, :, None], axis=1) - Fv[:, None] * dF
 
 
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GeodesicIvp:
-    """Initial data: start point, nonzero initial velocity, horizon, steps."""
+    """Initial data: start point, nonzero initial velocity, RK4 steps over
+    unit time.  L = F^2/2 is 2-homogeneous in the velocity, so the flow from
+    y0 over time H is the one from H * y0 over unit time."""
 
     x0: tuple[float, ...]
     y0: tuple[float, ...]
-    horizon: float = 1.0
     steps: int = 199
 
     def __post_init__(self):
@@ -213,8 +219,7 @@ class GeodesicIvp:
             raise DomainError("initial data must be finite")
         if np.linalg.norm(y0) == 0.0:
             raise ValueError("initial velocity must be nonzero")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        _check_integer("steps", self.steps)
         if self.steps < 2:
             raise ValueError("need at least two integration steps")
         object.__setattr__(self, "x0", x0)
@@ -288,20 +293,16 @@ def _integrate(acceleration, x0: np.ndarray, y0: np.ndarray, steps: int, h: floa
 
 
 def geodesic_ivp(F: RandersStructure, ivp: GeodesicIvp) -> Curve:
-    """Classical fourth-order Runge-Kutta integration of the geodesic flow.
-
-    The returned curve is re-parametrized onto [0, 1] (velocities scaled by
-    the horizon), so F-speed along it equals horizon * F(x0, y0) throughout.
-    Leaving the validity domain or a non-finite state raises ``DomainError``.
+    """Classical fourth-order Runge-Kutta integration of the geodesic flow
+    over the unit interval, so F-speed along the curve equals F(x0, y0)
+    throughout.  Leaving the validity domain or a non-finite state raises
+    ``DomainError``.
     """
     steps = ivp.steps
-    xs, vs, errors = _integrate(
-        Lagrangian(F).acceleration, np.array([ivp.x0]), np.array([ivp.y0]), steps, ivp.horizon / steps
-    )
+    xs, vs, errors = _integrate(Lagrangian(F).acceleration, np.array([ivp.x0]), np.array([ivp.y0]), steps, 1.0 / steps)
     if errors[0] is not None:
         raise errors[0]
-    params = np.linspace(0.0, 1.0, steps + 1)
-    return Curve(params=params, points=xs[0], velocities=vs[0] * ivp.horizon)
+    return Curve(params=np.linspace(0.0, 1.0, steps + 1), points=xs[0], velocities=vs[0])
 
 
 @dataclass(frozen=True)
@@ -313,6 +314,8 @@ class BvpConfig:
     explore: bool = False
 
     def __post_init__(self):
+        for name in ("nodes", "restarts", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.nodes < 3:
             raise ValueError("nodes must be at least 3")
         if not (math.isfinite(self.tol) and self.tol > 0):

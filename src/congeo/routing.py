@@ -5,9 +5,10 @@ The congestion field is exogenous: routed traffic does not feed back into
 the field.  ``certified_structure`` is the one place a scenario's structure
 is built, over the Euclidean metric: saturation below 1 - eps_cong is
 certified at the field's probes and on a sample grid over the OD bounding
-box expanded by a configurable margin before any integration starts; geodesics may bow outside the raw OD box, hence the
-margin.  ``route`` and the CLI's ``validate`` both call it, so ``validate``
-rejects every scenario that ``route`` rejects before integrating.
+box padded by ``BOX_MARGIN`` before any integration starts; geodesics may
+bow outside the raw OD box, hence the margin.  ``route`` and the CLI's
+``validate`` both call it, so ``validate`` rejects every scenario that
+``route`` rejects before integrating.
 
 ``route`` returns the solver's ``BvpResult`` as it is, beside the chord's
 travel time.
@@ -41,6 +42,8 @@ __all__ = [
 
 # Sample points per axis of the grid on which the validity box is certified.
 BOX_SAMPLES = 21
+# Padding of the validity box, as a fraction of the OD extent (see ``validity_box``).
+BOX_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,6 @@ class RoutingScenario:
     congestion: CongestionField = field(default_factory=congestion_none)
     eps_cong: float = EPS_CONG
     bvp: BvpConfig = field(default_factory=lambda: BvpConfig(explore=True))
-    box_margin: float = 0.5
 
     def __post_init__(self):
         p = _pt(self.origin)
@@ -59,8 +61,6 @@ class RoutingScenario:
             raise ValueError("origin and destination must differ")
         if not 0 < self.eps_cong < 1:
             raise ValueError("eps_cong must lie in (0, 1)")
-        if not self.box_margin >= 0:
-            raise ValueError("box_margin must be nonnegative")
         object.__setattr__(self, "origin", tuple(p))
         object.__setattr__(self, "destination", tuple(q))
 
@@ -100,9 +100,10 @@ def certified_structure(scenario: RoutingScenario) -> RandersStructure:
     ``build_randers`` builds it over the field's ``euclidean_metric`` and
     checks the saturation bound under the scenario's ``eps_cong`` at the
     field's probes plus a BOX_SAMPLES x BOX_SAMPLES grid over the validity
-    box; a violation raises DomainError naming the first offending point.
+    box (padded by ``BOX_MARGIN``); a violation raises DomainError naming
+    the first offending point.
     """
-    lo, hi = validity_box(scenario.origin, scenario.destination, scenario.box_margin)
+    lo, hi = validity_box(scenario.origin, scenario.destination, BOX_MARGIN)
     axes = [np.linspace(lo[i], hi[i], BOX_SAMPLES) for i in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
     check_points = np.stack([m.ravel() for m in mesh], axis=1)

@@ -39,6 +39,7 @@ seed-1 ``small_net_*`` lattices of the cli-small benchmark workload, but in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -75,6 +76,9 @@ class Link:
     bpr_p: float = 4.0
 
     def __post_init__(self):
+        for name in ("t0", "capacity", "bpr_b", "bpr_p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"link {self.id}: {name} must be finite, got {getattr(self, name)!r}")
         if not self.t0 > 0:
             raise ValueError(f"link {self.id}: free-flow time must be positive")
         if not self.capacity > 0:
@@ -90,6 +94,8 @@ class FixedDemand:
     value: float
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"fixed demand value must be finite, got {self.value!r}")
         if not self.value >= 0:
             raise ValueError("fixed demand must be nonnegative")
 
@@ -105,6 +111,9 @@ class ElasticDemand:
     k: float
 
     def __post_init__(self):
+        for name in ("d0", "k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"elastic demand {name} must be finite, got {getattr(self, name)!r}")
         if not (self.d0 >= 0 and self.k >= 0):
             raise ValueError("elastic demand needs d0 >= 0 and k >= 0")
 

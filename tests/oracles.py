@@ -14,7 +14,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from congeo import fileio
-from congeo.finsler import DomainError, _raw_eval, _vec
+from congeo.finsler import DomainError, _vec, randers_eval
 from congeo.ncp import NcpProblem
 from congeo.traffic import ElasticDemand
 
@@ -264,14 +264,13 @@ def fd_fundamental_tensor(F, x, y):
     """Half the fiber Hessian of F^2 at (x, y), y != 0, by central second
     differences with step ``HESSIAN_FD_STEP * ||y||``: the cross-check of the
     closed-form ``finsler.fundamental_tensor``."""
-    a, b = F.coefficients(x)
     y = _vec(y, "tangent components")
     ny = float(np.linalg.norm(y))
     if ny == 0.0:
         raise DomainError("fundamental tensor undefined at y = 0")
 
     def fsq(v: np.ndarray) -> float:
-        return float(_raw_eval(a, b, v)) ** 2
+        return randers_eval(F, x, v) ** 2
 
     n = y.shape[0]
     h = HESSIAN_FD_STEP * ny

@@ -169,6 +169,7 @@ REJECTED_SCENARIOS = {
     },
     "eps_cong-range": {"origin": [0.0, 0.0], "destination": [1.0, 0.0], "field": "none", "eps_cong": 2},
     "nan-preset": {"origin": [0.0, 1.0], "destination": [1.0, 1.0], "field": "vortex(0,0,nan)"},
+    "box_margin": {"origin": [0.0, 0.0], "destination": [1.0, 0.0], "field": "none", "box_margin": 0.5},
 }
 
 
@@ -194,6 +195,7 @@ class TestValidateAgreesWithRoute:
         [
             ("eps_cong-range", "eps_cong must lie in (0, 1)"),
             ("nan-preset", "non-finite arguments in congestion preset: 'vortex(0,0,nan)'"),
+            ("box_margin", "scenario: unknown field(s) ['box_margin']"),
         ],
     )
     def test_route_checks_inputs_before_routing_any_scenario(self, tmp_path, capsys, name, message):

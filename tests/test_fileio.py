@@ -199,6 +199,25 @@ class TestNcpProblemLoader:
         with pytest.raises(SchemaError, match="positive integer"):
             fileio.load_ncp_problem({"n": 0, "f": {"type": "affine", "M": [], "q": []}})
 
+    @pytest.mark.parametrize(
+        "family, key, value, message",
+        [
+            ("affine", "M", [["a", 1.0], [0.0, 1.0]], "problem.f.M: expected a numeric matrix"),
+            ("affine", "M", [1.0, 2.0], "problem.f.M: expected a 2-d matrix, got shape (2,)"),
+            ("affine", "q", [[1.0], [2.0]], "problem.f.q: expected a 1-d vector, got shape (2, 1)"),
+            ("quadratic", "a", [1.0, "x"], "problem.f.a: expected a numeric vector"),
+            ("quadratic", "M", [[1.0, 0.0], [0.0]], "problem.f.M: expected a numeric matrix"),
+        ],
+    )
+    def test_malformed_arrays_rejected(self, family, key, value, message):
+        doc = {"n": 2, "f": {"type": family, "a": [0.5, 0.5], "M": [[1.0, 0.0], [0.0, 1.0]], "q": [1.0, 1.0]}}
+        if family == "affine":
+            del doc["f"]["a"]
+        doc["f"][key] = value
+        with pytest.raises(SchemaError) as exc:
+            fileio.load_ncp_problem(doc)
+        assert str(exc.value) == message
+
 
 def _set(doc, path, value):
     for key in path[:-1]:
@@ -223,8 +242,6 @@ NON_FINITE = {
     "scenario-tol": ("scenario_none.json", "load_scenario", ("tol",), float("nan"), r"scenario\.tol"),
     "scenario-origin": ("scenario_none.json", "load_scenario", ("origin",), [float("inf"), 0.0],
                         r"scenario\.origin"),
-    "scenario-box_margin": ("scenario_none.json", "load_scenario", ("box_margin",), float("inf"),
-                            r"scenario\.box_margin"),
 }
 
 
@@ -296,6 +313,26 @@ class TestScenarioLoader:
             fileio.load_scenario(
                 {"origin": [0, 0], "destination": [1, 0], "field": "none", "metric": "hyperbolic"}
             )
+
+    def test_box_margin_is_an_unknown_field(self):
+        # the validity box is always padded by routing.BOX_MARGIN
+        with pytest.raises(SchemaError) as exc:
+            fileio.load_scenario({"origin": [0, 0], "destination": [1, 0], "field": "none", "box_margin": 0.5})
+        assert str(exc.value) == "scenario: unknown field(s) ['box_margin']"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("origin", ["a", 0.0], "scenario.origin: expected a numeric vector"),
+            ("origin", [[0.0, 0.0]], "scenario.origin: expected a 1-d vector, got shape (1, 2)"),
+            ("destination", 1.0, "scenario.destination: expected a 1-d vector, got shape ()"),
+        ],
+    )
+    def test_malformed_endpoints_rejected(self, key, value, message):
+        doc = {"origin": [0, 0], "destination": [1, 0], "field": "none", key: value}
+        with pytest.raises(SchemaError) as exc:
+            fileio.load_scenario(doc)
+        assert str(exc.value) == message
 
     def test_identical_endpoints_rejected(self):
         with pytest.raises(SchemaError):

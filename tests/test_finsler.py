@@ -374,6 +374,34 @@ class TestBatchedPresets:
             for batched, single in ((a, a1), (b, b1), (da, da1), (db, db1)):
                 assert np.allclose(batched[k], single, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("name", ["constant", "vortex", "grid"])
+    def test_randers_eval_batch_equals_per_point(self, rng, name):
+        if name == "constant":
+            F = constant_randers([[1.4, 0.2], [0.2, 0.9]], [0.3, -0.2])
+        else:
+            F = build_randers(euclidean_metric(), self._fields()[name])
+        pts = rng.uniform(-1.9, 1.9, size=(25, 2))
+        ys = rng.normal(size=(25, 2))
+        a, b = F.coefficients(pts)
+        speeds = randers_eval(F, pts, ys)
+        norms = covector_norm(a, b)
+        assert speeds.shape == norms.shape == (25,)
+        for k, (p, y) in enumerate(zip(pts, ys)):
+            a1, b1 = F.coefficients(p)
+            assert np.array_equal(a[k], a1) and np.array_equal(b[k], b1)
+            assert speeds[k] == randers_eval(F, p, y)
+            assert norms[k] == covector_norm(a1, b1)
+        assert isinstance(randers_eval(F, pts[0], ys[0]), float)
+        assert isinstance(covector_norm(*F.coefficients(pts[0])), float)
+
+    def test_randers_eval_batch_names_first_drift_violation(self):
+        # ||b||_a = |x_0|: the second and third points violate the bound
+        F = finsler.RandersStructure(
+            bundle=lambda x: (np.eye(2), x * [1.0, 0.0], np.zeros((2, 2, 2)), np.zeros((2, 2)))
+        )
+        with pytest.raises(DomainError, match=r"\|\|b\|\|_a = 1\.5 >= 1 at \[1\.5 "):
+            randers_eval(F, np.array([[0.5, 0.0], [1.5, 0.0], [2.0, 0.0]]), np.ones((3, 2)))
+
     def test_grid_batch_names_point_outside(self):
         field = self._fields()["grid"]
         with pytest.raises(DomainError, match=r"point \([^,]*\b2\.5\b[^,]*, .*outside"):

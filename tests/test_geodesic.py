@@ -439,12 +439,12 @@ class TestElResidual:
 
 class TestGeodesicIvp:
     def test_euclidean_endpoint(self):
-        c = geodesic_ivp(euclidean_randers(), GeodesicIvp((0, 0), (1, 1), horizon=1.0, steps=100))
+        c = geodesic_ivp(euclidean_randers(), GeodesicIvp((0, 0), (1, 1), steps=100))
         assert np.allclose(c.points[-1], [1.0, 1.0], atol=1e-6)
 
     def test_constant_randers_straight(self):
         F = constant_randers(np.eye(2), [0.5, 0.0])
-        c = geodesic_ivp(F, GeodesicIvp((0, 0), (0, 1), horizon=1.0, steps=100))
+        c = geodesic_ivp(F, GeodesicIvp((0, 0), (0, 1), steps=100))
         assert np.allclose(c.points[-1], [0.0, 1.0], atol=1e-6)
         assert np.max(np.abs(el_residual(F, c))) <= 1e-8
 
@@ -452,10 +452,14 @@ class TestGeodesicIvp:
         with pytest.raises(ValueError):
             GeodesicIvp((0, 0), (0, 0))
 
+    def test_non_integer_steps_rejected(self):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            GeodesicIvp((0, 0), (1, 0), steps=10.5)
+
     def test_constant_speed_first_integral(self):
         F = vortex_structure(0.8)
         for y0 in [(1.0, 0.1), (0.3, -1.2)]:
-            c = geodesic_ivp(F, GeodesicIvp((-2.0, 0.1), y0, horizon=1.0, steps=300))
+            c = geodesic_ivp(F, GeodesicIvp((-2.0, 0.1), y0, steps=300))
             speeds = [
                 float(np.sqrt(c.velocities[k] @ F.coefficients(c.points[k])[0] @ c.velocities[k])
                       + F.coefficients(c.points[k])[1] @ c.velocities[k])
@@ -464,11 +468,17 @@ class TestGeodesicIvp:
             speeds = np.array(speeds)
             assert np.max(np.abs(speeds - speeds[0])) <= 1e-6 * abs(speeds[0])
 
-    def test_horizon_rescaling_preserves_endpoint(self):
+    def test_doubled_velocity_covers_two_unit_flows(self):
+        # L = F^2/2 is 2-homogeneous in y: the flow from 2 y0 over unit time is
+        # the flow from y0 over time 2, and RK4 steps of 1/(2n) on the first
+        # are steps of 1/n on the second
         F = vortex_structure(0.5)
-        c1 = geodesic_ivp(F, GeodesicIvp((-1.5, 0.2), (1.0, 0.3), horizon=1.0, steps=400))
-        c2 = geodesic_ivp(F, GeodesicIvp((-1.5, 0.2), (0.5, 0.15), horizon=2.0, steps=400))
-        assert np.allclose(c1.points[-1], c2.points[-1], atol=1e-8)
+        x0, y0, n = (-1.5, 0.2), np.array([0.5, 0.15]), 200
+        doubled = geodesic_ivp(F, GeodesicIvp(x0, 2.0 * y0, steps=2 * n))
+        first = geodesic_ivp(F, GeodesicIvp(x0, y0, steps=n))
+        second = geodesic_ivp(F, GeodesicIvp(first.points[-1], first.velocities[-1], steps=n))
+        assert np.allclose(doubled.points[-1], second.points[-1], rtol=0.0, atol=1e-12)
+        assert np.allclose(doubled.velocities[-1], 2.0 * second.velocities[-1], rtol=0.0, atol=1e-12)
 
     def test_fourth_order_convergence_on_curved_field(self):
         # Euclidean base + position-dependent congestion; reference from a fine run
@@ -686,10 +696,14 @@ class TestBvpDecisions:
             {"tol": float("nan")},
             {"tol": 0.0},
             {"restarts": -1},
+            {"nodes": 30.5},
+            {"nodes": True},
+            {"restarts": 1.5},
+            {"seed": 0.5},
         ],
     )
     def test_config_rejects_invalid(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             BvpConfig(**bad)
 
 

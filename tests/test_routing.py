@@ -118,11 +118,6 @@ class TestRoute:
         with pytest.raises(ValueError):
             RoutingScenario(origin=(1, 1), destination=(1, 1))
 
-    @pytest.mark.parametrize("margin", [-0.1, float("nan")])
-    def test_invalid_box_margin_rejected(self, margin):
-        with pytest.raises(ValueError, match="box_margin"):
-            RoutingScenario(origin=(0, 0), destination=(1, 0), box_margin=margin)
-
     def test_distinct_endpoints_at_large_coordinates_accepted(self):
         # metre-scale grid coordinates: 5 apart at 1e6
         res = route(RoutingScenario(origin=(1e6, 0), destination=(1e6 + 5, 0), bvp=BvpConfig(restarts=0)))

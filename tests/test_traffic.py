@@ -162,6 +162,9 @@ class TestLinkTime:
         for name in ("t0", "capacity", "bpr_b", "bpr_p"):
             with pytest.raises(ValueError, match=name if name.startswith("bpr") else "link l"):
                 Link("l", "a", "b", **{"t0": 1.0, "capacity": 1.0, name: float("nan")})
+            # infinite values meet every lower bound, so finiteness is its own check
+            with pytest.raises(ValueError, match=f"link l: {name} must be finite"):
+                Link("l", "a", "b", **{"t0": 1.0, "capacity": 1.0, name: float("inf")})
 
     @pytest.mark.parametrize(
         "make",
@@ -172,6 +175,9 @@ class TestLinkTime:
             lambda: ElasticDemand(4.0, -1.0),
             lambda: ElasticDemand(float("nan"), 1.0),
             lambda: ElasticDemand(4.0, float("nan")),
+            lambda: FixedDemand(float("inf")),
+            lambda: ElasticDemand(float("inf"), 1.0),
+            lambda: ElasticDemand(4.0, float("inf")),
         ],
     )
     def test_demand_validation(self, make):
